@@ -60,8 +60,11 @@ class PageRankProgram(GraphProgram):
     result_spec = FLOAT64
     property_spec = ValueSpec(np.dtype(np.float64), (2,))
     reduce_ufunc = np.add
-    # The process hook forwards the (pre-scaled) contribution unchanged
-    # and the fold is a plain sum — the compiled plus-first op.
+    # The process hook forwards the (pre-scaled) contribution unchanged,
+    # so a 0.0 message adds exactly nothing to any sum: identity
+    # absorption certified, which makes the program lane-capable.
+    reduce_identity = 0.0
+    # ... and the fold is a plain sum — the compiled plus-first op.
     jit_semiring = "plus-first"
 
     def __init__(self, r: float = 0.15, tolerance: float = 0.0) -> None:
@@ -111,6 +114,18 @@ class PageRankProgram(GraphProgram):
 
     def properties_equal_batch(self, old, new):
         return np.abs(old[:, _RANK] - new[:, _RANK]) <= self.tolerance
+
+    # -- K-lane hooks ------------------------------------------------------
+    def send_message_lanes(self, props_lanes, active_lanes):
+        return props_lanes[:, :, _RANK] * props_lanes[:, :, _INV_DEG]
+
+    def apply_lanes_inplace(self, reduced_lanes, props_lanes, received) -> bool:
+        # The inv-degree column is invariant; only the rank column
+        # updates, in place at the received slots (silent vertices keep
+        # their rank).
+        update = self.r + (1.0 - self.r) * reduced_lanes
+        np.copyto(props_lanes[:, :, _RANK], update, where=received)
+        return True
 
 
 _PPR_RANK, _PPR_INV_DEG, _PPR_TELEPORT = 0, 1, 2

@@ -3,21 +3,19 @@
 Measures what the ``repro.exec`` subsystem buys on the engine's hottest
 path, with the wins attributed separately:
 
-- ``serial``           — the pre-executor engine: serial schedule, fresh
-  superstep vectors and scratch every iteration
-  (``reuse_workspace=False``).  This is the baseline "serial fused path".
-- ``serial+workspace`` — serial schedule through a persistent
-  :class:`~repro.exec.workspace.SuperstepWorkspace` (zero-allocation
-  supersteps, cached groupings, ``np.take(..., out=...)`` gathers).
+- ``serial``           — serial schedule, no caller-held workspace:
+  every run builds its own superstep vectors and scratch (inside the
+  timed region).  This is the baseline "serial fused path".
+- ``serial+workspace`` — serial schedule through a
+  ``graph_program_init`` :class:`~repro.core.engine.Workspace` built
+  once outside the timed region and reused across runs.
 - ``threaded``         — workspace plus a thread pool over the
   GIL-releasing block kernels.
 - ``process``          — workspace plus the shared-memory process pool.
 
 Workloads follow the paper's evaluation: PageRank (fixed iterations,
 reported per-iteration) and BFS (run to quiescence) on a Graph500 R-MAT
-graph.  The allocation claim is counter-verified: the abstract
-``allocations`` event counter is reported per superstep with and without
-the workspace.
+graph.
 """
 
 from __future__ import annotations
@@ -36,26 +34,26 @@ from repro.core.engine import graph_program_init, run_graph_program
 from repro.core.options import EngineOptions
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.preprocess import symmetrize
-from repro.perf.counters import EventCounters
 
 
 def _default_workers() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-def backend_configs(n_workers: int) -> list[tuple[str, EngineOptions]]:
-    """The measured ladder, cheapest schedule first."""
+def backend_configs(n_workers: int) -> list[tuple[str, EngineOptions, bool]]:
+    """The measured ladder, cheapest schedule first:
+    ``(name, options, caller holds a Workspace)``."""
     return [
-        ("serial", EngineOptions(reuse_workspace=False)),
-        ("serial+workspace", EngineOptions()),
-        ("threaded", EngineOptions(backend="threaded", n_workers=n_workers)),
-        ("process", EngineOptions(backend="process", n_workers=n_workers)),
+        ("serial", EngineOptions(), False),
+        ("serial+workspace", EngineOptions(), True),
+        ("threaded", EngineOptions(backend="threaded", n_workers=n_workers), True),
+        ("process", EngineOptions(backend="process", n_workers=n_workers), True),
     ]
 
 
 def _time_config(
-    graph, program, init, options: EngineOptions, max_iterations: int,
-    repeats: int,
+    graph, program, init, options: EngineOptions, hold_workspace: bool,
+    max_iterations: int, repeats: int,
 ) -> dict:
     """Best-of-``repeats`` timing of one (program, options) cell.
 
@@ -66,7 +64,7 @@ def _time_config(
     run_options = options.with_(max_iterations=max_iterations)
     workspace = (
         graph_program_init(graph, program, run_options)
-        if options.reuse_workspace
+        if hold_workspace
         else None
     )
     best = None
@@ -86,7 +84,7 @@ def _time_config(
                 "seconds": seconds,
                 "workspace_scratch_bytes": (
                     workspace.superstep.scratch_nbytes()
-                    if workspace is not None and workspace.superstep is not None
+                    if workspace is not None
                     else 0
                 ),
                 "supersteps": stats.n_supersteps,
@@ -106,37 +104,6 @@ def _time_config(
         if workspace is not None:
             workspace.close()
     return best
-
-
-def _allocation_counts(graph, iterations: int) -> dict:
-    """Per-superstep allocation events with and without the workspace."""
-    out = {}
-    for label, options in (
-        ("without_workspace", EngineOptions(reuse_workspace=False)),
-        ("with_workspace", EngineOptions()),
-    ):
-        program = PageRankProgram()
-        counters = EventCounters()
-        init_pagerank(graph, program)
-        stats = run_graph_program(
-            graph,
-            program,
-            options.with_(max_iterations=iterations),
-            counters=counters,
-        )
-        out[label] = {
-            "allocations": counters.allocations,
-            "allocations_per_superstep": (
-                counters.allocations / stats.n_supersteps
-                if stats.n_supersteps
-                else 0.0
-            ),
-        }
-    out["reduction_factor"] = (
-        out["without_workspace"]["allocations"]
-        / max(1, out["with_workspace"]["allocations"])
-    )
-    return out
 
 
 def bench_backends(
@@ -179,29 +146,29 @@ def bench_backends(
         "bfs": {},
     }
 
-    for name, options in configs:
+    for name, options, hold_workspace in configs:
         program = PageRankProgram()
         record["pagerank"][name] = _time_config(
             graph,
             program,
             lambda g, p=program: init_pagerank(g, p),
             options,
+            hold_workspace,
             max_iterations=pr_iterations,
             repeats=repeats,
         )
 
     record["meta"]["bfs_root"] = bfs_root
-    for name, options in configs:
+    for name, options, hold_workspace in configs:
         record["bfs"][name] = _time_config(
             sym,
             BFSProgram(),
             lambda g: init_bfs(g, bfs_root),
             options,
+            hold_workspace,
             max_iterations=-1,
             repeats=repeats,
         )
-
-    record["allocations"] = _allocation_counts(graph, iterations=pr_iterations)
 
     serial = record["pagerank"]["serial"]["seconds_per_iteration"]
     record["pagerank_speedup_vs_serial"] = {
@@ -250,13 +217,8 @@ def summarize(record: dict) -> str:
             f"{name:<18} {pr['seconds_per_iteration']:>10.4f} "
             f"{pr['edges_per_sec'] / 1e6:>12.2f} {bfs['seconds']:>8.4f}"
         )
-    alloc = record["allocations"]
     lines += [
         "",
-        "allocations/superstep: "
-        f"{alloc['without_workspace']['allocations_per_superstep']:.1f} without "
-        f"workspace -> {alloc['with_workspace']['allocations_per_superstep']:.1f} "
-        f"with ({alloc['reduction_factor']:.1f}x fewer)",
         f"winner: {record['winner']['pagerank_parallel_backend']} "
         f"({record['winner']['pagerank_speedup']:.2f}x vs serial fused)",
     ]

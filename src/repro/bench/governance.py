@@ -130,7 +130,7 @@ def _cancel_phase(
         governance = service.stats()["governance"]
     wall = time.perf_counter() - t0
 
-    # Survivors: bitwise against the sequential engine.
+    # Survivors: bitwise against each query run alone.
     bitwise_ok = 0
     for source, result in zip(good_sources, survivors):
         reference = run_personalized_pagerank(

@@ -13,10 +13,9 @@ configurations over the same request stream:
   baseline convention of ``bench_batch`` (sequential = one
   ``run_graph_program`` per query),
 - ``unbatched_service`` — the full service with ``max_batch_k=1``, cache
-  off: still one query per engine run, but through the scheduler and the
-  K=1 *batched* driver (reported because the degenerate single-lane SpMM
-  path is itself faster than the classic sequential engine — the
-  batching machinery costs nothing even with nothing to batch),
+  off: still one query per engine run, but through the scheduler (both
+  unbatched rows are one-lane runs of the same engine; the difference is
+  the scheduler's overhead with nothing to batch),
 - ``batched``           — ``max_batch_k=K``, cache off: the
   micro-batching scheduler coalesces concurrent same-kind requests into
   K-lane sweeps,

@@ -28,7 +28,7 @@ from repro.core.semiring import (
     Semiring,
     get_semiring,
 )
-from repro.core.spmv import PartitionWork, spmv_fused, spmv_scalar
+from repro.core.spmv import PartitionWork, spmv_scalar, sweep_view
 
 __all__ = [
     "EdgeDirection",
@@ -57,5 +57,5 @@ __all__ = [
     "PLUS_FIRST",
     "PartitionWork",
     "spmv_scalar",
-    "spmv_fused",
+    "sweep_view",
 ]

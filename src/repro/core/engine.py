@@ -1,19 +1,45 @@
-"""The GraphMat BSP driver: ``run_graph_program`` (Algorithm 2).
+"""The GraphMat BSP driver (Algorithm 2): one superstep loop for every run.
 
 Each superstep:
 
-1. **Send** — every active vertex produces a message via ``send_message``;
-   messages form a sparse vector ``x`` keyed by vertex id.
-2. **SpMV** — generalized sparse matrix–sparse vector multiply of the
+1. **Send** — every active vertex produces a message via the program's
+   send hook; messages form a sparse vector ``x`` keyed by vertex id.
+2. **Sweep** — generalized sparse matrix–sparse vector multiply of the
    graph view(s) selected by the program's edge direction with ``x``,
    using ``process_message`` as multiply and ``reduce`` as add.
 3. **Apply** — every vertex with an entry in the result vector ``y`` runs
-   ``apply``; vertices whose property changed become active for the next
-   superstep.
+   the apply hook; vertices whose property changed become active for the
+   next superstep.
 
 The loop ends when no vertices are active or after
 ``options.max_iterations`` supersteps (-1 = run to quiescence, as in the
 paper's ``run_graph_program(&inst, G, -1, &workspace)``).
+
+There is exactly one loop (:func:`_run_supersteps`) and it is K-lane:
+its state is a ``(K, n, ...)`` property block and a ``(K, n)`` active
+mask, one lane per program instance.  :func:`run_graph_programs_batched`
+runs K queries through it; :func:`run_graph_program` is the one-lane
+case — it lifts ``graph.vertex_properties`` / ``graph.active`` into lane
+0 *as views*, so the state lives on the graph exactly as in the paper's
+API.  SpMV is SpMM with one column.
+
+What a superstep's three phases call is chosen **once per run** from
+what the program and options declare — never from the entry point:
+
+- *lane-capable* programs (``GraphProgram.supports_batched()``: scalar
+  numeric specs, a reduce ufunc, a declared identity) under the default
+  ``fused`` + ``use_bitvector`` options run the K-lane family:
+  :class:`~repro.vector.multi_frontier.MultiFrontier` vectors, the
+  ``*_lanes`` / ``*_batch`` hooks and
+  :func:`repro.core.spmv.run_block_batch` as the sweep,
+- everything else — vector messages (collaborative filtering), object
+  results (triangle counting), programs without a reduce ufunc/identity
+  or with only the scalar hooks, and the paper's ``naive`` /
+  ``+bitvector`` ablation rungs (``fused=False``) — runs the generic
+  family with K fixed at 1: one sparse-vector pair, the ``*_batch``
+  hooks with :func:`repro.core.spmv.run_block` as the sweep, or the
+  scalar hooks with :func:`repro.core.spmv.spmv_scalar` (the literal
+  Algorithm 1 the tests use as reference).
 
 The engine exposes rich per-iteration statistics (message counts, edges
 processed, per-block kernel choices, optional per-partition work) because
@@ -23,34 +49,28 @@ the multicore simulation and the Figure 5–7 benchmarks are driven by the
 Execution backends & workspace reuse
 ------------------------------------
 
-The SpMV phase is dispatched through a pluggable executor
-(:mod:`repro.exec`), selected by ``options.backend``:
+The sweep is dispatched through a pluggable executor
+(:mod:`repro.exec`), selected by ``options.backend``: ``"serial"``
+(calling thread, the reference schedule), ``"threaded"`` (thread pool
+over GIL-releasing NumPy kernels), ``"process"`` (process pool; blocks
+shipped once, frontier/properties broadcast through shared memory) and
+the compiled ``"jit"`` / ``"jit-threaded"`` tier.  Partitions own
+disjoint output row ranges (section 4.4.1), so block results merge
+without locks and every backend produces bitwise-identical algorithm
+outputs.  An executor that cannot run a program (e.g. the process
+backend with object-valued properties, the jit tier without a compiled
+plan) is transparently replaced by its fallback schedule for that run;
+``RunStats.backend`` records the schedule actually used.
 
-- ``"serial"``   — blocks run in the calling thread (the reference
-  schedule, and the only schedule for programs without batch hooks),
-- ``"threaded"`` — blocks run on a thread pool; NumPy's kernels release
-  the GIL, so the per-block gathers/reductions overlap on real cores,
-- ``"process"``  — blocks run on a process pool; the DCSC blocks are
-  shipped to the workers once per workspace and each superstep's
-  frontier/properties are broadcast through shared memory.
-
-Partitions own disjoint output row ranges (section 4.4.1), so block
-results merge without locks and every backend produces bitwise-identical
-algorithm outputs.  An executor that cannot run a program (e.g. the
-process backend with object-valued properties) is transparently replaced
-by the serial schedule for that run; ``RunStats.backend`` records the
-schedule actually used.
-
-With ``options.reuse_workspace`` (default on) the engine keeps a
+Every run sweeps through a
 :class:`~repro.exec.workspace.SuperstepWorkspace`: the ``x``/``y``
-sparse vectors, per-block edge scratch buffers and the blocks' cached
-``col_expanded()``/``dst_groups()`` products are allocated once — in
-:func:`graph_program_init` when the caller holds a :class:`Workspace`,
-else once per run — and reset in place each iteration, eliminating the
-per-superstep allocation churn of the naive loop.  Each superstep's
-per-block kernel choices (``scalar`` / ``sparse-gather`` /
-``dense-pull``, see :func:`repro.core.spmv.select_kernel`) are recorded
-in ``IterationStats.kernel_counts``.
+vectors, per-block edge scratch buffers and the blocks' cached groupings
+are allocated once — in :func:`graph_program_init` when the caller holds
+a :class:`Workspace`, else once per run — and reset in place each
+iteration.  Each superstep's per-block kernel choices (``scalar`` /
+``sparse-gather`` / ``dense-pull``, see
+:func:`repro.core.spmv.select_kernel`) are recorded in
+``IterationStats.kernel_counts``.
 """
 
 from __future__ import annotations
@@ -62,15 +82,17 @@ import numpy as np
 
 from repro.core.graph_program import EdgeDirection, GraphProgram
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
-from repro.core.spmv import KernelThresholds, PartitionWork, spmv_scalar
-from repro.errors import ConvergenceError, ProgramError
-from repro.exec import (
-    BatchWorkspace,
-    SuperstepWorkspace,
-    create_executor,
+from repro.core.spmv import (
+    KernelThresholds,
+    PartitionWork,
+    run_block,
+    run_block_batch,
+    spmv_scalar,
 )
+from repro.errors import ConvergenceError, ProgramError
+from repro.exec import SuperstepWorkspace, create_executor
 from repro.graph.graph import Graph
-from repro.vector.sparse_vector import BitvectorVector, make_sparse_vector
+from repro.vector.dense import PropertyArray
 
 
 @dataclass
@@ -125,7 +147,8 @@ def _kernel_totals(iterations: list[IterationStats]) -> dict[str, int]:
 
 @dataclass
 class RunStats:
-    """Aggregate record of one ``run_graph_program`` invocation."""
+    """Aggregate record of one lane of an engine run (the whole record
+    of a ``run_graph_program`` invocation)."""
 
     iterations: list[IterationStats] = field(default_factory=list)
     total_seconds: float = 0.0
@@ -192,6 +215,100 @@ class RunStats:
         return doc
 
 
+@dataclass
+class BatchRun:
+    """Result of one :func:`run_graph_programs_batched` invocation.
+
+    ``properties`` holds the final per-lane vertex state, lane-major
+    (``(K, n_vertices, *property_shape)``); ``properties[k]`` is bitwise
+    identical to what :func:`run_graph_program` of query ``k`` alone
+    would have left in ``graph.vertex_properties``.  ``lane_stats``
+    records one complete :class:`RunStats` per lane (per-lane supersteps,
+    message counts, convergence, plus the shared sweep's kernel counts
+    and partition work); ``iterations`` records the *shared* sweeps —
+    its ``edges_processed`` counts each edge once per superstep no
+    matter how many lanes it served, which is the whole point.
+    """
+
+    properties: np.ndarray
+    lane_stats: list[RunStats] = field(default_factory=list)
+    iterations: list[IterationStats] = field(default_factory=list)
+    total_seconds: float = 0.0
+    backend: str = "serial"
+
+    @property
+    def n_lanes(self) -> int:
+        """Number of program instances the batch ran."""
+        return len(self.lane_stats)
+
+    @property
+    def n_supersteps(self) -> int:
+        """Number of shared BSP supersteps (not per-lane)."""
+        return len(self.iterations)
+
+    @property
+    def converged(self) -> bool:
+        """True when every lane quiesced."""
+        return all(stats.converged for stats in self.lane_stats)
+
+    @property
+    def cancelled(self) -> bool:
+        """True when any lane was cooperatively cancelled."""
+        return any(stats.cancelled for stats in self.lane_stats)
+
+    @property
+    def lanes_cancelled(self) -> int:
+        """How many lanes were cooperatively cancelled."""
+        return sum(stats.cancelled for stats in self.lane_stats)
+
+    @property
+    def total_edges_processed(self) -> int:
+        """Edges swept across all supersteps (shared across lanes)."""
+        return sum(it.edges_processed for it in self.iterations)
+
+    def kernel_totals(self) -> dict[str, int]:
+        """Kernel selections summed over all supersteps."""
+        return _kernel_totals(self.iterations)
+
+    def lane_properties(self, lane: int) -> np.ndarray:
+        """One lane's final vertex state, shape ``(n_vertices, *shape)``."""
+        return self.properties[lane]
+
+    def to_dict(
+        self,
+        *,
+        include_lanes: bool = True,
+        include_iterations: bool = False,
+    ) -> dict:
+        """JSON-ready record of the batch (never the property arrays).
+
+        ``include_lanes`` adds one compact :meth:`RunStats.to_dict` per
+        lane; ``include_iterations`` additionally expands the per-sweep
+        (and per-lane) iteration lists.
+        """
+        doc = {
+            "backend": self.backend,
+            "n_lanes": self.n_lanes,
+            "n_supersteps": self.n_supersteps,
+            "converged": bool(self.converged),
+            "cancelled": bool(self.cancelled),
+            "lanes_cancelled": int(self.lanes_cancelled),
+            "total_seconds": float(self.total_seconds),
+            "total_edges_processed": int(self.total_edges_processed),
+            "kernel_totals": {
+                k: int(v) for k, v in self.kernel_totals().items()
+            },
+        }
+        if include_lanes:
+            doc["lane_stats"] = [
+                stats.to_dict(include_iterations=include_iterations)
+                for stats in self.lane_stats
+            ]
+        if include_iterations:
+            doc["iterations"] = [it.to_dict() for it in self.iterations]
+        return doc
+
+
 class Workspace:
     """Reusable engine state, the paper's ``graph_program_init`` result.
 
@@ -213,18 +330,11 @@ class Workspace:
         self.options = options
         self.views = _matrix_views(graph, program.direction, options)
         self.executor = create_executor(options)
-        fused = options.fused and options.use_bitvector and program.supports_fused()
-        # The process backend's workers hold their own scratch and warm
-        # their own caches; building them parent-side too would only
-        # double the memory footprint.
-        build_scratch = fused and self.executor.name != "process"
-        self.superstep: SuperstepWorkspace | None = (
-            SuperstepWorkspace(
-                graph.n_vertices, program, options, self.views,
-                fused=build_scratch,
-            )
-            if options.reuse_workspace
-            else None
+        self.superstep = SuperstepWorkspace(
+            graph.n_vertices,
+            program,
+            self.views,
+            **_superstep_shape(program, options, 1, self.executor.name),
         )
 
     def close(self) -> None:
@@ -236,6 +346,31 @@ class Workspace:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _uses_fused(program: GraphProgram, options: EngineOptions) -> bool:
+    """Whether a run sweeps with a block kernel (else Algorithm 1)."""
+    return options.fused and options.use_bitvector and program.supports_fused()
+
+
+def _superstep_shape(
+    program: GraphProgram, options: EngineOptions, n_lanes: int,
+    executor_name: str,
+) -> dict:
+    """The ``SuperstepWorkspace`` shape a run of ``program`` needs.
+
+    This is where the kernel family is chosen: ``n_lanes`` stays an
+    integer only for lane-capable programs on the fused path.  Process
+    workers hold their own scratch and warm their own caches; building
+    them parent-side too would only double the memory footprint.
+    """
+    fused = _uses_fused(program, options)
+    lanes = fused and program.supports_batched()
+    return {
+        "n_lanes": n_lanes if lanes else None,
+        "use_bitvector": options.use_bitvector,
+        "scratch": fused and executor_name != "process",
+    }
 
 
 def _resolve_view(graph: Graph, direction: str, options: EngineOptions):
@@ -290,6 +425,546 @@ def graph_program_init(
     return Workspace(graph, program, options)
 
 
+# ----------------------------------------------------------------------
+# The two kernel families: what send / sweep / apply call in a superstep
+# ----------------------------------------------------------------------
+def _send_batch(program: GraphProgram, props: np.ndarray, active_idx: np.ndarray):
+    """``(senders, messages)`` of one frontier through ``send_message_batch``."""
+    sent = program.send_message_batch(props[active_idx], active_idx)
+    if isinstance(sent, tuple):
+        send_mask, messages = sent
+        send_mask = np.asarray(send_mask, dtype=bool)
+        return active_idx[send_mask], np.asarray(messages)[send_mask]
+    return active_idx, np.asarray(sent)
+
+
+def _attributes_equal(a, b) -> bool:
+    """Safe equality of two program attributes (ndarrays included);
+    "cannot tell" is False."""
+    try:
+        return a is b or bool(np.array_equal(a, b))
+    except (TypeError, ValueError):
+        return False
+
+
+def _uniform_lanes(programs) -> bool:
+    """True when every lane runs an equivalent program instance.
+
+    Equivalent instances unlock the full-width lane hooks (one
+    vectorized send/apply over the whole ``(K, n)`` block instead of K
+    per-lane passes).  Lanes with differing — or incomparable —
+    constructor parameters use the per-lane hooks, which see their own
+    instance.
+    """
+    first = vars(programs[0])
+    for program in programs[1:]:
+        other = vars(program)
+        if first.keys() != other.keys() or not all(
+            _attributes_equal(value, other[key]) for key, value in first.items()
+        ):
+            return False
+    return True
+
+
+class _Family:
+    """What one run's supersteps call: ``send``, ``sweep``, ``apply``."""
+
+    def __init__(self, program, superstep, executor, thresholds, counters):
+        #: Lane 0's instance: the one whose process/reduce the sweep runs.
+        self.program = program
+        self.superstep = superstep
+        self.x, self.y = superstep.x, superstep.y
+        self.executor = executor
+        self.thresholds = thresholds
+        self.counters = counters
+
+    def _sweep_blocks(
+        self, kernel, properties, view_index, view, partition_work, kernel_counts
+    ) -> int:
+        return self.executor.sweep(
+            kernel,
+            view_index,
+            view,
+            self.x,
+            self.y,
+            self.program,
+            properties,
+            self.counters,
+            partition_work,
+            kernel_counts,
+            self.superstep.view_scratch(view_index),
+            self.thresholds,
+        )
+
+
+class _LaneFamily(_Family):
+    """Lane-capable programs: K frontiers per edge sweep.
+
+    State is the lane-major ``(K, n, ...)`` property block and ``(K, n)``
+    active mask; ``x``/``y`` are ``MultiFrontier`` blocks and the sweep
+    is :func:`repro.core.spmv.run_block_batch`.  Lanes converge
+    independently: a lane that left the live set keeps an empty
+    frontier, adding nothing to later sweeps.
+    """
+
+    def __init__(self, programs, properties, active, *context):
+        super().__init__(programs[0], *context)
+        self.programs = programs
+        self.properties = properties
+        self.active = active
+        self.uniform = _uniform_lanes(programs)
+
+    def sweep(self, view_index, view, partition_work, kernel_counts) -> int:
+        """One pass over ``view`` serving every live lane."""
+        return self._sweep_blocks(
+            run_block_batch, self.properties,
+            view_index, view, partition_work, kernel_counts,
+        )
+
+    def send(self, live, active_before) -> np.ndarray:
+        """Fill ``x`` from the live lanes; returns messages sent per lane."""
+        props, active, x = self.properties, self.active, self.x
+        wide = (
+            self.program.send_message_lanes(props, active)
+            if self.uniform
+            else None
+        )
+        if wide is not None:
+            # Full-width send: one masked copy covers every lane (lanes
+            # outside the live set have an all-False active row).
+            x.set_from_mask(active, np.asarray(wide))
+            lane_messages = active_before.astype(np.int64)
+        else:
+            lane_messages = np.zeros(len(self.programs), dtype=np.int64)
+            for k in live:
+                senders, messages = _send_batch(
+                    self.programs[k], props[k], np.flatnonzero(active[k])
+                )
+                x.scatter_lane(k, senders, messages)
+                lane_messages[k] = senders.shape[0]
+        if self.counters is not None:
+            self.counters.record(
+                user_calls=len(live),
+                element_ops=int(active_before.sum()),
+                random_accesses=int(lane_messages.sum()),
+            )
+        return lane_messages
+
+    def frontier_density(self, n: int) -> float:
+        """Union density: the signal the aggregate-density kernel
+        selection actually sees."""
+        return int(np.count_nonzero(self.x.any_mask())) / n if n else 0.0
+
+    def apply(self, live, live_mask) -> list[tuple[int, int, int]]:
+        """Apply ``y`` per lane; returns ``(lane, updated, activated)`` rows."""
+        props, active, y = self.properties, self.active, self.y
+        program0 = self.program
+        n_lanes, n = active.shape
+        y_valid = y.valid_mask()
+        received = np.count_nonzero(y_valid, axis=1)
+        # The full-width apply computes over every (lane, vertex) slot;
+        # worth it only when most slots actually received
+        # (PageRank-style dense supersteps), else per-lane updates on
+        # the received subsets win.
+        wide_dense = self.uniform and 2 * int(received.sum()) > n * n_lanes
+        inplace = (
+            wide_dense
+            and program0.reactivate_all
+            and program0.apply_lanes_inplace(y.values, props, y_valid)
+        )
+        wide_new = None
+        if wide_dense and not inplace:
+            wide_new = program0.apply_lanes(y.values, props)
+        if wide_new is not None:
+            wide_new = np.asarray(wide_new)
+            if not program0.reactivate_all:
+                unchanged = program0.properties_equal_lanes(props, wide_new)
+            adopt = y_valid.reshape(y_valid.shape + (1,) * (props.ndim - 2))
+            np.copyto(props, wide_new, where=adopt)
+        if inplace or (wide_new is not None and program0.reactivate_all):
+            # Activity is unconditional: no old state, no equality pass.
+            active[:] = False
+            active[live] = True
+            rows = [(k, int(received[k]), n) for k in live]
+        elif wide_new is not None:
+            np.logical_and(y_valid, ~unchanged, out=active)
+            active[~live_mask] = False
+            activated = np.count_nonzero(active, axis=1)
+            rows = [(k, int(received[k]), int(activated[k])) for k in live]
+        else:
+            rows = []
+            for k in live:
+                program = self.programs[k]
+                updated_idx = np.flatnonzero(y_valid[k])
+                active[k] = False
+                activated = 0
+                if updated_idx.size:
+                    old_props = props[k, updated_idx]
+                    new_props = program.apply_batch(
+                        y.values[k, updated_idx], old_props
+                    )
+                    props[k, updated_idx] = new_props
+                    unchanged = program.properties_equal_batch(
+                        old_props, new_props
+                    )
+                    activated_idx = updated_idx[~unchanged]
+                    active[k, activated_idx] = True
+                    activated = int(activated_idx.size)
+                if program.reactivate_all:
+                    active[k] = True
+                    activated = n
+                rows.append((k, int(updated_idx.size), activated))
+        if self.counters is not None:
+            total_updated = sum(row[1] for row in rows)
+            self.counters.record(
+                user_calls=2 * len(live),
+                element_ops=total_updated,
+                random_accesses=2 * total_updated,
+            )
+        return rows
+
+
+class _GenericFamily(_Family):
+    """Everything the lane block cannot carry, with K fixed at 1.
+
+    One sparse-vector pair; vector/object values allowed.  ``fused``
+    selects the ``*_batch`` hooks with :func:`repro.core.spmv.run_block`
+    as the sweep, else the scalar hooks with
+    :func:`repro.core.spmv.spmv_scalar` (Algorithm 1, literally).  Lane
+    0 of the driver's state blocks is the whole state.
+    """
+
+    def __init__(self, program, properties, active, fused, *context):
+        super().__init__(program, *context)
+        # Entry shape is taken from the data, not the program's spec:
+        # the generic path has always run whatever the caller installed.
+        self.properties = PropertyArray.from_array(properties[0])
+        self.active = active[0]
+        self.fused = fused
+
+    def sweep(self, view_index, view, partition_work, kernel_counts) -> int:
+        """One pass over ``view`` for the single frontier."""
+        if self.fused:
+            return self._sweep_blocks(
+                run_block, self.properties.data,
+                view_index, view, partition_work, kernel_counts,
+            )
+        return spmv_scalar(
+            view, self.x, self.y, self.program, self.properties,
+            self.counters, partition_work,
+        )
+
+    def send(self, live, active_before) -> np.ndarray:
+        """Fill ``x`` from the active vertices; returns messages sent."""
+        program, properties, x = self.program, self.properties, self.x
+        active_idx = np.flatnonzero(self.active)
+        if self.fused:
+            senders, messages = _send_batch(program, properties.data, active_idx)
+            x.scatter(senders, messages)
+            if self.counters is not None:
+                self.counters.record(
+                    user_calls=1,
+                    element_ops=int(active_idx.size),
+                    random_accesses=int(senders.shape[0]),
+                )
+        else:
+            for v in active_idx:
+                message = program.send_message(properties.get(int(v)))
+                if message is not None:
+                    x.set(int(v), message)
+            if self.counters is not None:
+                self.counters.record(
+                    user_calls=int(active_idx.size),
+                    random_accesses=int(active_idx.size),
+                )
+        return np.array([x.nnz], dtype=np.int64)
+
+    def frontier_density(self, n: int) -> float:
+        """Fraction of vertices that sent a message."""
+        return self.x.nnz / n if n else 0.0
+
+    def apply(self, live, live_mask) -> list[tuple[int, int, int]]:
+        """Apply ``y``; returns the one ``(0, updated, activated)`` row."""
+        program, properties, y = self.program, self.properties, self.y
+        active = self.active
+        active[:] = False
+        vertices_updated = activated = 0
+        if self.fused:
+            updated_idx = y.indices()
+            if updated_idx.size:
+                old_props = properties.data[updated_idx]
+                new_props = program.apply_batch(y.values[updated_idx], old_props)
+                properties.data[updated_idx] = new_props
+                unchanged = program.properties_equal_batch(old_props, new_props)
+                activated_idx = updated_idx[~unchanged]
+                active[activated_idx] = True
+                vertices_updated = int(updated_idx.size)
+                activated = int(activated_idx.size)
+                if self.counters is not None:
+                    self.counters.record(
+                        user_calls=2,
+                        element_ops=vertices_updated,
+                        random_accesses=2 * vertices_updated,
+                    )
+        else:
+            for k, reduced_value in y.items():
+                old_prop = properties.get(k)
+                if isinstance(old_prop, np.ndarray):
+                    old_prop = old_prop.copy()
+                new_prop = program.apply(reduced_value, old_prop)
+                properties.set(k, new_prop)
+                vertices_updated += 1
+                if not program.properties_equal(old_prop, new_prop):
+                    active[k] = True
+                    activated += 1
+            if self.counters is not None:
+                self.counters.record(
+                    user_calls=vertices_updated,
+                    random_accesses=2 * vertices_updated,
+                )
+        if program.reactivate_all:
+            active[:] = True
+            activated = active.shape[0]
+        return [(0, vertices_updated, activated)]
+
+
+# ----------------------------------------------------------------------
+# The superstep loop
+# ----------------------------------------------------------------------
+def _run_supersteps(
+    graph: Graph,
+    programs: list[GraphProgram],
+    lane_properties: np.ndarray,
+    lane_active: np.ndarray,
+    options: EngineOptions,
+    *,
+    workspace: Workspace | None = None,
+    counters=None,
+    safety_cap: int | None = None,
+    lane_tokens=None,
+) -> BatchRun:
+    """Run ``len(programs)`` lanes of one program class to completion.
+
+    The one BSP loop behind both public entry points.  ``lane_properties``
+    (``(K, n, ...)``) and ``lane_active`` (``(K, n)``) are updated **in
+    place** and are the result; callers that must not see their inputs
+    mutated copy first.
+    """
+    program0 = programs[0]
+    n = graph.n_vertices
+    n_lanes = len(programs)
+    tokens = list(lane_tokens) if lane_tokens is not None else []
+    if tokens and len(tokens) != n_lanes:
+        raise ProgramError(
+            f"lane_tokens must have one entry per lane: "
+            f"got {len(tokens)} for {n_lanes} lanes"
+        )
+    # A workspace built for another edge direction holds the wrong matrix
+    # views; rebuild them (cheap — the graph caches partitioned views).
+    views = (
+        workspace.views
+        if workspace is not None
+        and workspace.program.direction is program0.direction
+        else _matrix_views(graph, program0.direction, options)
+    )
+    fused = _uses_fused(program0, options)
+
+    # -- Executor selection (block kernels only; Algorithm 1 is a pure
+    # Python loop that no backend accelerates).  The run's options win:
+    # a workspace built for another backend contributes its views but
+    # not its executor.
+    executor = None
+    owns_executor = False
+    if fused:
+        if (
+            workspace is not None
+            and workspace.executor.name == options.backend
+            and workspace.executor.n_workers == options.n_workers
+        ):
+            executor = workspace.executor
+        else:
+            executor = create_executor(options)
+            owns_executor = True
+        if not executor.supports(program0):
+            # The executor names its own substitute (jit-threaded keeps
+            # the threaded schedule; everything else drops to serial).
+            substitute = executor.fallback()
+            if owns_executor:
+                executor.close()
+            executor = substitute
+            owns_executor = True
+    backend = executor.name if executor is not None else "serial"
+
+    # -- Superstep workspace: reuse the caller's when its shape fits
+    # (specs, family, view set — per-block scratch is sized for specific
+    # blocks — and the scratch this run's executor consumes), else build
+    # one for this run (still amortized over all supersteps).
+    shape = _superstep_shape(program0, options, n_lanes, backend)
+    superstep = workspace.superstep if workspace is not None else None
+    if superstep is None or not superstep.matches(n, program0, views, **shape):
+        superstep = SuperstepWorkspace(n, program0, views, **shape)
+    context = (
+        superstep, executor, KernelThresholds.from_options(options), counters
+    )
+    if shape["n_lanes"] is not None:
+        family = _LaneFamily(programs, lane_properties, lane_active, *context)
+    else:
+        family = _GenericFamily(
+            program0, lane_properties, lane_active, fused, *context
+        )
+
+    run = BatchRun(
+        properties=lane_properties,
+        lane_stats=[
+            RunStats(used_fused_path=fused, backend=backend)
+            for _ in range(n_lanes)
+        ],
+        backend=backend,
+    )
+    lane_converged = np.zeros(n_lanes, dtype=bool)
+    lane_cancelled = np.zeros(n_lanes, dtype=bool)
+
+    def _cancel_lane(k: int, reason: str) -> None:
+        run.lane_stats[k].cancelled = True
+        run.lane_stats[k].cancel_reason = reason
+        lane_cancelled[k] = True
+
+    batch_token = options.token
+    bound, bound_owner = options.iteration_bound()
+    if safety_cap is not None and bound_owner == "safety_cap":
+        bound = safety_cap
+    start = time.perf_counter()
+    iteration = 0
+    try:
+        if executor is not None:
+            executor.prepare(views, program0)
+        while True:
+            # One precedence rule (EngineOptions.iteration_bound): an
+            # explicit max_iterations stops the run normally; the
+            # safety cap firing is a does-not-quiesce bug.
+            if iteration >= bound:
+                if bound_owner == "safety_cap":
+                    raise ConvergenceError(
+                        f"safety_cap bound fired: run-to-quiescence "
+                        f"program did not quiesce within {bound} "
+                        f"supersteps (max_iterations=-1; set an explicit "
+                        f"max_iterations or a CancellationToken "
+                        f"superstep_budget to bound the run intentionally)"
+                    )
+                break
+            # Cooperative cancellation: polled at the superstep boundary
+            # (nothing user-visible is half-applied between boundaries),
+            # so a fired deadline stops a lane before the *next* sweep
+            # starts — at most one superstep of cancellation latency.
+            # The batch token fells every live lane, per-lane tokens
+            # their own.
+            if batch_token is not None:
+                reason = batch_token.check(iteration)
+                if reason is not None:
+                    for k in np.flatnonzero(~lane_converged & ~lane_cancelled):
+                        _cancel_lane(int(k), reason)
+            if tokens:
+                for k in np.flatnonzero(~lane_converged & ~lane_cancelled):
+                    lane_token = tokens[int(k)]
+                    if lane_token is None:
+                        continue
+                    reason = lane_token.check(iteration)
+                    if reason is not None:
+                        _cancel_lane(int(k), reason)
+            active_before = np.count_nonzero(lane_active, axis=1)
+            newly_quiet = (
+                ~lane_converged & ~lane_cancelled & (active_before == 0)
+            )
+            for k in np.flatnonzero(newly_quiet):
+                run.lane_stats[int(k)].converged = True
+            lane_converged |= newly_quiet
+            live_mask = ~lane_converged & ~lane_cancelled
+            live = np.flatnonzero(live_mask).tolist()
+            if not live:
+                break
+            if lane_cancelled.any():
+                # A felled lane leaves the shared send/sweep exactly like
+                # a converged one — with an empty frontier — so the
+                # survivors stay bitwise identical to their own one-lane
+                # runs.  (Only while others run on: a cancelled one-lane
+                # run keeps its next frontier on the graph.)
+                lane_active[lane_cancelled] = False
+                active_before[lane_cancelled] = 0
+            t_iter = time.perf_counter()
+
+            # -- Send phase (Algorithm 2 lines 3-5) ----------------------
+            superstep.reset()
+            lane_messages = family.send(live, active_before).tolist()
+
+            # -- Sweep phase (Algorithm 2 line 6 / Algorithm 1): one
+            # pass over the matrix view(s) serves every live lane -------
+            partition_work: list[PartitionWork] | None = (
+                [] if options.record_partition_stats else None
+            )
+            kernel_counts: dict[str, int] = {}
+            edges = sum(
+                family.sweep(view_index, view, partition_work, kernel_counts)
+                for view_index, view in enumerate(views)
+            )
+            # One shared sweep: every lane's record carries its work list.
+            work = partition_work or []
+
+            # -- Apply phase (Algorithm 2 lines 7-13) ---------------------
+            lane_rows = family.apply(live, live_mask)
+
+            seconds = time.perf_counter() - t_iter
+            for k, vertices_updated, activated in lane_rows:
+                run.lane_stats[k].iterations.append(
+                    IterationStats(
+                        iteration=iteration,
+                        active_before=int(active_before[k]),
+                        messages_sent=lane_messages[k],
+                        edges_processed=edges,
+                        vertices_updated=vertices_updated,
+                        activated=activated,
+                        seconds=seconds,
+                        partition_work=work,
+                        # Independently mutable per record.
+                        kernel_counts=dict(kernel_counts),
+                        frontier_density=lane_messages[k] / n if n else 0.0,
+                    )
+                )
+            run.iterations.append(
+                IterationStats(
+                    iteration=iteration,
+                    active_before=int(active_before.sum()),
+                    messages_sent=sum(lane_messages),
+                    edges_processed=edges,
+                    vertices_updated=sum(row[1] for row in lane_rows),
+                    activated=sum(row[2] for row in lane_rows),
+                    seconds=seconds,
+                    partition_work=work,
+                    kernel_counts=kernel_counts,
+                    frontier_density=family.frontier_density(n),
+                )
+            )
+            if options.profile_hook is not None:
+                options.profile_hook(run.iterations[-1])
+            iteration += 1
+    finally:
+        if owns_executor:
+            executor.close()
+
+    run.total_seconds = time.perf_counter() - start
+    for k, stats in enumerate(run.lane_stats):
+        stats.total_seconds = run.total_seconds
+        if (
+            options.max_iterations != -1
+            and not stats.converged
+            and not stats.cancelled
+        ):
+            # Budget exhausted; record which lanes happen to be
+            # quiescent.  Cancelled lanes keep converged=False: their
+            # cleared frontier says nothing about quiescence.
+            stats.converged = not lane_active[k].any()
+    return run
+
+
 def run_graph_program(
     graph: Graph,
     program: GraphProgram,
@@ -303,7 +978,9 @@ def run_graph_program(
 
     Vertex properties and the active set live on the ``graph`` (exactly as
     in the paper's API); callers initialize them before running and read
-    the results from ``graph.vertex_properties`` afterwards.
+    the results from ``graph.vertex_properties`` afterwards.  This is the
+    one-lane case of the K-lane loop: lane 0 *is* the graph's state
+    (views, not copies), and lane 0's stats are returned.
 
     Parameters
     ----------
@@ -328,361 +1005,21 @@ def run_graph_program(
     program.validate()
     if workspace is not None and workspace.graph is not graph:
         raise ProgramError("workspace was built for a different graph")
-    # A workspace built for another edge direction holds the wrong matrix
-    # views; rebuild them (cheap — the graph caches partitioned views).
-    views = (
-        workspace.views
-        if workspace is not None
-        and workspace.program.direction is program.direction
-        else _matrix_views(graph, program.direction, options)
+    run = _run_supersteps(
+        graph,
+        [program],
+        graph.vertex_properties.data[None],
+        graph.active[None],
+        options,
+        workspace=workspace,
+        counters=counters,
+        safety_cap=safety_cap,
     )
-    use_fused = (
-        options.fused and options.use_bitvector and program.supports_fused()
-    )
-
-    # -- Executor selection (fused path only; the scalar path is a pure
-    # Python loop that no backend accelerates).  The run's options win:
-    # a workspace built for another backend contributes its views but
-    # not its executor.
-    executor = None
-    owns_executor = False
-    if use_fused:
-        if (
-            workspace is not None
-            and workspace.executor.name == options.backend
-            and workspace.executor.n_workers == options.n_workers
-        ):
-            executor = workspace.executor
-        else:
-            executor = create_executor(options)
-            owns_executor = True
-        if not executor.supports(program):
-            # The executor names its own substitute (jit-threaded keeps
-            # the threaded schedule; everything else drops to serial).
-            substitute = executor.fallback()
-            if owns_executor:
-                executor.close()
-            executor = substitute
-            owns_executor = True
-
-    # -- Superstep workspace: reuse the caller's when its shape fits,
-    # else build one for this run (still amortized over all supersteps).
-    needs_scratch = use_fused and executor.name != "process"
-    # The run's options win here too: reuse_workspace=False must not
-    # silently adopt a prebuilt workspace's superstep buffers.
-    superstep = (
-        workspace.superstep
-        if workspace is not None and options.reuse_workspace
-        else None
-    )
-    if superstep is not None and not superstep.matches(
-        graph.n_vertices, program, options, views, needs_scratch=needs_scratch
-    ):
-        # Wrong specs, representation, view set (per-block scratch is
-        # sized for specific blocks) or missing scratch this run's
-        # executor consumes — build a run-local one instead.
-        superstep = None
-    if superstep is None and options.reuse_workspace:
-        superstep = SuperstepWorkspace(
-            graph.n_vertices,
-            program,
-            options,
-            views,
-            # Process workers hold their own scratch; see Workspace.
-            fused=needs_scratch,
-        )
-
-    stats = RunStats(
-        used_fused_path=use_fused,
-        backend=executor.name if executor is not None else "serial",
-    )
-    thresholds = KernelThresholds.from_options(options)
-    properties = graph.vertex_properties
-    n = graph.n_vertices
-    token = options.token
-    bound, bound_owner = options.iteration_bound()
-    if safety_cap is not None and bound_owner == "safety_cap":
-        bound = safety_cap
-    start = time.perf_counter()
-    iteration = 0
-    try:
-        if executor is not None:
-            executor.prepare(views, program)
-        while True:
-            # One precedence rule (EngineOptions.iteration_bound): an
-            # explicit max_iterations stops the run normally; the
-            # safety cap firing is a does-not-quiesce bug.
-            if iteration >= bound:
-                if bound_owner == "safety_cap":
-                    raise ConvergenceError(
-                        f"safety_cap bound fired: run-to-quiescence "
-                        f"program did not quiesce within {bound} "
-                        f"supersteps (max_iterations=-1; set an explicit "
-                        f"max_iterations or a CancellationToken "
-                        f"superstep_budget to bound the run intentionally)"
-                    )
-                break
-            # Cooperative cancellation: polled at the superstep boundary
-            # (nothing user-visible is half-applied between boundaries),
-            # so a fired deadline stops the run before the *next* sweep
-            # starts — at most one superstep of cancellation latency.
-            if token is not None:
-                reason = token.check(iteration)
-                if reason is not None:
-                    stats.cancelled = True
-                    stats.cancel_reason = reason
-                    break
-            active_idx = np.flatnonzero(graph.active)
-            if active_idx.size == 0:
-                stats.converged = True
-                break
-            t_iter = time.perf_counter()
-
-            # -- Send phase (Algorithm 2 lines 3-5) ----------------------
-            if superstep is not None:
-                superstep.reset()
-                x = superstep.x
-                y = superstep.y
-            else:
-                x = make_sparse_vector(
-                    n, program.message_spec, use_bitvector=options.use_bitvector
-                )
-                y = make_sparse_vector(
-                    n, program.result_spec, use_bitvector=options.use_bitvector
-                )
-                if counters is not None:
-                    counters.record(allocations=2)
-            if use_fused:
-                sent = program.send_message_batch(
-                    properties.data[active_idx], active_idx
-                )
-                if isinstance(sent, tuple):
-                    send_mask, messages = sent
-                    senders = active_idx[np.asarray(send_mask, dtype=bool)]
-                    messages = np.asarray(messages)[np.asarray(send_mask, dtype=bool)]
-                else:
-                    senders, messages = active_idx, np.asarray(sent)
-                x.scatter(senders, messages)
-                if counters is not None:
-                    counters.record(
-                        user_calls=1,
-                        element_ops=int(active_idx.size),
-                        random_accesses=int(senders.shape[0]),
-                    )
-            else:
-                for v in active_idx:
-                    message = program.send_message(properties.get(int(v)))
-                    if message is not None:
-                        x.set(int(v), message)
-                if counters is not None:
-                    counters.record(
-                        user_calls=int(active_idx.size),
-                        random_accesses=int(active_idx.size),
-                    )
-            messages_sent = x.nnz
-
-            # -- SpMV phase (Algorithm 2 line 6 / Algorithm 1) ------------
-            partition_work: list[PartitionWork] | None = (
-                [] if options.record_partition_stats else None
-            )
-            kernel_counts: dict[str, int] = {}
-            edges = 0
-            for view_index, view in enumerate(views):
-                if use_fused:
-                    assert isinstance(x, BitvectorVector)
-                    assert isinstance(y, BitvectorVector)
-                    edges += executor.spmv(
-                        view_index,
-                        view,
-                        x,
-                        y,
-                        program,
-                        properties,
-                        counters,
-                        partition_work,
-                        kernel_counts,
-                        superstep.view_scratch(view_index)
-                        if superstep is not None
-                        else None,
-                        thresholds,
-                    )
-                else:
-                    edges += spmv_scalar(
-                        view, x, y, program, properties, counters, partition_work
-                    )
-
-            # -- Apply phase (Algorithm 2 lines 7-13) ---------------------
-            graph.active[:] = False
-            if use_fused:
-                updated_idx = y.indices()
-                if updated_idx.size:
-                    reduced = y.values[updated_idx]
-                    old_props = properties.data[updated_idx]
-                    if old_props.base is not None:
-                        old_props = old_props.copy()
-                    new_props = program.apply_batch(reduced, old_props)
-                    properties.data[updated_idx] = new_props
-                    unchanged = program.properties_equal_batch(old_props, new_props)
-                    activated_idx = updated_idx[~unchanged]
-                    graph.active[activated_idx] = True
-                    vertices_updated = int(updated_idx.size)
-                    activated = int(activated_idx.size)
-                    if counters is not None:
-                        counters.record(
-                            user_calls=2,
-                            element_ops=vertices_updated,
-                            random_accesses=2 * vertices_updated,
-                        )
-                else:
-                    vertices_updated = activated = 0
-            else:
-                vertices_updated = activated = 0
-                for k, reduced_value in y.items():
-                    old_prop = properties.get(k)
-                    if isinstance(old_prop, np.ndarray):
-                        old_prop = old_prop.copy()
-                    new_prop = program.apply(reduced_value, old_prop)
-                    properties.set(k, new_prop)
-                    vertices_updated += 1
-                    if not program.properties_equal(old_prop, new_prop):
-                        graph.active[k] = True
-                        activated += 1
-                if counters is not None:
-                    counters.record(
-                        user_calls=vertices_updated,
-                        random_accesses=2 * vertices_updated,
-                    )
-
-            if program.reactivate_all:
-                graph.active[:] = True
-                activated = graph.n_vertices
-
-            stats.iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    active_before=int(active_idx.size),
-                    messages_sent=messages_sent,
-                    edges_processed=edges,
-                    vertices_updated=vertices_updated,
-                    activated=activated,
-                    seconds=time.perf_counter() - t_iter,
-                    partition_work=partition_work or [],
-                    kernel_counts=kernel_counts,
-                    frontier_density=messages_sent / n if n else 0.0,
-                )
-            )
-            if options.profile_hook is not None:
-                options.profile_hook(stats.iterations[-1])
-            iteration += 1
-    finally:
-        if owns_executor:
-            executor.close()
-
-    stats.total_seconds = time.perf_counter() - start
-    if not stats.converged and not stats.cancelled and options.max_iterations != -1:
-        # Ran out of budget; check quiescence for the flag's sake.
-        stats.converged = graph.active_count == 0
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Batched multi-frontier driver: K concurrent queries, one edge sweep
-# ----------------------------------------------------------------------
-@dataclass
-class BatchRun:
-    """Result of one :func:`run_graph_programs_batched` invocation.
-
-    ``properties`` holds the final per-lane vertex state, lane-major
-    (``(K, n_vertices, *property_shape)``); ``properties[k]`` is bitwise
-    identical to what a sequential :func:`run_graph_program` of query
-    ``k`` would have left in ``graph.vertex_properties``.  ``lane_stats``
-    records one :class:`RunStats` per lane (per-lane supersteps, message
-    counts, convergence); ``iterations`` records the *shared* sweeps —
-    its ``edges_processed`` counts each edge once per superstep no
-    matter how many lanes it served, which is the whole point.
-    """
-
-    properties: np.ndarray
-    lane_stats: list[RunStats] = field(default_factory=list)
-    iterations: list[IterationStats] = field(default_factory=list)
-    total_seconds: float = 0.0
-    backend: str = "serial"
-
-    @property
-    def n_lanes(self) -> int:
-        """Number of program instances the batch ran."""
-        return len(self.lane_stats)
-
-    @property
-    def n_supersteps(self) -> int:
-        """Number of shared BSP supersteps (not per-lane)."""
-        return len(self.iterations)
-
-    @property
-    def converged(self) -> bool:
-        """True when every lane quiesced."""
-        return all(stats.converged for stats in self.lane_stats)
-
-    @property
-    def cancelled(self) -> bool:
-        """True when any lane was cooperatively cancelled."""
-        return any(stats.cancelled for stats in self.lane_stats)
-
-    @property
-    def lanes_cancelled(self) -> int:
-        """How many lanes were cooperatively cancelled."""
-        return sum(stats.cancelled for stats in self.lane_stats)
-
-    @property
-    def total_edges_processed(self) -> int:
-        """Edges swept across all supersteps (shared across lanes)."""
-        return sum(it.edges_processed for it in self.iterations)
-
-    def kernel_totals(self) -> dict[str, int]:
-        """SpMM kernel selections summed over all supersteps."""
-        return _kernel_totals(self.iterations)
-
-    def lane_properties(self, lane: int) -> np.ndarray:
-        """One lane's final vertex state, shape ``(n_vertices, *shape)``."""
-        return self.properties[lane]
-
-    def to_dict(
-        self,
-        *,
-        include_lanes: bool = True,
-        include_iterations: bool = False,
-    ) -> dict:
-        """JSON-ready record of the batch (never the property arrays).
-
-        ``include_lanes`` adds one compact :meth:`RunStats.to_dict` per
-        lane; ``include_iterations`` additionally expands the per-sweep
-        (and per-lane) iteration lists.
-        """
-        doc = {
-            "backend": self.backend,
-            "n_lanes": self.n_lanes,
-            "n_supersteps": self.n_supersteps,
-            "converged": bool(self.converged),
-            "cancelled": bool(self.cancelled),
-            "lanes_cancelled": int(self.lanes_cancelled),
-            "total_seconds": float(self.total_seconds),
-            "total_edges_processed": int(self.total_edges_processed),
-            "kernel_totals": {
-                k: int(v) for k, v in self.kernel_totals().items()
-            },
-        }
-        if include_lanes:
-            doc["lane_stats"] = [
-                stats.to_dict(include_iterations=include_iterations)
-                for stats in self.lane_stats
-            ]
-        if include_iterations:
-            doc["iterations"] = [it.to_dict() for it in self.iterations]
-        return doc
+    return run.lane_stats[0]
 
 
 def _validate_batch(programs, lane_properties, lane_active, n_vertices, options):
-    """Shape/capability checks for the batched driver; raise ProgramError."""
+    """Shape/capability checks for the batched entry point; raise ProgramError."""
     if not programs:
         raise ProgramError("batched run needs at least one program instance")
     program0 = programs[0]
@@ -735,10 +1072,9 @@ def run_graph_programs_batched(
 ) -> BatchRun:
     """Run K instances of one vertex-program class in a single BSP loop.
 
-    The batched analogue of :func:`run_graph_program`: each superstep
-    sends every live lane's messages into one
+    Each superstep sends every live lane's messages into one
     :class:`~repro.vector.multi_frontier.MultiFrontier`, performs **one
-    SpMM sweep** over the matrix view(s) serving all lanes at once
+    sweep** over the matrix view(s) serving all lanes at once
     (:func:`repro.core.spmv.run_block_batch`), and applies per lane.
     Serving K queries costs one edge sweep per superstep instead of K —
     the amortization the GraphBLAS multi-vector generalization exists
@@ -747,21 +1083,20 @@ def run_graph_programs_batched(
     to later sweeps) while the loop continues until every lane quiesces
     or the iteration budget runs out.
 
-    Unlike the sequential driver, per-lane state does NOT live on the
+    Unlike :func:`run_graph_program`, per-lane state does NOT live on the
     graph: callers pass the initial per-lane properties, lane-major
     (``(K, n_vertices, *property_shape)``), and active mask
     (``(K, n_vertices)``), and read results from the returned
     :class:`BatchRun` (inputs are copied, not mutated).  ``programs``
-    are K instances of one class — per-lane constructor parameters may
-    differ only where they affect ``send``/``apply`` (called per lane);
-    ``process_message``/``reduce`` semantics are taken from lane 0 and
-    broadcast across the shared sweep.
+    are K instances of one lane-capable class — per-lane constructor
+    parameters may differ only where they affect ``send``/``apply``
+    (called per lane); ``process_message``/``reduce`` semantics are
+    taken from lane 0 and broadcast across the shared sweep.
 
     Views resolve through the same ``options.snapshot_cache`` machinery
-    as the sequential engine, so batched runs reuse mmap'd DCSC views
-    without re-partitioning, and ``options.backend`` selects the same
-    serial / threaded / process executors (partition-disjoint row ranges
-    make the K-lane accumulation lock-free on every backend).
+    and ``options.backend`` selects the same executors as any other run
+    (partition-disjoint row ranges make the K-lane accumulation
+    lock-free on every backend).
 
     Cancellation: ``options.token`` governs the *whole batch* (a fired
     token cancels every still-live lane), while ``lane_tokens`` — a
@@ -770,329 +1105,29 @@ def run_graph_programs_batched(
     individual lanes.  A cancelled lane leaves the live mask exactly
     like a converged one (its frontier is cleared, so it contributes
     nothing to later shared sweeps), which keeps every surviving lane's
-    result bitwise identical to its sequential run; a lane cancelled by
-    superstep budget ``B`` holds exactly the state a sequential run
+    result bitwise identical to its own one-lane run; a lane cancelled by
+    superstep budget ``B`` holds exactly the state a one-lane run
     with ``max_iterations=B`` would have produced.  ``safety_cap``
     overrides ``options.safety_cap`` for this run (None = use options).
     """
     programs = list(programs)
-    n = graph.n_vertices
-    n_lanes = len(programs)
-    program0 = programs[0] if programs else None
     lane_properties = np.array(
-        np.asarray(lane_properties), dtype=program0.property_spec.dtype
-        if program0 is not None else None, copy=True, order="C",
+        np.asarray(lane_properties),
+        dtype=programs[0].property_spec.dtype if programs else None,
+        copy=True,
+        order="C",
     )
     lane_active = np.array(np.asarray(lane_active, dtype=bool), copy=True)
-    _validate_batch(programs, lane_properties, lane_active, n, options)
-
-    views = _matrix_views(graph, program0.direction, options)
-    thresholds = KernelThresholds.from_options(options)
-    executor = create_executor(options)
-    if not executor.supports(program0):
-        substitute = executor.fallback()
-        executor.close()
-        executor = substitute
-    # Process workers hold their own scratch (see Workspace).
-    workspace = BatchWorkspace(
-        n, n_lanes, program0, views, fused=executor.name != "process"
+    _validate_batch(
+        programs, lane_properties, lane_active, graph.n_vertices, options
     )
-    run = BatchRun(
-        properties=lane_properties,
-        lane_stats=[
-            RunStats(used_fused_path=True, backend=executor.name)
-            for _ in range(n_lanes)
-        ],
-        backend=executor.name,
+    return _run_supersteps(
+        graph,
+        programs,
+        lane_properties,
+        lane_active,
+        options,
+        counters=counters,
+        safety_cap=safety_cap,
+        lane_tokens=lane_tokens,
     )
-    lane_converged = np.zeros(n_lanes, dtype=bool)
-    lane_cancelled = np.zeros(n_lanes, dtype=bool)
-    tokens = list(lane_tokens) if lane_tokens is not None else []
-    if tokens and len(tokens) != n_lanes:
-        raise ProgramError(
-            f"lane_tokens must have one entry per lane: "
-            f"got {len(tokens)} for {n_lanes} lanes"
-        )
-    batch_token = options.token
-    bound, bound_owner = options.iteration_bound()
-    if safety_cap is not None and bound_owner == "safety_cap":
-        bound = safety_cap
-
-    def _cancel_lane(k: int, reason: str) -> None:
-        # Drop the lane from the live mask exactly like a converged
-        # one: clearing its frontier keeps it out of the shared
-        # wide-send/SpMM sweeps, so surviving lanes stay bitwise
-        # identical to their sequential runs.
-        run.lane_stats[k].cancelled = True
-        run.lane_stats[k].cancel_reason = reason
-        lane_cancelled[k] = True
-        lane_active[k] = False
-
-    x, y = workspace.x, workspace.y
-    # Equivalent lane instances unlock the full-width lane hooks (one
-    # vectorized send/apply over the whole (n, K) block instead of K
-    # per-lane passes).  Lanes with differing constructor parameters
-    # fall back to the per-lane hooks, which see their own instance.
-    uniform_lanes = all(
-        type(p) is type(program0) and vars(p) == vars(program0)
-        for p in programs
-    )
-    start = time.perf_counter()
-    iteration = 0
-    try:
-        executor.prepare(views, program0)
-        while True:
-            # Same precedence rule as the sequential driver (see
-            # EngineOptions.iteration_bound).
-            if iteration >= bound:
-                if bound_owner == "safety_cap":
-                    raise ConvergenceError(
-                        f"safety_cap bound fired: batched run-to-"
-                        f"quiescence program did not quiesce within "
-                        f"{bound} supersteps (max_iterations=-1; set an "
-                        f"explicit max_iterations or a CancellationToken "
-                        f"superstep_budget to bound the run intentionally)"
-                    )
-                break
-            # Cooperative cancellation at the superstep boundary: the
-            # batch token fells every live lane, per-lane tokens their
-            # own.
-            if batch_token is not None:
-                reason = batch_token.check(iteration)
-                if reason is not None:
-                    for k in np.flatnonzero(~lane_converged & ~lane_cancelled):
-                        _cancel_lane(int(k), reason)
-            if tokens:
-                for k in np.flatnonzero(~lane_converged & ~lane_cancelled):
-                    lane_token = tokens[int(k)]
-                    if lane_token is None:
-                        continue
-                    reason = lane_token.check(iteration)
-                    if reason is not None:
-                        _cancel_lane(int(k), reason)
-            active_before = lane_active.sum(axis=1)
-            newly_quiet = (
-                ~lane_converged & ~lane_cancelled & (active_before == 0)
-            )
-            for k in np.flatnonzero(newly_quiet):
-                run.lane_stats[int(k)].converged = True
-            lane_converged |= newly_quiet
-            live = np.flatnonzero(~lane_converged & ~lane_cancelled)
-            if live.size == 0:
-                break
-            t_iter = time.perf_counter()
-
-            # -- Send phase -------------------------------------------
-            workspace.reset()
-            wide_messages = (
-                program0.send_message_lanes(lane_properties, lane_active)
-                if uniform_lanes
-                else None
-            )
-            if wide_messages is not None:
-                # Full-width send: one masked copy covers every lane.
-                x.set_from_mask(lane_active, np.asarray(wide_messages))
-                lane_messages = active_before.astype(np.int64)
-                lane_messages[lane_converged] = 0
-            else:
-                lane_messages = np.zeros(n_lanes, dtype=np.int64)
-                for k in live:
-                    k = int(k)
-                    active_idx = np.flatnonzero(lane_active[k])
-                    sent = programs[k].send_message_batch(
-                        lane_properties[k, active_idx], active_idx
-                    )
-                    if isinstance(sent, tuple):
-                        send_mask, messages = sent
-                        send_mask = np.asarray(send_mask, dtype=bool)
-                        senders = active_idx[send_mask]
-                        messages = np.asarray(messages)[send_mask]
-                    else:
-                        senders, messages = active_idx, np.asarray(sent)
-                    x.scatter_lane(k, senders, messages)
-                    lane_messages[k] = senders.shape[0]
-            if counters is not None:
-                counters.record(
-                    user_calls=int(live.size),
-                    element_ops=int(active_before.sum()),
-                    random_accesses=int(lane_messages.sum()),
-                )
-
-            # -- SpMM phase: one sweep serves every live lane -----------
-            partition_work: list[PartitionWork] | None = (
-                [] if options.record_partition_stats else None
-            )
-            kernel_counts: dict[str, int] = {}
-            edges = 0
-            for view_index, view in enumerate(views):
-                edges += executor.spmm(
-                    view_index,
-                    view,
-                    x,
-                    y,
-                    program0,
-                    lane_properties,
-                    counters,
-                    partition_work,
-                    kernel_counts,
-                    workspace.view_scratch(view_index),
-                    thresholds,
-                )
-
-            # -- Apply phase --------------------------------------------
-            y_valid = y.valid_mask()
-            received_per_lane = y_valid.sum(axis=1)
-            wide_new = None
-            # The full-width apply computes over every (lane, vertex)
-            # slot; worth it only when most slots actually received
-            # (PageRank-style dense supersteps), else per-lane updates
-            # on the received subsets win.
-            wide_dense = (
-                uniform_lanes
-                and 2 * int(received_per_lane.sum()) > n * n_lanes
-            )
-            applied_inplace = (
-                wide_dense
-                and program0.reactivate_all
-                and program0.apply_lanes_inplace(
-                    y.values, lane_properties, y_valid
-                )
-            )
-            if not applied_inplace and wide_dense:
-                wide_new = program0.apply_lanes(y.values, lane_properties)
-            if applied_inplace:
-                # Fully dense reactivating superstep applied in place:
-                # no property copy, no equality pass.
-                lane_active[:] = False
-                lane_active[live] = True
-                lane_rows = [
-                    (int(k), int(received_per_lane[k]), n) for k in live
-                ]
-            elif wide_new is not None:
-                wide_new = np.asarray(wide_new)
-                if program0.reactivate_all:
-                    # Activity is unconditional: skip the (K, n)
-                    # equality pass entirely (the sequential engine's
-                    # comparison is dead work under reactivate_all too,
-                    # but there it rides along per lane).
-                    if bool(y_valid.all()):
-                        # Every slot received: adopt the new block
-                        # wholesale instead of a masked copy.
-                        lane_properties = wide_new
-                    else:
-                        adopt = y_valid.reshape(
-                            y_valid.shape + (1,) * (lane_properties.ndim - 2)
-                        )
-                        np.copyto(lane_properties, wide_new, where=adopt)
-                    lane_active[:] = False
-                    lane_active[live] = True
-                    lane_rows = [
-                        (int(k), int(received_per_lane[k]), n) for k in live
-                    ]
-                else:
-                    unchanged = program0.properties_equal_lanes(
-                        lane_properties, wide_new
-                    )
-                    adopt = y_valid.reshape(
-                        y_valid.shape + (1,) * (lane_properties.ndim - 2)
-                    )
-                    np.copyto(lane_properties, wide_new, where=adopt)
-                    np.logical_and(y_valid, ~unchanged, out=lane_active)
-                    lane_active[lane_converged | lane_cancelled] = False
-                    activated_per_lane = lane_active.sum(axis=1)
-                    lane_rows = [
-                        (
-                            int(k),
-                            int(received_per_lane[k]),
-                            int(activated_per_lane[k]),
-                        )
-                        for k in live
-                    ]
-            else:
-                lane_rows = []
-                for k in live:
-                    k = int(k)
-                    updated_idx = np.flatnonzero(y_valid[k])
-                    lane_active[k] = False
-                    if updated_idx.size:
-                        reduced = y.values[k, updated_idx]
-                        old_props = lane_properties[k, updated_idx]
-                        new_props = programs[k].apply_batch(reduced, old_props)
-                        lane_properties[k, updated_idx] = new_props
-                        unchanged = programs[k].properties_equal_batch(
-                            old_props, new_props
-                        )
-                        activated_idx = updated_idx[~unchanged]
-                        lane_active[k, activated_idx] = True
-                        vertices_updated = int(updated_idx.size)
-                        activated = int(activated_idx.size)
-                    else:
-                        vertices_updated = activated = 0
-                    if programs[k].reactivate_all:
-                        lane_active[k] = True
-                        activated = n
-                    lane_rows.append((k, vertices_updated, activated))
-            if counters is not None:
-                total_updated = sum(row[1] for row in lane_rows)
-                counters.record(
-                    user_calls=2 * int(live.size),
-                    element_ops=total_updated,
-                    random_accesses=2 * total_updated,
-                )
-
-            seconds = time.perf_counter() - t_iter
-            for k, vertices_updated, activated in lane_rows:
-                run.lane_stats[k].iterations.append(
-                    IterationStats(
-                        iteration=iteration,
-                        active_before=int(active_before[k]),
-                        messages_sent=int(lane_messages[k]),
-                        edges_processed=edges,
-                        vertices_updated=vertices_updated,
-                        activated=activated,
-                        seconds=seconds,
-                        # Fresh dict per stats object: shared sweeps,
-                        # but independently mutable records.
-                        kernel_counts=dict(kernel_counts),
-                        frontier_density=(
-                            int(lane_messages[k]) / n if n else 0.0
-                        ),
-                    )
-                )
-            run.iterations.append(
-                IterationStats(
-                    iteration=iteration,
-                    active_before=int(active_before[live].sum()),
-                    messages_sent=int(lane_messages.sum()),
-                    edges_processed=edges,
-                    vertices_updated=sum(row[1] for row in lane_rows),
-                    activated=sum(row[2] for row in lane_rows),
-                    seconds=seconds,
-                    partition_work=partition_work or [],
-                    kernel_counts=kernel_counts,
-                    # Union density: the signal the aggregate-density
-                    # kernel selection actually sees.
-                    frontier_density=(
-                        int(x.any_mask().sum()) / n if n else 0.0
-                    ),
-                )
-            )
-            if options.profile_hook is not None:
-                options.profile_hook(run.iterations[-1])
-            iteration += 1
-    finally:
-        executor.close()
-
-    run.total_seconds = time.perf_counter() - start
-    run.properties = lane_properties  # the wholesale-adopt path swaps it
-    for stats in run.lane_stats:
-        stats.total_seconds = run.total_seconds
-    if options.max_iterations != -1:
-        # Budget exhausted; record which lanes happen to be quiescent.
-        # Cancelled lanes keep converged=False: their cleared frontier
-        # says nothing about quiescence.
-        for k in range(n_lanes):
-            stats = run.lane_stats[k]
-            if not stats.converged and not stats.cancelled:
-                stats.converged = not lane_active[k].any()
-    return run

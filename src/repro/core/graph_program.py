@@ -348,9 +348,13 @@ class GraphProgram:
         return self.reduce_identity
 
     def supports_batched(self) -> bool:
-        """True if this program can run on the K-lane SpMM path.
+        """True if this program is *lane-capable* (runs the K-lane kernel).
 
-        Requires the fused batch surface plus: scalar numeric message
+        The engine sweeps lane-capable programs with
+        :func:`repro.core.spmv.run_block_batch` — K lanes through
+        ``run_graph_programs_batched``, one lane through
+        ``run_graph_program`` — and everything else with the generic
+        one-vector kernel.  Requires the fused batch surface plus: scalar numeric message
         and result specs (the lane block is a dense 2-D array), a numpy
         reduce ufunc (per-lane segment reduction is one ``reduceat``
         over the lane axis), a masking identity, and a numeric property

@@ -24,17 +24,13 @@ parallel backends (:mod:`repro.exec`):
    over GIL-releasing NumPy kernels) or ``"process"`` (shared-memory
    process pool).  Orthogonal to ``n_threads``, which drives the paper's
    *simulated* multicore model.
-6. ``reuse_workspace`` — allocate the superstep vectors and per-block
-   scratch buffers once per run (or once per ``graph_program_init``
-   workspace) and reset them in place each iteration, instead of
-   allocating fresh ones every superstep.
-7. ``snapshot_cache`` — directory for automatic on-disk caching of the
+6. ``snapshot_cache`` — directory for automatic on-disk caching of the
    partitioned DCSC views (``repro.store``): the first run on a graph
    persists its views as mmap-able ``.gmsnap`` files and every later
    run — in any process — loads them zero-copy instead of
    re-partitioning the edge list.
 
-8. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
+7. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
    kernel selector's density crossovers (:func:`repro.core.spmv.select_kernel`),
    exposed as options so benchmarks can sweep the thresholds instead of
    editing module constants.
@@ -95,10 +91,6 @@ class EngineOptions:
     #: Worker count for the threaded/process backends (ignored by serial;
     #: ``jit-threaded`` forwards it to Numba's thread pool when it can).
     n_workers: int = 1
-    #: Keep the superstep message/result vectors and per-block scratch
-    #: buffers alive across iterations, resetting them in place, instead
-    #: of reallocating every superstep.
-    reuse_workspace: bool = True
     #: Directory for the automatic partitioned-view snapshot cache
     #: (None = off).  Views are keyed by the graph's content hash plus
     #: the partitioning knobs; cache hits mmap the stored blocks with
@@ -196,7 +188,7 @@ class EngineOptions:
     def iteration_bound(self) -> tuple[int | None, str]:
         """The run's superstep bound and which knob owns it.
 
-        One precedence rule, shared by both engine drivers:
+        One precedence rule for every run:
 
         1. Explicit ``max_iterations`` (when not -1) is the *result
            contract*: the run stops there normally (``cancelled`` stays

@@ -1,30 +1,47 @@
 """Generalized sparse matrix–sparse vector multiplication (Algorithm 1).
 
-Two engine paths implement the same semantics:
+Three sweeps implement the same semantics; the engine picks one per run
+from what the program and options declare, never per call site:
 
-- :func:`spmv_scalar` — a literal transcription of Algorithm 1: walk the
-  non-empty columns of each DCSC block, test column membership in the
-  message vector, and call the program's scalar ``process_message`` /
-  ``reduce`` per edge.  With ``SortedTuplesVector`` messages this is the
-  paper's *naive* configuration; with ``BitvectorVector`` it is the
-  *+bitvector* configuration (membership drops from a binary search to a
-  bit probe).
+- :func:`run_block_batch` — the K-lane block kernel every *lane-capable*
+  program runs (scalar numeric specs, a reduce ufunc and a declared
+  identity: ``GraphProgram.supports_batched``).  The frontier is a
+  K-lane multi-vector (the GraphBLAS SpMM view; a single query is the
+  one-lane case): one gather of each active column's edge span serves
+  every lane, the process hook broadcasts over a lane-major
+  ``(K, edges)`` message block, and a single ``reduceat`` over the lane
+  axis segment-reduces all lanes at once.  Silent (edge, lane) slots
+  hold the program's ``batch_reduce_identity()`` and per-lane received
+  masks keep every lane bitwise identical to its own one-lane run.
 
-- :func:`run_block` — the fused per-block kernel (the *+ipo* analogue):
-  per-edge work is executed through the program's batch hooks on aligned
-  numpy arrays.  :func:`spmv_fused` drives it serially over a partitioned
-  view; the executors in :mod:`repro.exec` drive it across threads or
-  processes, exploiting the disjoint output row ranges of the blocks.
+- :func:`run_block` — the generic fused block kernel for everything the
+  lane block cannot carry: vector messages (collaborative filtering),
+  object results (triangle counting), programs without a reduce ufunc
+  or identity.  Per-edge work runs through the program's batch hooks on
+  aligned numpy arrays; one frontier per sweep.
+
+- :func:`spmv_scalar` — a literal transcription of Algorithm 1 through
+  the scalar ``process_message`` / ``reduce`` hooks (``fused=False``).
+  With ``SortedTuplesVector`` messages this is the paper's *naive*
+  configuration; with ``BitvectorVector`` it is *+bitvector*.  It is
+  the reference the fused kernels are tested against.
+
+Both block kernels are pure functions of their arguments with one
+signature and one result type (:class:`BlockResult`), so
+:func:`sweep_view` (serial) and the executors in :mod:`repro.exec`
+(threads, processes) schedule either one without knowing which it is.
 
 Kernel selection
 ----------------
 
-Each (block, frontier) pair picks one of three kernels via
+Each (block, frontier) pair picks one of three kernel shapes via
 :func:`select_kernel`, driven by the frontier's density relative to the
 block's non-empty columns and the block's measured nnz:
 
 - ``"scalar"``       — estimated edge count is tiny; a per-edge Python
-  loop beats the fixed setup cost of the vectorized pipeline,
+  loop beats the fixed setup cost of the vectorized pipeline (generic
+  kernel only: across lanes a per-edge loop is exactly the dispatch
+  overhead the lane block amortizes, so it runs sparse-gather instead),
 - ``"dense-pull"``   — the frontier covers all (or most) of the block's
   columns; touch every edge, reusing the block's cached row grouping and
   masking silent sources to the program's reduce identity,
@@ -38,24 +55,10 @@ attribute wins to kernel choice.
 All kernels accumulate into the same output vector ``y`` so a superstep
 may chain several matrix views (ALL_EDGES programs multiply by both
 ``A^T`` and ``A``).  Kernels accept an optional per-block scratch object
-(see :class:`repro.exec.workspace.BlockScratch`) holding preallocated
-edge-sized buffers; with scratch the hot path performs its gathers with
+(see :mod:`repro.exec.workspace`) holding preallocated edge-sized
+buffers; with scratch the hot path performs its gathers with
 ``np.take(..., out=...)`` and in-place prefix sums instead of allocating
 fresh arrays every superstep.
-
-Batched multi-frontier kernels (SpMM)
--------------------------------------
-
-:func:`run_block_batch` generalizes the sparse-gather and dense-pull
-kernels from a sparse *vector* to a K-lane *multi-vector* (the
-GraphBLAS SpMM view): one gather of each active column's edge span
-serves K concurrent frontiers, the program's process hook broadcasts
-over a lane-major ``(K, edges)`` message block, and a single ``reduceat`` over the
-lane axis segment-reduces every lane at once.  :func:`spmm_fused` drives
-it serially; the executors in :mod:`repro.exec` schedule it exactly like
-:func:`run_block`.  Silent (edge, lane) slots are masked to the
-program's ``batch_reduce_identity()`` and per-lane received masks keep
-results bitwise identical to K independent sequential runs.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from repro.core.kernels import (  # noqa: F401  (re-exported: this was
 )
 from repro.matrix.partition import PartitionedMatrix
 from repro.vector.dense import PropertyArray
+from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import BitvectorVector, SparseVector
 
 
@@ -106,11 +110,18 @@ class PartitionWork:
 
 @dataclass
 class BlockResult:
-    """Output of one per-block fused kernel (before merging into ``y``).
+    """Output of one block kernel (before merging into ``y``).
 
     ``unique_dst``/``reduced`` hold the block's destination-grouped
     reduction; blocks own disjoint row ranges, so results from different
     blocks never alias and can be merged without locks in any order.
+    The generic kernel's ``reduced`` is ``(len(unique_dst), ...)``; the
+    lane kernel's is lane-major ``(K, len(unique_dst))`` and
+    ``received`` marks which lanes actually received a message at each
+    destination (a lane slot without it holds only the masking identity
+    and must not surface).  ``received is None`` means every listed
+    slot received — always so for the generic kernel, and the fast
+    full-coverage case (one fancy write) for the lane kernel.
     """
 
     partition: int
@@ -121,6 +132,7 @@ class BlockResult:
     kernel: str
     seconds: float
     events: dict = field(default_factory=dict)
+    received: np.ndarray | None = None
 
 
 def _expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -565,38 +577,6 @@ def run_block(
     )
 
 
-def apply_block_result(
-    result: BlockResult,
-    y: BitvectorVector,
-    program: GraphProgram,
-    counters=None,
-    partition_work: list[PartitionWork] | None = None,
-    kernel_counts: dict[str, int] | None = None,
-) -> int:
-    """Merge one block's reduction into ``y`` and record its bookkeeping.
-
-    Returns the block's edge count.  Blocks own disjoint row ranges, so
-    merges commute; callers may apply results in any order.
-    """
-    if result.unique_dst is not None and result.unique_dst.size:
-        _combine_into(program, y, result.unique_dst, result.reduced)
-    if counters is not None and result.events:
-        counters.record(**result.events)
-    if partition_work is not None:
-        partition_work.append(
-            PartitionWork(
-                result.partition,
-                result.edges,
-                result.active_columns,
-                result.seconds,
-                result.kernel,
-            )
-        )
-    if kernel_counts is not None and result.kernel:
-        kernel_counts[result.kernel] = kernel_counts.get(result.kernel, 0) + 1
-    return result.edges
-
-
 def spmv_scalar(
     blocks: PartitionedMatrix,
     x: SparseVector,
@@ -649,48 +629,6 @@ def spmv_scalar(
             )
         if partition_work is not None:
             partition_work.append(PartitionWork(p, edges, active_cols, seconds))
-    return total_edges
-
-
-def spmv_fused(
-    blocks: PartitionedMatrix,
-    x: BitvectorVector,
-    y: BitvectorVector,
-    program: GraphProgram,
-    properties: PropertyArray,
-    counters=None,
-    partition_work: list[PartitionWork] | None = None,
-    *,
-    scratch=None,
-    kernel_counts: dict[str, int] | None = None,
-    thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
-) -> int:
-    """Vectorized generalized SpMV, serially over the partitions.
-
-    Requires bitvector-backed vectors and a program implementing the batch
-    hooks.  ``scratch`` optionally maps partition index to a
-    ``BlockScratch`` with preallocated edge buffers.  Returns the number
-    of edges processed.  The parallel executors in :mod:`repro.exec` run
-    the same :func:`run_block` kernel concurrently.
-    """
-    x_mask = x.valid_mask()
-    x_values = x.values
-    properties_data = properties.data
-    total_edges = 0
-    for p, block in enumerate(blocks):
-        result = run_block(
-            p,
-            block,
-            x_mask,
-            x_values,
-            program,
-            properties_data,
-            scratch.get(p) if scratch is not None else None,
-            thresholds,
-        )
-        total_edges += apply_block_result(
-            result, y, program, counters, partition_work, kernel_counts
-        )
     return total_edges
 
 
@@ -803,30 +741,6 @@ def _tiled_process_reduce(
     return out
 
 
-@dataclass
-class BatchBlockResult:
-    """Output of one K-lane SpMM block kernel (before merging into ``y``).
-
-    ``reduced`` is the ``(K, len(unique_dst))`` per-lane destination
-    reduction; ``received`` marks which lanes actually received a
-    message at each destination (a lane slot without it holds only the
-    masking identity and must not surface — the K-lane analogue of the
-    received-mask rule of the masked dense-pull kernel).  ``received is
-    None`` means every lane of every listed destination received — the
-    fast full-coverage case where merging is one fancy write.
-    """
-
-    partition: int
-    unique_dst: np.ndarray | None
-    reduced: np.ndarray | None
-    received: np.ndarray | None
-    edges: int
-    active_columns: int
-    kernel: str
-    seconds: float
-    events: dict = field(default_factory=dict)
-
-
 def run_block_batch(
     partition: int,
     block,
@@ -836,7 +750,7 @@ def run_block_batch(
     properties_lanes: np.ndarray,
     scratch=None,
     thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
-) -> BatchBlockResult:
+) -> BlockResult:
     """K-lane generalized SpMM over one DCSC block.
 
     ``x_valid``/``x_values`` are the lane-major ``(K, n)`` lane mask and
@@ -870,15 +784,15 @@ def run_block_batch(
     t0 = time.perf_counter()
     n_lanes = int(x_valid.shape[0])
     if block.nzc == 0:
-        return BatchBlockResult(
-            partition, None, None, None, 0, 0, "", time.perf_counter() - t0
+        return BlockResult(
+            partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
     col_lanes = x_valid[:, block.jc]  # (K, nzc): which lanes send per column
     active_pos = np.flatnonzero(col_lanes.any(axis=0))
     n_active = int(active_pos.size)
     if n_active == 0:
-        return BatchBlockResult(
-            partition, None, None, None, 0, 0, "", time.perf_counter() - t0
+        return BlockResult(
+            partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
     kernel = select_kernel(
         block, n_active, program, program.message_spec, program.result_spec,
@@ -920,8 +834,8 @@ def run_block_batch(
             edge_dst = block.ir[take]
             src_cols = np.repeat(block.jc[active_pos], lengths)
         if edges == 0:
-            return BatchBlockResult(
-                partition, None, None, None, 0, n_active, kernel,
+            return BlockResult(
+                partition, None, None, 0, n_active, kernel,
                 time.perf_counter() - t0,
             )
         sorted_order = np.argsort(edge_dst, kind="stable")
@@ -987,11 +901,13 @@ def run_block_batch(
         unique_dst = unique_dst[keep]
         reduced_all = reduced_all[:, keep]
         received_all = received_all[:, keep]
-    return BatchBlockResult(
+    # One vector's sweep (run_block's packed path) per lane, with the
+    # edge-index stream charged once: at K = 1 the two kernels charge
+    # the same events.
+    return BlockResult(
         partition,
         unique_dst,
         reduced_all,
-        received_all,
         edges,
         n_active,
         kernel,
@@ -1000,14 +916,15 @@ def run_block_batch(
             user_calls=6,
             element_ops=2 * edges * n_lanes,
             random_accesses=edges + int(unique_dst.shape[0]) * n_lanes,
-            sequential_bytes=edges * (16 + 8 * n_lanes),
+            sequential_bytes=edges * 8 * (1 + n_lanes),
             messages=n_active,
-            allocations=2 if scratch is not None else 6,
+            allocations=2 if scratch is not None else 5,
         ),
+        received=received_all,
     )
 
 
-def _combine_into_batch(
+def _combine_into_lanes(
     program: GraphProgram,
     y,
     unique_dst: np.ndarray,
@@ -1044,23 +961,29 @@ def _combine_into_batch(
     y.scatter_block(unique_dst, reduced, fresh)
 
 
-def apply_block_result_batch(
-    result: BatchBlockResult,
+def apply_block_result(
+    result: BlockResult,
     y,
     program: GraphProgram,
     counters=None,
     partition_work: list[PartitionWork] | None = None,
     kernel_counts: dict[str, int] | None = None,
 ) -> int:
-    """Merge one SpMM block's reduction into ``y``; record bookkeeping.
+    """Merge one block's reduction into ``y`` and record its bookkeeping.
 
-    Returns the block's edge count (one shared sweep, however many lanes
-    it served).  Blocks own disjoint row ranges, so merges commute.
+    ``y`` decides the merge: a :class:`MultiFrontier` takes the lane
+    kernel's ``(K, dst)`` block, a sparse vector the generic kernel's.
+    Returns the block's edge count (each edge once, however many lanes
+    it served).  Blocks own disjoint row ranges, so merges commute;
+    callers may apply results in any order.
     """
     if result.unique_dst is not None and result.unique_dst.size:
-        _combine_into_batch(
-            program, y, result.unique_dst, result.reduced, result.received
-        )
+        if isinstance(y, MultiFrontier):
+            _combine_into_lanes(
+                program, y, result.unique_dst, result.reduced, result.received
+            )
+        else:
+            _combine_into(program, y, result.unique_dst, result.reduced)
     if counters is not None and result.events:
         counters.record(**result.events)
     if partition_work is not None:
@@ -1078,12 +1001,13 @@ def apply_block_result_batch(
     return result.edges
 
 
-def spmm_fused(
+def sweep_view(
+    kernel,
     blocks: PartitionedMatrix,
     x,
     y,
     program: GraphProgram,
-    properties_lanes: np.ndarray,
+    properties: np.ndarray,
     counters=None,
     partition_work: list[PartitionWork] | None = None,
     *,
@@ -1091,28 +1015,31 @@ def spmm_fused(
     kernel_counts: dict[str, int] | None = None,
     thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
 ) -> int:
-    """K-lane generalized SpMM, serially over the partitions.
+    """One generalized multiply over a view, serially over its partitions.
 
-    ``x``/``y`` are :class:`~repro.vector.multi_frontier.MultiFrontier`
-    instances; ``scratch`` optionally maps partition index to a
-    ``BatchBlockScratch``.  Returns the number of edges swept (each
-    counted once regardless of how many lanes it served).
+    ``kernel`` is :func:`run_block` (``x``/``y`` bitvector-backed sparse
+    vectors, ``properties`` the ``(n, ...)`` vertex state) or
+    :func:`run_block_batch` (``x``/``y`` :class:`MultiFrontier` blocks,
+    ``properties`` the ``(K, n, ...)`` per-lane state).  ``scratch``
+    optionally maps partition index to that kernel's preallocated
+    buffers.  Returns the number of edges swept.  The parallel executors
+    in :mod:`repro.exec` run the same kernel concurrently.
     """
     x_valid = x.valid_mask()
     x_values = x.values
     total_edges = 0
     for p, block in enumerate(blocks):
-        result = run_block_batch(
+        result = kernel(
             p,
             block,
             x_valid,
             x_values,
             program,
-            properties_lanes,
+            properties,
             scratch.get(p) if scratch is not None else None,
             thresholds,
         )
-        total_edges += apply_block_result_batch(
+        total_edges += apply_block_result(
             result, y, program, counters, partition_work, kernel_counts
         )
     return total_edges

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the GraphMat SpMV engine.
+"""Pluggable execution backends for the GraphMat engine's edge sweeps.
 
 The partition layer guarantees lock-free disjoint output row ranges;
 this package turns that guarantee into actual parallel schedules.  The
@@ -13,15 +13,17 @@ serial        all blocks in the calling thread (reference)
 threaded      thread pool; NumPy kernels release the GIL and overlap
 process       process pool; blocks shipped once per workspace, frontier
               and properties broadcast via shared memory each superstep
-jit           Numba-compiled per-block kernels, calling thread
-jit-threaded  one packed Numba kernel per view, ``prange`` over blocks
+jit           Numba-compiled per-block lane kernels, calling thread
+jit-threaded  one packed Numba lane kernel per view, ``prange`` over
+              blocks
 ============= ===========================================================
 
 All backends run the identical per-block kernels (NumPy or their
 compiled twins), so algorithm outputs are bitwise identical across
-them.  The jit backends require the optional ``numba`` dependency
-(``pip install repro-graphmat[jit]``); without it they fall back to
-their NumPy equivalents with one logged warning.  See
+them.  The jit backends take lane-capable programs that name a compiled
+``jit_semiring`` and require the optional ``numba`` dependency
+(``pip install repro-graphmat[jit]``); any other program, or a missing
+numba, runs on their NumPy equivalents with one logged message.  See
 ``docs/EXECUTION.md`` for when each backend wins and
 ``docs/KERNELS.md`` for the kernel taxonomy both tiers share.
 """
@@ -30,13 +32,12 @@ from __future__ import annotations
 
 from repro.core.options import KNOWN_BACKENDS
 from repro.errors import ProgramError
-from repro.exec.base import Executor, SerialExecutor, finish_view, finish_view_batch
+from repro.exec.base import Executor, SerialExecutor, finish_view
 from repro.exec.jit import JitExecutor, JitThreadedExecutor
 from repro.exec.process import ProcessExecutor
 from repro.exec.threaded import ThreadedExecutor
 from repro.exec.workspace import (
     BatchBlockScratch,
-    BatchWorkspace,
     BlockScratch,
     SuperstepWorkspace,
 )
@@ -77,7 +78,6 @@ def create_executor(options) -> Executor:
 __all__ = [
     "BACKENDS",
     "BatchBlockScratch",
-    "BatchWorkspace",
     "BlockScratch",
     "Executor",
     "JitExecutor",
@@ -89,5 +89,4 @@ __all__ = [
     "available_backends",
     "create_executor",
     "finish_view",
-    "finish_view_batch",
 ]

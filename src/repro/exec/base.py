@@ -1,10 +1,10 @@
-"""Executor abstraction: where a superstep's SpMV blocks actually run.
+"""Executor abstraction: where a superstep's block kernels actually run.
 
 GraphMat's partition layer guarantees disjoint output row ranges "so
 different threads can process blocks without locks" (section 4.4.1); an
 :class:`Executor` is the component that exploits that guarantee.  The
-engine hands it one partitioned matrix view plus the frontier and it
-returns with the result vector ``y`` updated:
+engine hands it a block kernel, one partitioned matrix view and the
+frontier, and it returns with the result vector ``y`` updated:
 
 - :class:`SerialExecutor` — run blocks in the calling thread (the
   reference schedule),
@@ -14,22 +14,22 @@ returns with the result vector ``y`` updated:
   the DCSC blocks shipped to workers once per workspace and the
   per-superstep frontier/properties broadcast through shared memory.
 
-All three drive the *same* per-block kernel
-(:func:`repro.core.spmv.run_block`), so results are identical bit for
-bit across backends — block merges commute because row ranges are
-disjoint, and within a block the accumulation order is fixed.
+An executor schedules *the kernel it is given*
+(:func:`repro.core.spmv.run_block` or
+:func:`repro.core.spmv.run_block_batch` — same signature, same
+:class:`~repro.core.spmv.BlockResult`) and merges results in partition
+order; it does not know which family it is running.  Results are
+identical bit for bit across backends — block merges commute because row
+ranges are disjoint, and within a block the accumulation order is fixed.
 """
 
 from __future__ import annotations
 
 from repro.core.spmv import (
     DEFAULT_THRESHOLDS,
-    BatchBlockResult,
     BlockResult,
     apply_block_result,
-    apply_block_result_batch,
-    spmm_fused,
-    spmv_fused,
+    sweep_view,
 )
 
 
@@ -57,8 +57,9 @@ class Executor:
         """
         return SerialExecutor(getattr(self, "n_workers", 1))
 
-    def spmv(
+    def sweep(
         self,
+        kernel,
         view_index: int,
         view,
         x,
@@ -71,35 +72,14 @@ class Executor:
         scratch=None,
         thresholds=DEFAULT_THRESHOLDS,
     ) -> int:
-        """Run one generalized SpMV over ``view``, merging into ``y``.
+        """Run ``kernel`` over every block of ``view``, merging into ``y``.
 
-        Returns the number of edges processed.
-        """
-        raise NotImplementedError
-
-    def spmm(
-        self,
-        view_index: int,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        """Run one K-lane generalized SpMM over ``view``, merging into ``y``.
-
-        ``x``/``y`` are :class:`~repro.vector.multi_frontier.MultiFrontier`
-        blocks and ``properties_lanes`` the ``(K, n, ...)`` per-lane
-        vertex state.  Returns the number of edges swept (each edge
-        counted once however many lanes it served).  The same disjoint
-        row-range guarantee that makes per-block SpMV lock-free makes the
-        K-lane accumulation lock-free too — lanes only widen each block's
-        private result.
+        ``x``/``y``/``properties`` are whatever ``kernel`` consumes: a
+        sparse-vector pair and the ``(n, ...)`` vertex state for
+        ``run_block``, :class:`~repro.vector.multi_frontier.MultiFrontier`
+        blocks and the ``(K, n, ...)`` per-lane state for
+        ``run_block_batch``.  Returns the number of edges swept (each
+        edge counted once however many lanes it served).
         """
         raise NotImplementedError
 
@@ -135,24 +115,6 @@ def finish_view(
     return edges
 
 
-def finish_view_batch(
-    results: list[BatchBlockResult],
-    y,
-    program,
-    counters=None,
-    partition_work=None,
-    kernel_counts=None,
-) -> int:
-    """Merge collected SpMM block results into ``y`` in partition order."""
-    results = sorted(results, key=lambda r: r.partition)
-    edges = 0
-    for result in results:
-        edges += apply_block_result_batch(
-            result, y, program, counters, partition_work, kernel_counts
-        )
-    return edges
-
-
 class SerialExecutor(Executor):
     """Run every block in the calling thread, in partition order."""
 
@@ -161,8 +123,9 @@ class SerialExecutor(Executor):
     def __init__(self, n_workers: int = 1) -> None:
         self.n_workers = int(n_workers)
 
-    def spmv(
+    def sweep(
         self,
+        kernel,
         view_index: int,
         view,
         x,
@@ -175,39 +138,13 @@ class SerialExecutor(Executor):
         scratch=None,
         thresholds=DEFAULT_THRESHOLDS,
     ) -> int:
-        return spmv_fused(
+        return sweep_view(
+            kernel,
             view,
             x,
             y,
             program,
             properties,
-            counters,
-            partition_work,
-            scratch=scratch,
-            kernel_counts=kernel_counts,
-            thresholds=thresholds,
-        )
-
-    def spmm(
-        self,
-        view_index: int,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        return spmm_fused(
-            view,
-            x,
-            y,
-            program,
-            properties_lanes,
             counters,
             partition_work,
             scratch=scratch,

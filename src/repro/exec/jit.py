@@ -1,10 +1,10 @@
-"""Compiled-kernel tier: Numba-JIT block kernels behind the Executor API.
+"""Compiled-kernel tier: Numba-JIT lane kernels behind the Executor API.
 
-The NumPy kernels in :mod:`repro.core.spmv` pay fixed per-call costs
-(gather materialization, sort/reduceat passes, temporaries) on every
-block of every superstep; GraphMat's native engine pays none of them —
-its user functions inline into one loop nest over the DCSC arrays.
-This module is that loop nest, compiled with Numba:
+The NumPy lane kernel in :mod:`repro.core.spmv` pays fixed per-call
+costs (gather materialization, sort/reduceat passes, temporaries) on
+every block of every superstep; GraphMat's native engine pays none of
+them — its user functions inline into one loop nest over the DCSC
+arrays.  This module is that loop nest, compiled with Numba:
 
 - :class:`JitExecutor` (``backend="jit"``) runs one compiled per-edge
   kernel per block, in the calling thread,
@@ -13,36 +13,39 @@ This module is that loop nest, compiled with Numba:
   disjoint row ranges that make the NumPy executors lock-free make the
   parallel loop race-free here.
 
-Which programs compile: a program naming a ``jit_semiring`` from
+Which programs compile: a lane-capable program
+(``GraphProgram.supports_batched``) naming a ``jit_semiring`` from
 :data:`repro.core.kernels.JIT_SEMIRINGS` (min-plus, plus-times, or-and,
 min-first, plus-first, min-plus-c) with scalar float64 message/result
-specs.  Everything else — custom semirings, object dtypes, the scalar
-kernel's tiny-frontier regime, non-float64 edge values — dispatches to
-the NumPy kernels *per block*, so a single run can mix tiers; the
-``kernel_counts`` breakdown records which tier ran each block
-(``jit-sparse-gather`` vs ``sparse-gather`` etc., see docs/KERNELS.md).
+specs.  The compiled kernels are K-lane kernels — a single query is the
+one-lane case — so there is no compiled form of the generic
+``run_block``: for every other program ``supports()`` is False and the
+engine swaps in :meth:`~Executor.fallback` with one logged message.
+Within a planned run, blocks with non-float64/int64 edge values
+dispatch to the NumPy lane kernel *per block*, so a single run can mix
+tiers; the ``kernel_counts`` breakdown records which tier ran each
+block (``jit-sparse-gather`` vs ``sparse-gather`` etc., see
+docs/KERNELS.md).
 
-When Numba itself is absent the executors report ``supports() == False``
-and the engine swaps in their :meth:`~Executor.fallback` with one logged
-warning — the repo stays fully functional NumPy-only.  Setting
+When Numba itself is absent ``supports()`` is False for every program —
+the repo stays fully functional NumPy-only.  Setting
 ``REPRO_JIT_INTERPRET=1`` (or monkeypatching :data:`FORCE_INTERPRETED`)
 runs the *same* kernel functions as pure Python instead: orders of
 magnitude slower, but it exercises the full jit dispatch/merge machinery
 without Numba, which is how the parity tests run on NumPy-only
 installs.
 
-Bitwise parity: the kernels replay the NumPy tier's accumulation order
-exactly.  Min-family ops fold per destination in ascending-column order
-(adopt-first; min and or are exactly associative, so streaming is safe).
-Order-sensitive additive ops (``+``-reduce) instead replay NumPy's fold
-regime per shape: ``reduceat``'s pairwise association over the cached
-destination grouping for dense/full-coverage shapes (:func:`_pairwise_sum`)
-and ``bincount``'s zero-initialized sequential fold for partial sparse
-frontiers.  Masked dense pulls fold identity messages from silent
-columns and surface rows by received-mask (never by value), and block
-results merge through the same ``_combine_into`` helpers.  The parity
-suite asserts bitwise equality for every algorithm against the serial
-NumPy schedule.
+Bitwise parity: the kernels replay the NumPy lane kernel's accumulation
+order exactly.  Min-family ops fold per destination in ascending-column
+order (adopt-first; min and or are exactly associative, so streaming is
+safe).  Order-sensitive additive ops (``+``-reduce) instead replay
+``reduceat``'s pairwise association over the cached destination
+grouping (:func:`_pairwise_sum`), filtering union-inactive columns out
+of the same order for sparse shapes.  Silent lanes hold the identity by
+the ``MultiFrontier`` fill invariant, rows surface by received-mask
+(never by value, unless the program certifies it), and block results
+merge through the same ``apply_block_result``.  The parity suite asserts
+bitwise equality for every algorithm against the serial NumPy schedule.
 """
 
 from __future__ import annotations
@@ -50,32 +53,22 @@ from __future__ import annotations
 import logging
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.kernels import (
     DEFAULT_THRESHOLDS,
     JIT_KERNEL_FOR,
+    JIT_OP_PLUS_FIRST,
+    JIT_OP_PLUS_TIMES,
     JIT_SEMIRINGS,
     KERNEL_DENSE,
-    KERNEL_SCALAR,
     KERNEL_SPARSE,
     select_kernel,
 )
-from repro.core.spmv import (
-    BatchBlockResult,
-    BlockResult,
-    run_block,
-    run_block_batch,
-    spmm_fused,
-    spmv_fused,
-)
-from repro.exec.base import (
-    Executor,
-    SerialExecutor,
-    finish_view,
-    finish_view_batch,
-)
+from repro.core.spmv import BlockResult, sweep_view
+from repro.exec.base import Executor, SerialExecutor, finish_view
 from repro.exec.threaded import ThreadedExecutor
 
 logger = logging.getLogger("repro.exec.jit")
@@ -130,112 +123,6 @@ def jit_tier_available() -> bool:
 # compiles to a branch on a constant-foldable integer and keeps the
 # kernels cacheable (closure-captured ops would defeat cache=True).
 # ----------------------------------------------------------------------
-def _spmv_sparse_py(
-    op, const, jc, cp, ir, num, active_pos, x_values, row_lo,
-    acc, touched, out_dst, out_val,
-):
-    """Sparse-gather SpMV: fold the active columns' edge spans."""
-    edges = 0
-    for i in range(active_pos.shape[0]):
-        p = active_pos[i]
-        xj = x_values[jc[p]]
-        lo = cp[p]
-        hi = cp[p + 1]
-        edges += hi - lo
-        for t in range(lo, hi):
-            k = ir[t] - row_lo
-            e = num[t]
-            if op == 0:
-                r = xj * e
-            elif op == 1:
-                r = xj + e
-            elif op == 2 or op == 3:
-                r = xj
-            elif op == 4:
-                r = 1.0 if (xj != 0.0 and e != 0.0) else 0.0
-            else:
-                r = xj + const
-            if touched[k]:
-                if op == 0 or op == 3:
-                    acc[k] = acc[k] + r
-                elif op == 4:
-                    acc[k] = 1.0 if (acc[k] != 0.0 or r != 0.0) else 0.0
-                else:
-                    if r < acc[k]:
-                        acc[k] = r
-            else:
-                if op == 0 or op == 3:
-                    # Additive partial-frontier reductions mirror the
-                    # NumPy tier's bincount: a zero-initialized fold.
-                    acc[k] = 0.0 + r
-                else:
-                    acc[k] = r
-                touched[k] = True
-    m = 0
-    for k in range(touched.shape[0]):
-        if touched[k]:
-            out_dst[m] = k + row_lo
-            out_val[m] = acc[k]
-            touched[k] = False
-            m += 1
-    return m, edges
-
-
-def _spmv_dense_py(
-    op, const, jc, cp, ir, num, x_mask, x_values, identity, row_lo,
-    acc, touched, received, out_dst, out_val,
-):
-    """Dense-pull SpMV: fold every stored edge, silent columns as identity.
-
-    Mirrors the NumPy masked dense-pull exactly: identity messages flow
-    through process+reduce (they absorb by the ``reduce_identity``
-    contract), and a row only surfaces if a *real* message reached it.
-    """
-    for p in range(jc.shape[0]):
-        col = jc[p]
-        active = x_mask[col]
-        if active:
-            xj = x_values[col]
-        else:
-            xj = identity
-        for t in range(cp[p], cp[p + 1]):
-            k = ir[t] - row_lo
-            e = num[t]
-            if op == 0:
-                r = xj * e
-            elif op == 1:
-                r = xj + e
-            elif op == 2 or op == 3:
-                r = xj
-            elif op == 4:
-                r = 1.0 if (xj != 0.0 and e != 0.0) else 0.0
-            else:
-                r = xj + const
-            if touched[k]:
-                if op == 0 or op == 3:
-                    acc[k] = acc[k] + r
-                elif op == 4:
-                    acc[k] = 1.0 if (acc[k] != 0.0 or r != 0.0) else 0.0
-                else:
-                    if r < acc[k]:
-                        acc[k] = r
-            else:
-                acc[k] = r
-                touched[k] = True
-            if active:
-                received[k] = True
-    m = 0
-    for k in range(touched.shape[0]):
-        if touched[k]:
-            if received[k]:
-                out_dst[m] = k + row_lo
-                out_val[m] = acc[k]
-                m += 1
-            touched[k] = False
-            received[k] = False
-    return m
-
-
 #: NumPy's pairwise-summation block size (npy_pairwise_sum in the ufunc
 #: inner loops).  The additive grouped kernels below replicate that
 #: routine bit for bit — see :func:`_pairwise_sum`.
@@ -289,49 +176,6 @@ def _pairwise_sum(a, off, n):
         n2 = n // 2
         n2 -= n2 % 8
         return _pairwise_sum(a, off, n2) + _pairwise_sum(a, off + n2, n - n2)
-
-
-def _spmv_add_grouped(
-    op, const, sorted_cols, sorted_vals, group_starts, n_edges,
-    unique_rows, x_mask, x_values, identity, buf, out_dst, out_val,
-):
-    """Additive SpMV over destination-grouped edges (dense/full shapes).
-
-    Mirrors the NumPy tier's ``dst_groups`` + ``np.add.reduceat`` path:
-    every stored edge contributes (silent columns as processed identity
-    messages), each group folds as ``first + pairwise_sum(rest)``, and a
-    row surfaces only if a *real* message reached it (trivially all rows
-    under full coverage).  ``buf`` is a per-block scratch at least as
-    long as the largest group.
-    """
-    n_groups = group_starts.shape[0]
-    m = 0
-    for g in range(n_groups):
-        lo = group_starts[g]
-        hi = group_starts[g + 1] if g + 1 < n_groups else n_edges
-        length = hi - lo
-        recv = False
-        for i in range(lo, hi):
-            col = sorted_cols[i]
-            if x_mask[col]:
-                xj = x_values[col]
-                recv = True
-            else:
-                xj = identity
-            if op == 0:
-                r = xj * sorted_vals[i]
-            else:  # op == 3 (plus-first): edge value ignored
-                r = xj
-            buf[i - lo] = r
-        if recv:
-            if length == 1:
-                s = buf[0]  # reduceat copies singleton groups verbatim
-            else:
-                s = buf[0] + _pairwise_sum(buf, 1, length - 1)
-            out_dst[m] = unique_rows[g]
-            out_val[m] = s
-            m += 1
-    return m
 
 
 def _spmm_add_grouped(
@@ -508,125 +352,6 @@ def _spmm_block_py(
     return m, edges
 
 
-def _spmv_packed_py(
-    op, const, jcs, cps, irs, nums, poss, codes, row_los, row_his,
-    x_mask, x_values, identity, acc, touched, received, out_dst, out_val,
-    out_m, out_edges,
-):
-    """All of a view's SpMV blocks in one parallel loop (``prange``).
-
-    ``codes[b]``: 0 = skip (empty/inactive or handled by the Python
-    caller), 1 = sparse-gather, 2 = dense-pull.  The full-width
-    ``acc``/``touched``/``received``/``out_*`` arrays are shared; blocks
-    only touch their disjoint ``[row_los[b], row_his[b])`` row ranges,
-    so iterations never race.  Compacted results for block ``b`` land at
-    ``out_dst[row_los[b]:row_los[b]+out_m[b]]``.
-    """
-    n_blocks = codes.shape[0]
-    for b in prange(n_blocks):
-        out_m[b] = 0
-        out_edges[b] = 0
-        if codes[b] != 0:
-            jc = jcs[b]
-            cp = cps[b]
-            ir = irs[b]
-            num = nums[b]
-            pos = poss[b]
-            lo_row = row_los[b]
-            hi_row = row_his[b]
-            edges = 0
-            if codes[b] == 1:
-                for i in range(pos.shape[0]):
-                    p = pos[i]
-                    xj = x_values[jc[p]]
-                    lo = cp[p]
-                    hi = cp[p + 1]
-                    edges += hi - lo
-                    for t in range(lo, hi):
-                        k = ir[t]
-                        e = num[t]
-                        if op == 0:
-                            r = xj * e
-                        elif op == 1:
-                            r = xj + e
-                        elif op == 2 or op == 3:
-                            r = xj
-                        elif op == 4:
-                            r = 1.0 if (xj != 0.0 and e != 0.0) else 0.0
-                        else:
-                            r = xj + const
-                        if touched[k]:
-                            if op == 0 or op == 3:
-                                acc[k] = acc[k] + r
-                            elif op == 4:
-                                acc[k] = (
-                                    1.0 if (acc[k] != 0.0 or r != 0.0) else 0.0
-                                )
-                            else:
-                                if r < acc[k]:
-                                    acc[k] = r
-                        else:
-                            if op == 0 or op == 3:
-                                # Mirror the NumPy tier's bincount
-                                # (zero-initialized) partial-frontier fold.
-                                acc[k] = 0.0 + r
-                            else:
-                                acc[k] = r
-                            touched[k] = True
-                            received[k] = True
-            else:
-                for p in range(jc.shape[0]):
-                    col = jc[p]
-                    active = x_mask[col]
-                    if active:
-                        xj = x_values[col]
-                    else:
-                        xj = identity
-                    lo = cp[p]
-                    hi = cp[p + 1]
-                    edges += hi - lo
-                    for t in range(lo, hi):
-                        k = ir[t]
-                        e = num[t]
-                        if op == 0:
-                            r = xj * e
-                        elif op == 1:
-                            r = xj + e
-                        elif op == 2 or op == 3:
-                            r = xj
-                        elif op == 4:
-                            r = 1.0 if (xj != 0.0 and e != 0.0) else 0.0
-                        else:
-                            r = xj + const
-                        if touched[k]:
-                            if op == 0 or op == 3:
-                                acc[k] = acc[k] + r
-                            elif op == 4:
-                                acc[k] = (
-                                    1.0 if (acc[k] != 0.0 or r != 0.0) else 0.0
-                                )
-                            else:
-                                if r < acc[k]:
-                                    acc[k] = r
-                        else:
-                            acc[k] = r
-                            touched[k] = True
-                        if active:
-                            received[k] = True
-            m = 0
-            for k in range(lo_row, hi_row):
-                if touched[k]:
-                    if received[k]:
-                        out_dst[lo_row + m] = k
-                        out_val[lo_row + m] = acc[k]
-                        m += 1
-                    touched[k] = False
-                    received[k] = False
-            out_m[b] = m
-            out_edges[b] = edges
-    return 0
-
-
 def _spmm_packed_py(
     op, const, jcs, cps, irs, nums, poss, codes, modes, compacts,
     row_los, row_his, x_valid, x_values, identity, acc, touched,
@@ -634,8 +359,13 @@ def _spmm_packed_py(
 ):
     """All of a view's SpMM blocks in one parallel loop (``prange``).
 
-    Same packing scheme as :func:`_spmv_packed_py`; the lane axis rides
-    along as the second dimension of the full-width ``(n, K)`` buffers.
+    ``codes[b]``: 0 = skip (empty/inactive or handled by the Python
+    caller), 1 = sparse-gather, 2 = dense-pull (``poss[b]`` then lists
+    every column position).  The full-width ``(n, K)``
+    ``acc``/``received``/``out_*`` buffers and ``touched`` are shared;
+    blocks only touch their disjoint ``[row_los[b], row_his[b])`` row
+    ranges, so iterations never race.  Compacted results for block ``b``
+    land at ``out_dst[row_los[b]:row_los[b]+out_m[b]]``.
     ``modes[b]``/``compacts[b]`` carry the per-block received regime of
     :func:`_spmm_block_py`.
     """
@@ -753,29 +483,6 @@ def _max_group_len(group_starts, n_edges):
     return max(inner, int(n_edges) - int(group_starts[-1]), 1)
 
 
-def _spmv_add_packed_py(
-    op, const, colss, valss, gstartss, urowss, n_edges, gcodes, row_los,
-    x_mask, x_values, identity, bufs, out_dst, out_val, out_m,
-):
-    """All of a view's *grouped additive* SpMV blocks in one ``prange``.
-
-    Companion to :func:`_spmv_packed_py` for the order-sensitive
-    (``+``-reduce) dense/full-coverage blocks: each block folds its
-    destination groups with the pairwise association NumPy's ``reduceat``
-    uses.  Shares ``out_dst``/``out_val`` with the streaming packed call
-    (disjoint row ranges), with its own ``out_m``.
-    """
-    n_blocks = gcodes.shape[0]
-    for b in prange(n_blocks):
-        if gcodes[b] != 0:
-            out_m[b] = _spmv_add_grouped(
-                op, const, colss[b], valss[b], gstartss[b], n_edges[b],
-                urowss[b], x_mask, x_values, identity, bufs[b],
-                out_dst[row_los[b]:], out_val[row_los[b]:],
-            )
-    return 0
-
-
 def _spmm_add_packed_py(
     op, const, colss, valss, gstartss, urowss, n_edges, gcodes, filters,
     modes, compacts, row_los, x_valid, x_values, identity, bufs,
@@ -802,63 +509,38 @@ def _spmm_add_packed_py(
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - requires numba
-    _spmv_sparse_nb = njit(cache=True, nogil=True)(_spmv_sparse_py)
-    _spmv_dense_nb = njit(cache=True, nogil=True)(_spmv_dense_py)
     _spmm_block_nb = njit(cache=True, nogil=True)(_spmm_block_py)
-    # The grouped additive kernels are called both directly (per-block)
-    # and from inside the packed prange wrappers, so the module globals
-    # are rebound to their compiled dispatchers *before* the dependents
-    # compile (nopython code can only call other njit functions).
+    # The grouped additive kernel is called both directly (per-block)
+    # and from inside the packed prange wrapper, so the module globals
+    # are rebound to their compiled dispatchers *before* the dependent
+    # compiles (nopython code can only call other njit functions).
     # _pairwise_sum's self-recursion is fine: the base branch is
     # non-recursive, so type inference converges.
     _pairwise_sum = njit(cache=True, nogil=True)(_pairwise_sum)
-    _spmv_add_grouped = njit(cache=True, nogil=True)(_spmv_add_grouped)
     _spmm_add_grouped = njit(cache=True, nogil=True)(_spmm_add_grouped)
     # The packed kernels take typed lists of per-block arrays; list
     # arguments defeat the on-disk cache, so these recompile per
     # process (the CI lane caches NUMBA_CACHE_DIR for the rest).
-    _spmv_packed_nb = njit(parallel=True, nogil=True)(_spmv_packed_py)
     _spmm_packed_nb = njit(parallel=True, nogil=True)(_spmm_packed_py)
-    _spmv_add_packed_nb = njit(parallel=True, nogil=True)(_spmv_add_packed_py)
     _spmm_add_packed_nb = njit(parallel=True, nogil=True)(_spmm_add_packed_py)
 else:
-    _spmv_sparse_nb = _spmv_sparse_py
-    _spmv_dense_nb = _spmv_dense_py
     _spmm_block_nb = _spmm_block_py
-    _spmv_packed_nb = _spmv_packed_py
     _spmm_packed_nb = _spmm_packed_py
-    _spmv_add_packed_nb = _spmv_add_packed_py
     _spmm_add_packed_nb = _spmm_add_packed_py
 
 
 def _kernels():
-    """The seven kernel entry points for the current mode.
+    """The (block, packed, packed-additive) entry points for the current mode.
 
     Consulted at call time (not import time) so tests can flip
     :data:`FORCE_INTERPRETED` with a monkeypatch.  (When numba is
-    installed the interpreted packed wrappers still reach the compiled
-    grouped helpers — the module globals are rebound at import; results
+    installed the interpreted packed wrapper still reaches the compiled
+    grouped helper — the module globals are rebound at import; results
     are identical either way.)
     """
     if FORCE_INTERPRETED or not NUMBA_AVAILABLE:
-        return (
-            _spmv_sparse_py,
-            _spmv_dense_py,
-            _spmm_block_py,
-            _spmv_packed_py,
-            _spmm_packed_py,
-            _spmv_add_packed_py,
-            _spmm_add_packed_py,
-        )
-    return (
-        _spmv_sparse_nb,
-        _spmv_dense_nb,
-        _spmm_block_nb,
-        _spmv_packed_nb,
-        _spmm_packed_nb,
-        _spmv_add_packed_nb,
-        _spmm_add_packed_nb,
-    )
+        return _spmm_block_py, _spmm_packed_py, _spmm_add_packed_py
+    return _spmm_block_nb, _spmm_packed_nb, _spmm_add_packed_nb
 
 
 def _block_list(arrays):
@@ -871,16 +553,12 @@ def _block_list(arrays):
     return list(arrays)
 
 
-class _JitPlan:
+class _JitPlan(NamedTuple):
     """Per-program compiled-dispatch decision (op code + constants)."""
 
-    __slots__ = ("op", "const", "identity", "batch_identity")
-
-    def __init__(self, op, const, identity, batch_identity):
-        self.op = op
-        self.const = const
-        self.identity = identity
-        self.batch_identity = batch_identity
+    op: int
+    const: float
+    identity: float
 
 
 def _plan_for(program) -> _JitPlan | None:
@@ -898,30 +576,57 @@ def _plan_for(program) -> _JitPlan | None:
         # The jit ops ignore dst_props by construction; a program that
         # reads them in its lanes hook cannot be compiled.
         return None
-    identity = program.reduce_identity
-    batch_identity = program.batch_reduce_identity()
+    if not program.supports_batched():
+        # The compiled kernels are lane kernels: no declared identity,
+        # no plan (the engine sweeps such programs with run_block).
+        return None
     return _JitPlan(
         jit_op.code,
         float(getattr(program, "jit_const", 0.0)),
-        float(identity) if identity is not None else 0.0,
-        float(batch_identity) if batch_identity is not None else 0.0,
+        float(program.batch_reduce_identity()),
     )
 
 
-def _empty_block_result(partition, t0):
-    return BlockResult(partition, None, None, 0, 0, "", time.perf_counter() - t0)
+def _empty_block_result(partition, t0=None):
+    seconds = 0.0 if t0 is None else time.perf_counter() - t0
+    return BlockResult(partition, None, None, 0, 0, "", seconds)
+
+
+def _received_mode(program, uniform_send, dense, full_coverage):
+    """Received-mask regime of the NumPy lane kernel being mirrored.
+
+    0 = every listed row received in every lane (uniform sends), 1 =
+    derive by value (``!= identity``), 2 = track the sent mask per lane.
+    """
+    if uniform_send and (not dense or full_coverage):
+        return 0
+    if program.batch_received_by_value:
+        return 1
+    return 2
+
+
+def _lane_events(edges, m, n_lanes, n_active):
+    return dict(
+        user_calls=1,
+        element_ops=edges * n_lanes,
+        random_accesses=edges + m * n_lanes,
+        sequential_bytes=edges * 8 * (1 + n_lanes),
+        messages=n_active,
+        allocations=0,
+    )
 
 
 class JitExecutor(Executor):
-    """Run each block's kernel compiled, in the calling thread.
+    """Run each block's lane kernel compiled, in the calling thread.
 
     Kernel *selection* is shared with the NumPy tier
     (:func:`repro.core.kernels.select_kernel`); this executor only swaps
-    the implementation of the chosen shape.  Blocks the compiled tier
-    cannot take — scalar-kernel frontiers, non-float64 edge values —
-    run the NumPy kernel instead, inside the same view sweep, and
-    programs without a compiled (process, reduce) pair run the NumPy
-    path wholesale.  Per-view output buffers persist across supersteps,
+    the implementation of the chosen shape.  It takes planned programs
+    only (:func:`_plan_for`: a compiled ``jit_semiring`` on a
+    lane-capable float64 program); the engine hands everything else to
+    :meth:`fallback`.  Blocks whose edge values the compiled kernels are
+    not typed for run the NumPy kernel the engine passed in, inside the
+    same view sweep.  Per-view output buffers persist across supersteps,
     so the steady state allocates nothing.
     """
 
@@ -929,19 +634,29 @@ class JitExecutor(Executor):
 
     def __init__(self, n_workers: int = 1) -> None:
         self.n_workers = int(n_workers)
-        self._spmv_bufs: dict = {}
-        self._spmm_bufs: dict = {}
+        self._bufs: dict = {}
         self._group_bufs: dict = {}
         self._broken = False
-        self._logged_programs: set = set()
+        self._plan: _JitPlan | None = None
 
     # -- availability / fallback ---------------------------------------
     def supports(self, program) -> bool:
-        """False (→ engine swaps in :meth:`fallback`) without a jit tier."""
+        """False (→ engine swaps in :meth:`fallback`) without a jit tier
+        or without a compiled plan for ``program``."""
         if not jit_tier_available():
             logger.warning(
                 "numba is not installed; backend %r falling back to %r "
                 "(NumPy kernels, identical results)",
+                self.name,
+                self.fallback().name,
+            )
+            return False
+        if _plan_for(program) is None:
+            logger.info(
+                "%s has no compiled (process, reduce) pair "
+                "(jit_semiring=%r); backend %r falling back to %r",
+                type(program).__name__,
+                getattr(program, "jit_semiring", None),
                 self.name,
                 self.fallback().name,
             )
@@ -952,23 +667,8 @@ class JitExecutor(Executor):
         """Serial NumPy schedule (same kernels the per-block fallback uses)."""
         return SerialExecutor(self.n_workers)
 
-    def _plan(self, program):
-        if self._broken:
-            return None
-        plan = _plan_for(program)
-        if plan is None:
-            key = type(program).__name__
-            if key not in self._logged_programs:
-                self._logged_programs.add(key)
-                logger.info(
-                    "%s has no compiled (process, reduce) pair "
-                    "(jit_semiring=%r); running NumPy kernels under "
-                    "backend %r",
-                    key,
-                    getattr(program, "jit_semiring", None),
-                    self.name,
-                )
-        return plan
+    def prepare(self, views, program) -> None:
+        self._plan = _plan_for(program)
 
     def _disable(self, exc) -> None:
         """Drop to the NumPy tier for the rest of this executor's life."""
@@ -982,23 +682,9 @@ class JitExecutor(Executor):
         )
 
     # -- buffers -------------------------------------------------------
-    def _spmv_buffers(self, view_index, partition, width):
+    def _buffers(self, view_index, partition, width, n_lanes):
         key = (view_index, partition)
-        bufs = self._spmv_bufs.get(key)
-        if bufs is None or bufs[0].shape[0] != width:
-            bufs = (
-                np.zeros(width, dtype=np.float64),  # acc
-                np.zeros(width, dtype=bool),        # touched
-                np.zeros(width, dtype=bool),        # received
-                np.empty(width, dtype=np.int64),    # out_dst
-                np.empty(width, dtype=np.float64),  # out_val
-            )
-            self._spmv_bufs[key] = bufs
-        return bufs
-
-    def _spmm_buffers(self, view_index, partition, width, n_lanes):
-        key = (view_index, partition)
-        bufs = self._spmm_bufs.get(key)
+        bufs = self._bufs.get(key)
         if bufs is None or bufs[0].shape != (width, n_lanes):
             bufs = (
                 np.zeros((width, n_lanes), dtype=np.float64),  # acc
@@ -1008,30 +694,23 @@ class JitExecutor(Executor):
                 np.empty((width, n_lanes), dtype=np.float64),  # out_val
                 np.empty((width, n_lanes), dtype=bool),        # out_recv
             )
-            self._spmm_bufs[key] = bufs
+            self._bufs[key] = bufs
         return bufs
 
-    def _group_buf(self, view_index, partition, max_len, n_lanes=0):
-        """Per-block group-fold scratch for the additive kernels.
-
-        ``n_lanes == 0`` → 1-D SpMV scratch; else ``(n_lanes, max_len)``
-        SpMM scratch.  Grown (never shrunk) on reuse.
-        """
-        key = (view_index, partition, n_lanes)
+    def _group_buf(self, view_index, partition, max_len, n_lanes):
+        """Per-block ``(n_lanes, max_len)`` group-fold scratch for the
+        additive kernels.  Grown (never shrunk) on reuse."""
+        key = (view_index, partition)
         buf = self._group_bufs.get(key)
-        if (
-            buf is None
-            or buf.shape[-1] < max_len
-            or (n_lanes and buf.shape[0] != n_lanes)
-        ):
-            shape = max_len if n_lanes == 0 else (n_lanes, max_len)
-            buf = np.empty(shape, dtype=np.float64)
+        if buf is None or buf.shape[1] < max_len or buf.shape[0] != n_lanes:
+            buf = np.empty((n_lanes, max_len), dtype=np.float64)
             self._group_bufs[key] = buf
         return buf
 
-    # -- SpMV ----------------------------------------------------------
-    def spmv(
+    # -- sweep ---------------------------------------------------------
+    def sweep(
         self,
+        kernel,
         view_index,
         view,
         x,
@@ -1044,223 +723,73 @@ class JitExecutor(Executor):
         scratch=None,
         thresholds=DEFAULT_THRESHOLDS,
     ) -> int:
-        """One SpMV sweep; per block, compiled kernel or NumPy fallback."""
-        plan = self._plan(program)
-        if plan is None:
-            return spmv_fused(
-                view, x, y, program, properties,
-                counters, partition_work,
-                scratch=scratch, kernel_counts=kernel_counts,
-                thresholds=thresholds,
-            )
-        x_mask = x.valid_mask()
-        x_values = x.values
-        properties_data = properties.data
-        total_edges = 0
-        results = []
-        for p, block in enumerate(view):
-            results.append(
-                self._run_block(
-                    view_index, p, block, x_mask, x_values, program,
-                    properties_data, plan, scratch, thresholds,
-                )
-            )
-            if self._broken:
-                # The compiled call failed mid-view; redo this view on
-                # the NumPy tier from scratch (y is still untouched —
-                # merging happens below, after every block succeeded).
-                return spmv_fused(
-                    view, x, y, program, properties,
-                    counters, partition_work,
-                    scratch=scratch, kernel_counts=kernel_counts,
-                    thresholds=thresholds,
-                )
-        total_edges = finish_view(
-            results, y, program, counters, partition_work, kernel_counts
-        )
-        return total_edges
-
-    def _run_block(
-        self, view_index, partition, block, x_mask, x_values, program,
-        properties_data, plan, scratch, thresholds,
-    ) -> BlockResult:
-        t0 = time.perf_counter()
-        if block.nzc == 0:
-            return _empty_block_result(partition, t0)
-        active_pos = np.flatnonzero(x_mask[block.jc])
-        n_active = int(active_pos.size)
-        if n_active == 0:
-            return _empty_block_result(partition, t0)
-        kernel = select_kernel(
-            block, n_active, program, program.message_spec,
-            program.result_spec, thresholds,
-        )
-        if kernel == KERNEL_SCALAR or block.num.dtype not in _JIT_NUM_DTYPES:
-            # Tiny frontier (per-edge Python loop wins) or edge values
-            # the compiled kernels are not typed for: NumPy tier, same
-            # selection, honest kernel_counts attribution.
-            return run_block(
-                partition, block, x_mask, x_values, program,
-                properties_data,
-                scratch.get(partition) if scratch is not None else None,
-                thresholds,
-            )
-        spmv_sparse, spmv_dense = _kernels()[:2]
-        row_lo, row_hi = block.row_range
-        acc, touched, received, out_dst, out_val = self._spmv_buffers(
-            view_index, partition, row_hi - row_lo
-        )
-        full_coverage = n_active == block.nzc
-        additive = plan.op == 0 or plan.op == 3
-        try:
-            if additive and (kernel == KERNEL_DENSE or full_coverage):
-                # Order-sensitive +-reduce over dense/full shapes: the
-                # NumPy tier folds these with reduceat over the cached
-                # row grouping, so the compiled tier must replay that
-                # association (see _pairwise_sum).
-                _, gstarts, urows = block.dst_groups()
-                buf = self._group_buf(
-                    view_index, partition, _max_group_len(gstarts, block.nnz)
-                )
-                m = _spmv_add_grouped(
-                    plan.op, plan.const, block.dst_sorted_cols(),
-                    block.dst_sorted_vals(), gstarts, block.nnz, urows,
-                    x_mask, x_values, plan.identity, buf, out_dst, out_val,
-                )
-                edges = block.nnz
-            elif kernel == KERNEL_DENSE:
-                m = spmv_dense(
-                    plan.op, plan.const, block.jc, block.cp, block.ir,
-                    block.num, x_mask, x_values, plan.identity, row_lo,
-                    acc, touched, received, out_dst, out_val,
-                )
-                edges = block.nnz
-            else:
-                m, edges = spmv_sparse(
-                    plan.op, plan.const, block.jc, block.cp, block.ir,
-                    block.num, active_pos, x_values, row_lo,
-                    acc, touched, out_dst, out_val,
-                )
-        except Exception as exc:  # pragma: no cover - compile-time issues
-            self._disable(exc)
-            return _empty_block_result(partition, t0)
-        return BlockResult(
-            partition,
-            out_dst[:m],
-            out_val[:m],
-            int(edges),
-            n_active,
-            JIT_KERNEL_FOR[kernel],
-            time.perf_counter() - t0,
-            events=dict(
-                user_calls=1,
-                element_ops=int(edges),
-                random_accesses=int(edges) + m,
-                sequential_bytes=int(edges) * 16,
-                messages=n_active,
-                allocations=0,
-            ),
-        )
-
-    # -- SpMM ----------------------------------------------------------
-    def spmm(
-        self,
-        view_index,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        """One K-lane SpMM sweep; per block, compiled kernel or NumPy."""
-        plan = self._plan(program)
-        if plan is None:
-            return spmm_fused(
-                view, x, y, program, properties_lanes,
-                counters, partition_work,
-                scratch=scratch, kernel_counts=kernel_counts,
-                thresholds=thresholds,
-            )
+        """One K-lane sweep; per block, compiled kernel or ``kernel``."""
         x_valid = x.valid_mask()
         x_values = x.values
         results = []
-        for p, block in enumerate(view):
-            results.append(
-                self._run_block_batch(
-                    view_index, p, block, x_valid, x_values, program,
-                    properties_lanes, plan, scratch, thresholds,
+        if not self._broken:
+            for p, block in enumerate(view):
+                results.append(
+                    self._run_block(
+                        kernel, view_index, p, block, x_valid, x_values,
+                        program, properties, scratch, thresholds,
+                    )
                 )
+                if self._broken:
+                    break
+        if self._broken:
+            # A compiled call failed (now or earlier); run this view on
+            # the NumPy tier from scratch (y is still untouched —
+            # merging happens below, after every block succeeded).
+            return sweep_view(
+                kernel, view, x, y, program, properties,
+                counters, partition_work,
+                scratch=scratch, kernel_counts=kernel_counts,
+                thresholds=thresholds,
             )
-            if self._broken:
-                return spmm_fused(
-                    view, x, y, program, properties_lanes,
-                    counters, partition_work,
-                    scratch=scratch, kernel_counts=kernel_counts,
-                    thresholds=thresholds,
-                )
-        return finish_view_batch(
+        return finish_view(
             results, y, program, counters, partition_work, kernel_counts
         )
 
-    def _run_block_batch(
-        self, view_index, partition, block, x_valid, x_values, program,
-        properties_lanes, plan, scratch, thresholds,
-    ) -> BatchBlockResult:
+    def _run_block(
+        self, kernel, view_index, partition, block, x_valid, x_values,
+        program, properties, scratch, thresholds,
+    ) -> BlockResult:
         t0 = time.perf_counter()
-        empty = BatchBlockResult(
-            partition, None, None, None, 0, 0, "", 0.0
-        )
+        plan = self._plan
         if block.nzc == 0:
-            empty.seconds = time.perf_counter() - t0
-            return empty
+            return _empty_block_result(partition, t0)
         col_lanes = x_valid[:, block.jc]
         active_pos = np.flatnonzero(col_lanes.any(axis=0))
         n_active = int(active_pos.size)
         if n_active == 0:
-            empty.seconds = time.perf_counter() - t0
-            return empty
+            return _empty_block_result(partition, t0)
         if block.num.dtype not in _JIT_NUM_DTYPES:
-            return run_block_batch(
-                partition, block, x_valid, x_values, program,
-                properties_lanes,
+            # Edge values the compiled kernels are not typed for: NumPy
+            # tier, same selection, honest kernel_counts attribution.
+            return kernel(
+                partition, block, x_valid, x_values, program, properties,
                 scratch.get(partition) if scratch is not None else None,
                 thresholds,
             )
-        kernel = select_kernel(
+        shape = select_kernel(
             block, n_active, program, program.message_spec,
             program.result_spec, thresholds,
         )
-        if kernel == KERNEL_SCALAR:
-            kernel = KERNEL_SPARSE
+        dense = shape == KERNEL_DENSE
         full_coverage = n_active == block.nzc
-        uniform_send = bool(col_lanes[:, active_pos].all())
-        dense = kernel == KERNEL_DENSE
-        if uniform_send and (not dense or full_coverage):
-            mode = 0
-        elif program.batch_received_by_value:
-            mode = 1
-        else:
-            mode = 2
+        mode = _received_mode(
+            program, bool(col_lanes[:, active_pos].all()), dense, full_coverage
+        )
         compact = dense and not full_coverage and mode != 0
-        if dense:
-            pos = np.arange(block.nzc, dtype=np.int64)
-        else:
-            pos = active_pos
-        spmm_block = _kernels()[2]
         row_lo, row_hi = block.row_range
         n_lanes = int(x_valid.shape[0])
-        acc, touched, received, out_dst, out_val, out_recv = (
-            self._spmm_buffers(view_index, partition, row_hi - row_lo, n_lanes)
+        acc, touched, received, out_dst, out_val, out_recv = self._buffers(
+            view_index, partition, row_hi - row_lo, n_lanes
         )
-        additive = plan.op == 0 or plan.op == 3
         try:
-            if additive:
-                # The NumPy SpMM tier always reduces via sort+reduceat
+            if plan.op == JIT_OP_PLUS_TIMES or plan.op == JIT_OP_PLUS_FIRST:
+                # The NumPy lane kernel always reduces via sort+reduceat
                 # (dense: every stored edge, lanes masked by the
                 # identity-fill invariant; sparse: the union-active
                 # subsequence of the same dst-sorted order) — replay it.
@@ -1272,44 +801,41 @@ class JitExecutor(Executor):
                 m, edges = _spmm_add_grouped(
                     plan.op, plan.const, block.dst_sorted_cols(),
                     block.dst_sorted_vals(), gstarts, block.nnz, urows,
-                    x_valid, x_values, plan.batch_identity,
+                    x_valid, x_values, plan.identity,
                     0 if dense else 1, mode, compact, buf, received[0],
                     out_dst, out_val, out_recv,
                 )
             else:
-                m, edges = spmm_block(
+                pos = (
+                    np.arange(block.nzc, dtype=np.int64) if dense else active_pos
+                )
+                m, edges = _kernels()[0](
                     plan.op, plan.const, block.jc, block.cp, block.ir,
-                    block.num, pos, x_valid, x_values, plan.batch_identity,
+                    block.num, pos, x_valid, x_values, plan.identity,
                     mode, compact, row_lo, acc, touched, received,
                     out_dst, out_val, out_recv,
                 )
         except Exception as exc:  # pragma: no cover - compile-time issues
             self._disable(exc)
-            empty.seconds = time.perf_counter() - t0
-            return empty
-        return BatchBlockResult(
+            return _empty_block_result(partition, t0)
+        return BlockResult(
             partition,
             out_dst[:m],
             out_val[:m].T,
-            None if mode == 0 else out_recv[:m].T,
             int(edges),
             n_active,
-            JIT_KERNEL_FOR[kernel],
+            # The scalar shape never applies across lanes (see
+            # run_block_batch); tiny frontiers run sparse-gather.
+            JIT_KERNEL_FOR[KERNEL_DENSE if dense else KERNEL_SPARSE],
             time.perf_counter() - t0,
-            events=dict(
-                user_calls=1,
-                element_ops=int(edges) * n_lanes,
-                random_accesses=int(edges) + m * n_lanes,
-                sequential_bytes=int(edges) * (16 + 8 * n_lanes),
-                messages=n_active,
-                allocations=0,
-            ),
+            events=_lane_events(int(edges), m, n_lanes, n_active),
+            received=None if mode == 0 else out_recv[:m].T,
         )
 
     def close(self) -> None:
         """Release the cached per-view output buffers."""
-        self._spmv_bufs.clear()
-        self._spmm_bufs.clear()
+        self._bufs.clear()
+        self._group_bufs.clear()
 
 
 class JitThreadedExecutor(JitExecutor):
@@ -1343,34 +869,23 @@ class JitThreadedExecutor(JitExecutor):
         """Threaded NumPy schedule — the nearest non-compiled equivalent."""
         return ThreadedExecutor(self.n_workers)
 
-    def _packed_buffers(self, kind, view_index, n, n_lanes=0):
-        key = (kind, view_index)
-        bufs = self._packed_bufs.get(key)
-        if kind == "spmv":
-            if bufs is None or bufs[0].shape[0] != n:
-                bufs = (
-                    np.zeros(n, dtype=np.float64),  # acc
-                    np.zeros(n, dtype=bool),        # touched
-                    np.zeros(n, dtype=bool),        # received
-                    np.empty(n, dtype=np.int64),    # out_dst
-                    np.empty(n, dtype=np.float64),  # out_val
-                )
-                self._packed_bufs[key] = bufs
-        else:
-            if bufs is None or bufs[0].shape != (n, n_lanes):
-                bufs = (
-                    np.zeros((n, n_lanes), dtype=np.float64),  # acc
-                    np.zeros(n, dtype=bool),                   # touched
-                    np.zeros((n, n_lanes), dtype=bool),        # received
-                    np.empty(n, dtype=np.int64),               # out_dst
-                    np.empty((n, n_lanes), dtype=np.float64),  # out_val
-                    np.empty((n, n_lanes), dtype=bool),        # out_recv
-                )
-                self._packed_bufs[key] = bufs
+    def _packed_buffers(self, view_index, n, n_lanes):
+        bufs = self._packed_bufs.get(view_index)
+        if bufs is None or bufs[0].shape != (n, n_lanes):
+            bufs = (
+                np.zeros((n, n_lanes), dtype=np.float64),  # acc
+                np.zeros(n, dtype=bool),                   # touched
+                np.zeros((n, n_lanes), dtype=bool),        # received
+                np.empty(n, dtype=np.int64),               # out_dst
+                np.empty((n, n_lanes), dtype=np.float64),  # out_val
+                np.empty((n, n_lanes), dtype=bool),        # out_recv
+            )
+            self._packed_bufs[view_index] = bufs
         return bufs
 
-    def spmv(
+    def sweep(
         self,
+        kernel,
         view_index,
         view,
         x,
@@ -1383,207 +898,13 @@ class JitThreadedExecutor(JitExecutor):
         scratch=None,
         thresholds=DEFAULT_THRESHOLDS,
     ) -> int:
-        """One SpMV sweep via the packed prange kernels (all blocks at once)."""
-        plan = self._plan(program)
-        if plan is None or self._packed_broken:
-            if plan is None:
-                return spmv_fused(
-                    view, x, y, program, properties,
-                    counters, partition_work,
-                    scratch=scratch, kernel_counts=kernel_counts,
-                    thresholds=thresholds,
-                )
-            return super().spmv(
-                view_index, view, x, y, program, properties, counters,
-                partition_work, kernel_counts, scratch, thresholds,
+        """One K-lane sweep via the packed prange kernels (all blocks at once)."""
+        if self._broken or self._packed_broken:
+            return super().sweep(
+                kernel, view_index, view, x, y, program, properties,
+                counters, partition_work, kernel_counts, scratch, thresholds,
             )
-        x_mask = x.valid_mask()
-        x_values = x.values
-        properties_data = properties.data
-        blocks = list(view)
-        n_blocks = len(blocks)
-        codes = np.zeros(n_blocks, dtype=np.int64)
-        gcodes = np.zeros(n_blocks, dtype=np.int64)
-        row_los = np.zeros(n_blocks, dtype=np.int64)
-        row_his = np.zeros(n_blocks, dtype=np.int64)
-        n_edges_arr = np.zeros(n_blocks, dtype=np.int64)
-        jcs, cps, irs, nums, poss = [], [], [], [], []
-        gcolss, gvalss, gstartss, urowss, gbufs = [], [], [], [], []
-        gkinds: dict = {}
-        numpy_results = []
-        actives = np.zeros(n_blocks, dtype=np.int64)
-        empty_i64 = np.zeros(0, dtype=np.int64)
-        empty_f64 = np.zeros(0, dtype=np.float64)
-        additive = plan.op == 0 or plan.op == 3
-        t0 = time.perf_counter()
-        for p, block in enumerate(blocks):
-            row_los[p], row_his[p] = block.row_range
-            jcs.append(block.jc)
-            cps.append(block.cp)
-            irs.append(block.ir)
-            nums.append(block.num)
-            pos = empty_i64
-            gcols = empty_i64
-            gvals = block.num[:0]
-            gstarts = empty_i64
-            urows = empty_i64
-            gbuf = empty_f64
-            if block.nzc:
-                active_pos = np.flatnonzero(x_mask[block.jc])
-                n_active = int(active_pos.size)
-                actives[p] = n_active
-                if n_active:
-                    kernel = select_kernel(
-                        block, n_active, program, program.message_spec,
-                        program.result_spec, thresholds,
-                    )
-                    if kernel == KERNEL_SCALAR or block.num.dtype not in _JIT_NUM_DTYPES:
-                        numpy_results.append(
-                            run_block(
-                                p, block, x_mask, x_values, program,
-                                properties_data,
-                                scratch.get(p) if scratch is not None else None,
-                                thresholds,
-                            )
-                        )
-                    elif additive and (
-                        kernel == KERNEL_DENSE or n_active == block.nzc
-                    ):
-                        # Order-sensitive +-reduce over a dense/full
-                        # shape: route to the grouped pairwise kernel
-                        # (same split as the per-block dispatch).
-                        gcodes[p] = 1
-                        gkinds[p] = kernel
-                        gcols = block.dst_sorted_cols()
-                        gvals = block.dst_sorted_vals()
-                        _, gstarts, urows = block.dst_groups()
-                        n_edges_arr[p] = block.nnz
-                        gbuf = self._group_buf(
-                            view_index, p, _max_group_len(gstarts, block.nnz)
-                        )
-                    elif kernel == KERNEL_DENSE:
-                        codes[p] = 2
-                        pos = active_pos
-                    else:
-                        codes[p] = 1
-                        pos = active_pos
-            poss.append(pos)
-            gcolss.append(gcols)
-            gvalss.append(gvals)
-            gstartss.append(gstarts)
-            urowss.append(urows)
-            gbufs.append(gbuf)
-        results = list(numpy_results)
-        live = int(np.count_nonzero(codes))
-        glive = int(np.count_nonzero(gcodes))
-        if live or glive:
-            n = x_values.shape[0]
-            acc, touched, received, out_dst, out_val = self._packed_buffers(
-                "spmv", view_index, n
-            )
-            out_m = np.zeros(n_blocks, dtype=np.int64)
-            out_edges = np.zeros(n_blocks, dtype=np.int64)
-            out_m_g = np.zeros(n_blocks, dtype=np.int64)
-            try:
-                if live:
-                    _kernels()[3](
-                        plan.op, plan.const,
-                        _block_list(jcs), _block_list(cps), _block_list(irs),
-                        _block_list(nums), _block_list(poss),
-                        codes, row_los, row_his, x_mask, x_values,
-                        plan.identity, acc, touched, received,
-                        out_dst, out_val, out_m, out_edges,
-                    )
-                if glive:
-                    _kernels()[5](
-                        plan.op, plan.const,
-                        _block_list(gcolss), _block_list(gvalss),
-                        _block_list(gstartss), _block_list(urowss),
-                        n_edges_arr, gcodes, row_los, x_mask, x_values,
-                        plan.identity, _block_list(gbufs),
-                        out_dst, out_val, out_m_g,
-                    )
-            except Exception as exc:  # pragma: no cover - compile issues
-                self._packed_broken = True
-                logger.warning(
-                    "packed prange kernel failed (%s: %s); backend %r "
-                    "continuing on per-block compiled kernels",
-                    type(exc).__name__, exc, self.name,
-                )
-                return super().spmv(
-                    view_index, view, x, y, program, properties, counters,
-                    partition_work, kernel_counts, scratch, thresholds,
-                )
-            seconds = (time.perf_counter() - t0) / max(live + glive, 1)
-            for p in range(n_blocks):
-                if codes[p] == 0 and gcodes[p] == 0:
-                    continue
-                lo = row_los[p]
-                if gcodes[p]:
-                    m = int(out_m_g[p])
-                    edges = int(n_edges_arr[p])
-                    kind = gkinds[p]
-                else:
-                    m = int(out_m[p])
-                    edges = int(out_edges[p])
-                    kind = KERNEL_DENSE if codes[p] == 2 else KERNEL_SPARSE
-                results.append(
-                    BlockResult(
-                        p,
-                        out_dst[lo : lo + m],
-                        out_val[lo : lo + m],
-                        edges,
-                        int(actives[p]),
-                        JIT_KERNEL_FOR[kind],
-                        seconds,
-                        events=dict(
-                            user_calls=1,
-                            element_ops=edges,
-                            random_accesses=edges + m,
-                            sequential_bytes=edges * 16,
-                            messages=int(actives[p]),
-                            allocations=0,
-                        ),
-                    )
-                )
-        # Inactive/empty blocks still get a PartitionWork entry, exactly
-        # like the NumPy executors.
-        done = {r.partition for r in results}
-        for p in range(n_blocks):
-            if p not in done:
-                results.append(_empty_block_result(p, time.perf_counter()))
-        return finish_view(
-            results, y, program, counters, partition_work, kernel_counts
-        )
-
-    def spmm(
-        self,
-        view_index,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        """One K-lane SpMM sweep via the packed prange kernels."""
-        plan = self._plan(program)
-        if plan is None or self._packed_broken:
-            if plan is None:
-                return spmm_fused(
-                    view, x, y, program, properties_lanes,
-                    counters, partition_work,
-                    scratch=scratch, kernel_counts=kernel_counts,
-                    thresholds=thresholds,
-                )
-            return super().spmm(
-                view_index, view, x, y, program, properties_lanes, counters,
-                partition_work, kernel_counts, scratch, thresholds,
-            )
+        plan = self._plan
         x_valid = x.valid_mask()
         x_values = x.values
         blocks = list(view)
@@ -1599,12 +920,11 @@ class JitThreadedExecutor(JitExecutor):
         actives = np.zeros(n_blocks, dtype=np.int64)
         jcs, cps, irs, nums, poss = [], [], [], [], []
         gcolss, gvalss, gstartss, urowss, gbufs = [], [], [], [], []
-        gkinds: dict = {}
-        numpy_results = []
+        results = []
         empty_i64 = np.zeros(0, dtype=np.int64)
         n_lanes = int(x_values.shape[0])
         empty_lanes = np.zeros((n_lanes, 0), dtype=np.float64)
-        additive = plan.op == 0 or plan.op == 3
+        additive = plan.op == JIT_OP_PLUS_TIMES or plan.op == JIT_OP_PLUS_FIRST
         t0 = time.perf_counter()
         for p, block in enumerate(blocks):
             row_los[p], row_his[p] = block.row_range
@@ -1625,39 +945,32 @@ class JitThreadedExecutor(JitExecutor):
                 actives[p] = n_active
                 if n_active:
                     if block.num.dtype not in _JIT_NUM_DTYPES:
-                        numpy_results.append(
-                            run_block_batch(
+                        results.append(
+                            kernel(
                                 p, block, x_valid, x_values, program,
-                                properties_lanes,
+                                properties,
                                 scratch.get(p) if scratch is not None else None,
                                 thresholds,
                             )
                         )
                     else:
-                        kernel = select_kernel(
+                        shape = select_kernel(
                             block, n_active, program, program.message_spec,
                             program.result_spec, thresholds,
                         )
-                        if kernel == KERNEL_SCALAR:
-                            kernel = KERNEL_SPARSE
+                        dense = shape == KERNEL_DENSE
                         full = n_active == block.nzc
-                        uniform = bool(col_lanes[:, active_pos].all())
-                        dense = kernel == KERNEL_DENSE
-                        if uniform and (not dense or full):
-                            modes[p] = 0
-                        elif program.batch_received_by_value:
-                            modes[p] = 1
-                        else:
-                            modes[p] = 2
+                        modes[p] = _received_mode(
+                            program, bool(col_lanes[:, active_pos].all()),
+                            dense, full,
+                        )
                         compacts[p] = dense and not full and modes[p] != 0
                         if additive:
-                            # The NumPy SpMM tier reduces every shape
-                            # via sort+reduceat; replay its pairwise
+                            # Replay the NumPy tier's sort+reduceat
                             # association with the grouped kernel
                             # (sparse shapes filter union-inactive
                             # columns out of the same dst-sorted order).
-                            gcodes[p] = 1
-                            gkinds[p] = kernel
+                            gcodes[p] = 2 if dense else 1
                             filters[p] = 0 if dense else 1
                             gcols = block.dst_sorted_cols()
                             gvals = block.dst_sorted_vals()
@@ -1680,34 +993,34 @@ class JitThreadedExecutor(JitExecutor):
             gstartss.append(gstarts)
             urowss.append(urows)
             gbufs.append(gbuf)
-        results = list(numpy_results)
         live = int(np.count_nonzero(codes))
         glive = int(np.count_nonzero(gcodes))
         if live or glive:
             n = x_values.shape[1]
             acc, touched, received, out_dst, out_val, out_recv = (
-                self._packed_buffers("spmm", view_index, n, n_lanes)
+                self._packed_buffers(view_index, n, n_lanes)
             )
             out_m = np.zeros(n_blocks, dtype=np.int64)
             out_edges = np.zeros(n_blocks, dtype=np.int64)
+            _, packed, packed_additive = _kernels()
             try:
                 if live:
-                    _kernels()[4](
+                    packed(
                         plan.op, plan.const,
                         _block_list(jcs), _block_list(cps), _block_list(irs),
                         _block_list(nums), _block_list(poss),
                         codes, modes, compacts, row_los, row_his,
-                        x_valid, x_values, plan.batch_identity,
+                        x_valid, x_values, plan.identity,
                         acc, touched, received, out_dst, out_val, out_recv,
                         out_m, out_edges,
                     )
                 if glive:
-                    _kernels()[6](
+                    packed_additive(
                         plan.op, plan.const,
                         _block_list(gcolss), _block_list(gvalss),
                         _block_list(gstartss), _block_list(urowss),
                         n_edges_arr, gcodes, filters, modes, compacts,
-                        row_los, x_valid, x_values, plan.batch_identity,
+                        row_los, x_valid, x_values, plan.identity,
                         _block_list(gbufs), received,
                         out_dst, out_val, out_recv, out_m, out_edges,
                     )
@@ -1718,51 +1031,45 @@ class JitThreadedExecutor(JitExecutor):
                     "continuing on per-block compiled kernels",
                     type(exc).__name__, exc, self.name,
                 )
-                return super().spmm(
-                    view_index, view, x, y, program, properties_lanes,
+                return super().sweep(
+                    kernel, view_index, view, x, y, program, properties,
                     counters, partition_work, kernel_counts, scratch,
                     thresholds,
                 )
-            seconds = (time.perf_counter() - t0) / max(live + glive, 1)
+            seconds = (time.perf_counter() - t0) / (live + glive)
             for p in range(n_blocks):
-                if codes[p] == 0 and gcodes[p] == 0:
+                code = codes[p] or gcodes[p]
+                if not code:
                     continue
                 lo = row_los[p]
                 m = int(out_m[p])
                 edges = int(out_edges[p])
-                if gcodes[p]:
-                    kind = gkinds[p]
-                else:
-                    kind = KERNEL_DENSE if codes[p] == 2 else KERNEL_SPARSE
                 results.append(
-                    BatchBlockResult(
+                    BlockResult(
                         p,
                         out_dst[lo : lo + m],
                         out_val[lo : lo + m].T,
-                        None if modes[p] == 0 else out_recv[lo : lo + m].T,
                         edges,
                         int(actives[p]),
-                        JIT_KERNEL_FOR[kind],
+                        JIT_KERNEL_FOR[
+                            KERNEL_DENSE if code == 2 else KERNEL_SPARSE
+                        ],
                         seconds,
-                        events=dict(
-                            user_calls=1,
-                            element_ops=edges * n_lanes,
-                            random_accesses=edges + m * n_lanes,
-                            sequential_bytes=edges * (16 + 8 * n_lanes),
-                            messages=int(actives[p]),
-                            allocations=0,
+                        events=_lane_events(
+                            edges, m, n_lanes, int(actives[p])
+                        ),
+                        received=(
+                            None if modes[p] == 0 else out_recv[lo : lo + m].T
                         ),
                     )
                 )
+        # Inactive/empty blocks still get a PartitionWork entry, exactly
+        # like the NumPy executors.
         done = {r.partition for r in results}
-        for p in range(n_blocks):
-            if p not in done:
-                results.append(
-                    BatchBlockResult(
-                        p, None, None, None, 0, 0, "", 0.0
-                    )
-                )
-        return finish_view_batch(
+        results.extend(
+            _empty_block_result(p) for p in range(n_blocks) if p not in done
+        )
+        return finish_view(
             results, y, program, counters, partition_work, kernel_counts
         )
 

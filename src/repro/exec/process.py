@@ -9,7 +9,7 @@ data:
   shipped to every worker through the pool initializer.  Blocks drop
   their derived caches for the trip (see ``DCSCMatrix.__getstate__``)
   and rebuild them lazily worker-side, where they persist for the
-  workspace's lifetime, as do per-block ``BlockScratch`` buffers.
+  workspace's lifetime, as do the worker's scratch buffers.
   Snapshot-backed views (``repro.store``) make even that hand-off
   O(n_partitions): each block serializes as a ``(path, view, block)``
   reference and workers attach to the snapshot's mmap by file path —
@@ -19,8 +19,8 @@ data:
   startup win.
 - **once per superstep**: the frontier (validity mask + message values)
   and the vertex-property array are copied into shared-memory segments
-  the workers map once and read directly.  Tasks then carry only block
-  indices.
+  the workers map once and read directly.  Tasks then carry only the
+  kernel's name and block indices.
 - **per block**: the worker returns the block's destination-grouped
   reduction (``unique_dst``, ``reduced``) — output-proportional, not
   edge-proportional — and the parent merges it into ``y``; partitions
@@ -50,8 +50,8 @@ import pickle
 
 import numpy as np
 
-from repro.core.spmv import DEFAULT_THRESHOLDS, run_block, run_block_batch
-from repro.exec.base import Executor, finish_view, finish_view_batch
+from repro.core.spmv import DEFAULT_THRESHOLDS
+from repro.exec.base import Executor, finish_view
 
 # ----------------------------------------------------------------------
 # Worker-side state (one copy per worker process).
@@ -93,81 +93,43 @@ def _attach(segment_spec) -> np.ndarray:
 
 def _run_chunk(task):
     """Run one chunk of block kernels against the mapped superstep state."""
-    from repro.exec.workspace import BlockScratch
+    from repro.exec.workspace import make_block_scratch, warm_block_caches
 
-    view_index, block_ids, spec, thresholds = task
-    x_mask = _attach(spec["x_valid"])
+    kernel, view_index, block_ids, spec, thresholds = task
+    x_valid = _attach(spec["x_valid"])
     x_values = _attach(spec["x_values"])
-    properties_data = _attach(spec["props"])
+    properties = _attach(spec["props"])
     view = _WORKER["views"][view_index]
     program = _WORKER["program"]
     scratch_cache = _WORKER["scratch"]
-    # One max-capacity scratch per view, shared by every block this
-    # worker is handed (tasks run one at a time per worker): the pool
-    # gives no chunk-to-worker affinity, so per-block scratch would grow
-    # toward the whole graph's footprint in every worker.
-    scratch = scratch_cache.get(view_index)
-    if scratch is None and view.blocks:
-        biggest = max(view.blocks, key=lambda b: b.nnz)
-        if biggest.nnz:
-            scratch = scratch_cache[view_index] = BlockScratch(
-                biggest, program, capacity=biggest.nnz
-            )
-    results = []
-    for p in block_ids:
-        block = view.blocks[p]
-        if block.nnz:
-            block.warm_caches()
-        results.append(
-            run_block(
-                p,
-                block,
-                x_mask,
-                x_values,
-                program,
-                properties_data,
-                scratch if block.nnz else None,
-                thresholds,
-            )
-        )
-    return results
-
-
-def _run_chunk_batch(task):
-    """Run one chunk of K-lane SpMM block kernels (batched engine)."""
-    from repro.exec.workspace import BatchBlockScratch
-
-    view_index, block_ids, spec, thresholds = task
-    x_valid = _attach(spec["bx_valid"])
-    x_values = _attach(spec["bx_values"])
-    properties_lanes = _attach(spec["bprops"])
-    n_lanes = int(x_valid.shape[0])  # lane-major (K, n)
-    view = _WORKER["views"][view_index]
-    program = _WORKER["program"]
-    scratch_cache = _WORKER["scratch"]
-    # Same max-capacity sharing as the SpMV path, keyed separately per
-    # lane count so consecutive batched runs with different K coexist.
-    key = ("batch", view_index, n_lanes)
+    # A lane frontier's mask is lane-major (K, n); a single sparse
+    # vector's is (n,).  The scratch family follows the frontier.
+    n_lanes = int(x_valid.shape[0]) if x_valid.ndim == 2 else None
+    # One max-capacity scratch per (view, lane count), shared by every
+    # block this worker is handed (tasks run one at a time per worker):
+    # the pool gives no chunk-to-worker affinity, so per-block scratch
+    # would grow toward the whole graph's footprint in every worker.
+    key = (view_index, n_lanes)
     scratch = scratch_cache.get(key)
     if scratch is None and view.blocks:
         biggest = max(view.blocks, key=lambda b: b.nnz)
         if biggest.nnz:
-            scratch = scratch_cache[key] = BatchBlockScratch(
+            scratch = scratch_cache[key] = make_block_scratch(
                 biggest, program, n_lanes, capacity=biggest.nnz
             )
     results = []
     for p in block_ids:
         block = view.blocks[p]
         if block.nnz:
-            block.warm_batch_caches()
+            warm_block_caches(block, n_lanes)
         results.append(
-            run_block_batch(
+            kernel(
                 p,
                 block,
                 x_valid,
                 x_values,
                 program,
-                properties_lanes,
+                properties,
                 scratch if block.nnz else None,
                 thresholds,
             )
@@ -268,9 +230,10 @@ class ProcessExecutor(Executor):
         self._segments[role] = (shm, array, spec)
         return array
 
-    # -- SpMV ------------------------------------------------------------
-    def spmv(
+    # -- sweep -----------------------------------------------------------
+    def sweep(
         self,
+        kernel,
         view_index: int,
         view,
         x,
@@ -297,63 +260,21 @@ class ProcessExecutor(Executor):
                 "x_values", x.values.shape, x.values.dtype
             )
             props = self._ensure_segment(
-                "props", properties.data.shape, properties.data.dtype
+                "props", properties.shape, properties.dtype
             )
             x.copy_into(x_valid, x_values)
-            np.copyto(props, properties.data)
+            np.copyto(props, properties)
         spec = {
             role: seg[2] for role, seg in self._segments.items()
         }
         chunks = self._chunks[view_index]
-        tasks = [(view_index, chunk, spec, thresholds) for chunk in chunks]
+        tasks = [
+            (kernel, view_index, chunk, spec, thresholds) for chunk in chunks
+        ]
         results = []
         for part in self._pool.map(_run_chunk, tasks, chunksize=1):
             results.extend(part)
         return finish_view(
-            results, y, program, counters, partition_work, kernel_counts
-        )
-
-    def spmm(
-        self,
-        view_index: int,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        if self._pool is None:
-            raise RuntimeError("ProcessExecutor.prepare() was not called")
-        # Broadcast the K-lane superstep state through its own segment
-        # roles (``b*``) so a batched run can interleave with sequential
-        # runs on the same pool without thrashing segment shapes.
-        properties_lanes = np.ascontiguousarray(properties_lanes)
-        if view_index == 0 or "bx_valid" not in self._segments:
-            x_valid = self._ensure_segment(
-                "bx_valid", x.valid_mask().shape, np.bool_
-            )
-            x_values = self._ensure_segment(
-                "bx_values", x.values.shape, x.values.dtype
-            )
-            props = self._ensure_segment(
-                "bprops", properties_lanes.shape, properties_lanes.dtype
-            )
-            x.copy_into(x_valid, x_values)
-            np.copyto(props, properties_lanes)
-        spec = {
-            role: seg[2] for role, seg in self._segments.items()
-        }
-        chunks = self._chunks[view_index]
-        tasks = [(view_index, chunk, spec, thresholds) for chunk in chunks]
-        results = []
-        for part in self._pool.map(_run_chunk_batch, tasks, chunksize=1):
-            results.extend(part)
-        return finish_view_batch(
             results, y, program, counters, partition_work, kernel_counts
         )
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.spmv import DEFAULT_THRESHOLDS, run_block, run_block_batch
-from repro.exec.base import Executor, finish_view, finish_view_batch
+from repro.core.spmv import DEFAULT_THRESHOLDS
+from repro.exec.base import Executor, finish_view
 
 
 class ThreadedExecutor(Executor):
@@ -38,8 +38,9 @@ class ThreadedExecutor(Executor):
             )
         return self._pool
 
-    def spmv(
+    def sweep(
         self,
+        kernel,
         view_index: int,
         view,
         x,
@@ -53,18 +54,17 @@ class ThreadedExecutor(Executor):
         thresholds=DEFAULT_THRESHOLDS,
     ) -> int:
         pool = self._ensure_pool()
-        x_mask = x.valid_mask()
+        x_valid = x.valid_mask()
         x_values = x.values
-        properties_data = properties.data
         futures = [
             pool.submit(
-                run_block,
+                kernel,
                 p,
                 block,
-                x_mask,
+                x_valid,
                 x_values,
                 program,
-                properties_data,
+                properties,
                 scratch.get(p) if scratch is not None else None,
                 thresholds,
             )
@@ -72,42 +72,6 @@ class ThreadedExecutor(Executor):
         ]
         results = [future.result() for future in futures]
         return finish_view(
-            results, y, program, counters, partition_work, kernel_counts
-        )
-
-    def spmm(
-        self,
-        view_index: int,
-        view,
-        x,
-        y,
-        program,
-        properties_lanes,
-        counters=None,
-        partition_work=None,
-        kernel_counts=None,
-        scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
-    ) -> int:
-        pool = self._ensure_pool()
-        x_valid = x.valid_mask()
-        x_values = x.values
-        futures = [
-            pool.submit(
-                run_block_batch,
-                p,
-                block,
-                x_valid,
-                x_values,
-                program,
-                properties_lanes,
-                scratch.get(p) if scratch is not None else None,
-                thresholds,
-            )
-            for p, block in enumerate(view)
-        ]
-        results = [future.result() for future in futures]
-        return finish_view_batch(
             results, y, program, counters, partition_work, kernel_counts
         )
 

@@ -1,31 +1,26 @@
 """Persistent per-superstep buffers: the zero-allocation workspace.
 
-The engine's inner loop used to allocate its message/result sparse
-vectors and every per-block edge scratch array (span expansions, source
-columns, gathered messages, gathered destination properties) afresh each
-superstep.  On a scale-16 R-MAT graph that is tens of megabytes of
-allocation churn per PageRank iteration for buffers whose shapes never
-change.
-
+A superstep needs a message vector ``x``, a result vector ``y`` and, per
+block, edge-sized scratch arrays (span expansions, source columns,
+gathered messages) whose shapes never change across supersteps.
 :class:`SuperstepWorkspace` allocates them once — in
 ``graph_program_init`` when the caller keeps a workspace, or once per
-``run_graph_program`` call otherwise — and the engine resets them in
-place each iteration:
+run otherwise — and the engine resets them in place each iteration:
 
-- the ``x`` (message) and ``y`` (result) sparse vectors are cleared via
-  their validity masks; the value arrays persist,
-- each block gets a :class:`BlockScratch` of edge-capacity buffers that
-  the fused kernels fill with ``np.take(..., out=...)`` and in-place
-  prefix sums,
-- the blocks' lazy ``col_expanded()`` / ``dst_groups()`` caches are
-  warmed up front so no superstep pays their construction cost.  Blocks
-  loaded from a snapshot with embedded kernel caches
+- the ``x`` and ``y`` vectors are cleared via their validity masks; the
+  value arrays persist,
+- each non-empty block gets the scratch of the kernel family the run
+  uses (:func:`make_block_scratch`): :class:`BatchBlockScratch` for the
+  K-lane kernel, :class:`BlockScratch` for the generic one; the kernels
+  fill them with ``np.take(..., out=...)`` and in-place prefix sums,
+- the blocks' lazy grouping caches are warmed up front so no superstep
+  pays their construction cost.  Blocks loaded from a snapshot with
+  embedded kernel caches
   (``repro.store.save_snapshot(include_caches=True)``) already carry
   them as mmap views, making the warm-up free as well.
 
 Scratch buffers exist only for numeric value specs; object-valued
-programs (triangle counting's neighbor lists) fall back to fresh
-allocations, which is also what they did before.
+programs (triangle counting's neighbor lists) allocate per superstep.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vector.multi_frontier import MultiFrontier
-from repro.vector.sparse_vector import SparseVector, make_sparse_vector
+from repro.vector.sparse_vector import make_sparse_vector
 
 
 class BlockScratch:
@@ -181,53 +176,96 @@ class BatchBlockScratch:
         )
 
 
-class SuperstepWorkspace:
-    """Reusable engine vectors and per-block scratch for one program shape.
+def warm_block_caches(block, n_lanes: int | None) -> None:
+    """Materialize the lazy groupings one kernel family reads.
 
-    Valid for any run whose graph size, message/result specs and sparse
-    vector representation match (:meth:`matches`); the engine builds a
-    fresh one when they do not (e.g. the two phases of triangle counting
-    flow different value types through the same graph).
+    ``n_lanes is None`` selects the generic kernel's family
+    (:func:`repro.core.spmv.run_block`), an integer the K-lane kernel's
+    (:func:`repro.core.spmv.run_block_batch`).
+    """
+    if n_lanes is None:
+        block.warm_caches()
+    else:
+        block.warm_batch_caches()
+
+
+def make_block_scratch(block, program, n_lanes: int | None, capacity=None):
+    """Warm ``block`` and build its scratch for one kernel family."""
+    warm_block_caches(block, n_lanes)
+    if n_lanes is None:
+        return BlockScratch(block, program, capacity)
+    return BatchBlockScratch(block, program, n_lanes, capacity)
+
+
+class SuperstepWorkspace:
+    """Reusable engine vectors and per-block scratch for one run shape.
+
+    ``n_lanes`` fixes the kernel family: an integer K builds
+    :class:`MultiFrontier` vectors for the lane kernel (``x`` carries
+    the program's reduce identity at invalid slots — the kernel's
+    no-masking contract), ``None`` builds one sparse vector pair for the
+    generic or scalar sweep.  The vertex state is the driver's (it
+    outlives the run as the result), so it is not held here.
+
+    Valid for any run whose graph size, specs, family and views match
+    (:meth:`matches`); the engine builds a fresh one when they do not
+    (e.g. the two phases of triangle counting flow different value types
+    through the same graph).  ``scratch=False`` skips the per-block
+    buffers: the scalar sweep uses none, and process workers hold their
+    own (building them parent-side too would double the footprint).
     """
 
-    def __init__(self, n_vertices: int, program, options, views, *,
-                 fused: bool) -> None:
+    def __init__(
+        self,
+        n_vertices: int,
+        program,
+        views,
+        *,
+        n_lanes: int | None = None,
+        use_bitvector: bool = True,
+        scratch: bool = True,
+    ) -> None:
         self.n_vertices = int(n_vertices)
-        self.use_bitvector = bool(options.use_bitvector)
+        self.n_lanes = n_lanes
+        self.use_bitvector = bool(use_bitvector)
         self.message_spec = program.message_spec
         self.result_spec = program.result_spec
         self.views = list(views)
-        self.x: SparseVector = make_sparse_vector(
-            self.n_vertices, program.message_spec,
-            use_bitvector=options.use_bitvector,
-        )
-        self.y: SparseVector = make_sparse_vector(
-            self.n_vertices, program.result_spec,
-            use_bitvector=options.use_bitvector,
-        )
-        self._scratch: dict[int, dict[int, BlockScratch]] = {}
-        self.scratch_built = bool(fused)
-        if fused:
+        if n_lanes is None:
+            self.x = make_sparse_vector(
+                self.n_vertices, program.message_spec,
+                use_bitvector=use_bitvector,
+            )
+            self.y = make_sparse_vector(
+                self.n_vertices, program.result_spec,
+                use_bitvector=use_bitvector,
+            )
+        else:
+            self.x = MultiFrontier(
+                self.n_vertices, n_lanes, program.message_spec,
+                fill=program.batch_reduce_identity(),
+            )
+            self.y = MultiFrontier(self.n_vertices, n_lanes, program.result_spec)
+        self.scratch_built = bool(scratch)
+        self._scratch: dict[int, dict] = {}
+        if scratch:
             for vi, view in enumerate(views):
-                per_view: dict[int, BlockScratch] = {}
-                for p, block in enumerate(view):
-                    if block.nnz == 0:
-                        continue
-                    block.warm_caches()
-                    per_view[p] = BlockScratch(block, program)
-                self._scratch[vi] = per_view
+                self._scratch[vi] = {
+                    p: make_block_scratch(block, program, n_lanes)
+                    for p, block in enumerate(view)
+                    if block.nnz
+                }
 
-    def view_scratch(self, view_index: int) -> dict[int, BlockScratch] | None:
+    def view_scratch(self, view_index: int) -> dict | None:
         """Per-partition scratch for one matrix view (None when unbuilt)."""
         return self._scratch.get(view_index)
 
     def scratch_nbytes(self) -> int:
         """Total resident bytes of every per-block scratch buffer.
 
-        The workspace's own memory cost (benchmarks report it next to
-        the allocation-churn win it buys; the mmap-backed block arrays
-        of snapshot-loaded views are *not* counted — they are shared
-        file pages, not per-workspace allocations).
+        The workspace's own memory cost (the mmap-backed block arrays of
+        snapshot-loaded views are *not* counted — they are shared file
+        pages, not per-workspace allocations).
         """
         return sum(
             scratch.nbytes
@@ -236,87 +274,32 @@ class SuperstepWorkspace:
         )
 
     def matches(
-        self, n_vertices: int, program, options, views, *,
-        needs_scratch: bool = False,
+        self, n_vertices: int, program, views, *,
+        n_lanes: int | None, use_bitvector: bool, scratch: bool,
     ) -> bool:
-        """True if this workspace fits a run of ``program`` on ``options``.
+        """True if this workspace fits a run of ``program`` with this shape.
 
         ``views`` must be the exact view objects the run will multiply
         with: the per-block scratch buffers are sized for *these* blocks,
         and a different view set (e.g. after an edge-direction mismatch
         rebuilt the views) can have bigger blocks at the same partition
-        index — an overrun waiting to happen.  ``needs_scratch`` marks a
+        index — an overrun waiting to happen.  ``scratch`` marks a
         run whose executor consumes parent-side scratch; a workspace
         built without it (process backend) must not satisfy such a run,
         or the zero-allocation path silently degrades.
         """
         return (
             self.n_vertices == int(n_vertices)
-            and self.use_bitvector == bool(options.use_bitvector)
+            and self.n_lanes == n_lanes
+            and self.use_bitvector == bool(use_bitvector)
             and self.message_spec == program.message_spec
             and self.result_spec == program.result_spec
             and len(self.views) == len(views)
             and all(a is b for a, b in zip(self.views, views))
-            and (self.scratch_built or not needs_scratch)
+            and (self.scratch_built or not scratch)
         )
 
     def reset(self) -> None:
         """Invalidate both vectors in place (no allocation)."""
-        self.x.clear()
-        self.y.clear()
-
-
-class BatchWorkspace:
-    """Reusable K-lane engine state for one batched run shape.
-
-    The batched analogue of :class:`SuperstepWorkspace`: the ``x``
-    (message) and ``y`` (result) :class:`MultiFrontier` blocks plus one
-    :class:`BatchBlockScratch` per non-empty block, allocated once and
-    reset in place every superstep.  The per-lane property block is the
-    *driver's* state (it outlives the run as the result), so it is not
-    held here.
-    """
-
-    def __init__(
-        self, n_vertices: int, n_lanes: int, program, views, *, fused: bool
-    ) -> None:
-        self.n_vertices = int(n_vertices)
-        self.n_lanes = int(n_lanes)
-        self.message_spec = program.message_spec
-        self.result_spec = program.result_spec
-        self.views = list(views)
-        # The message frontier carries the program's reduce identity at
-        # invalid slots (the SpMM kernels' no-masking contract).
-        self.x = MultiFrontier(
-            self.n_vertices, self.n_lanes, program.message_spec,
-            fill=program.batch_reduce_identity(),
-        )
-        self.y = MultiFrontier(self.n_vertices, self.n_lanes, program.result_spec)
-        self._scratch: dict[int, dict[int, BatchBlockScratch]] = {}
-        self.scratch_built = bool(fused)
-        if fused:
-            for vi, view in enumerate(views):
-                per_view: dict[int, BatchBlockScratch] = {}
-                for p, block in enumerate(view):
-                    if block.nnz == 0:
-                        continue
-                    block.warm_batch_caches()
-                    per_view[p] = BatchBlockScratch(block, program, self.n_lanes)
-                self._scratch[vi] = per_view
-
-    def view_scratch(self, view_index: int) -> dict[int, BatchBlockScratch] | None:
-        """Per-partition scratch for one matrix view (None when unbuilt)."""
-        return self._scratch.get(view_index)
-
-    def scratch_nbytes(self) -> int:
-        """Total resident bytes of every per-block scratch buffer."""
-        return sum(
-            scratch.nbytes
-            for per_view in self._scratch.values()
-            for scratch in per_view.values()
-        )
-
-    def reset(self) -> None:
-        """Invalidate both multi-frontiers in place (no allocation)."""
         self.x.clear()
         self.y.clear()

@@ -15,9 +15,8 @@ vertex set, stored **lane-major** as
   live entry at each vertex (the K-lane analogue of the paper's
   bitvector representation, section 4.4.2).
 
-Lanes are completely independent: lane ``k`` of a batched run carries
-exactly the state the sequential engine's :class:`BitvectorVector` would
-hold for query ``k``.
+Lanes are completely independent: lane ``k`` of a K-lane run carries
+exactly the state a one-lane run of query ``k`` would hold.
 
 A frontier may carry an *identity fill*: invalid slots then always hold
 the program's reduce identity (``inf`` for min-plus, ``0.0`` for sums),
@@ -57,7 +56,7 @@ class MultiFrontier:
         if spec.dtype == object:
             raise ShapeError(
                 "MultiFrontier supports fixed-width numeric specs only; "
-                "object-valued programs must run on the sequential engine"
+                "object-valued programs run on the generic kernel family"
             )
         self.length = int(length)
         self.n_lanes = int(n_lanes)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.exec.jit as jitmod
 from repro.graph.generators import (
     bipartite_rating_graph,
     BipartiteSpec,
@@ -15,6 +16,14 @@ from repro.graph.generators import (
     road_graph,
 )
 from repro.graph.preprocess import symmetrize, to_dag, with_random_weights
+
+
+@pytest.fixture
+def jit_tier(monkeypatch):
+    """Make the jit backends run their own kernels: compiled where numba
+    is installed, else the same functions as plain Python."""
+    if not jitmod.NUMBA_AVAILABLE:
+        monkeypatch.setattr(jitmod, "FORCE_INTERPRETED", True)
 
 
 @pytest.fixture

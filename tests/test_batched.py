@@ -1,13 +1,14 @@
 """Batched multi-frontier engine: parity, convergence, kernels, caching.
 
-The acceptance bar for the batched path is absolute: for BFS, SSSP and
+The acceptance bar for the lane kernel is absolute: for BFS, SSSP and
 personalized PageRank, **every lane** of a K=8 batched run must be
-bitwise identical to the corresponding single-source sequential run, on
-all three execution backends.  The SpMM kernels share no legitimate
-source of divergence with the sequential engine — identity-masked lanes
-fold through exact-identity operations and tile boundaries align to
-destination groups — so the assertions are ``np.array_equal``, never
-approximate.
+bitwise identical to the corresponding single-source run, on every
+execution backend.  A single-source ``run_bfs`` is itself a one-lane run
+of the same kernel, so the reference side is the *generic* kernel
+(:mod:`tests.generic_reference`) — an independent implementation.
+Identity-masked lanes fold through exact-identity operations and tile
+boundaries align to destination groups, so the assertions are
+``np.array_equal``, never approximate.
 """
 
 from __future__ import annotations
@@ -19,19 +20,22 @@ from repro.algorithms import (
     bfs_multi_source,
     pagerank_personalized_batch,
     run_bfs,
+    run_pagerank,
     run_personalized_pagerank,
-    run_sssp,
     sssp_landmarks,
 )
 from repro.algorithms.bfs import BFSProgram
-from repro.algorithms.pagerank import PersonalizedPageRankProgram
+from repro.algorithms.pagerank import (
+    PageRankProgram,
+    PersonalizedPageRankProgram,
+    inverse_out_degrees,
+)
 from repro.core.engine import run_graph_programs_batched
 from repro.core.graph_program import GraphProgram, SemiringProgram
 from repro.core.options import KNOWN_BACKENDS, EngineOptions
 from repro.core.semiring import MIN_PLUS, PLUS_TIMES
-from repro.core.spmv import run_block_batch, spmm_fused
+from repro.core.spmv import run_block, run_block_batch, sweep_view
 from repro.errors import ProgramError, ShapeError
-from repro.exec.jit import jit_tier_available
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.graph import Graph
 from repro.graph.preprocess import symmetrize
@@ -39,23 +43,19 @@ from repro.matrix.partition import PartitionedMatrix
 from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import FLOAT64, OBJECT, BitvectorVector
 
+from tests.generic_reference import (
+    reference_bfs,
+    reference_pagerank,
+    reference_ppr,
+    reference_sssp,
+)
+
 BACKEND_NAMES = list(KNOWN_BACKENDS)
 ROOTS = [0, 3, 17, 42, 63, 77, 91, 100]  # K = 8
 
 
 def _options(backend: str) -> EngineOptions:
     return EngineOptions(backend=backend, n_workers=2)
-
-
-def _expected_backend(backend: str) -> str:
-    """RunStats.backend records the executor that actually ran.
-
-    Without numba the jit tiers substitute their NumPy fallbacks, and
-    the stats honestly record the substitute's name.
-    """
-    if jit_tier_available():
-        return backend
-    return {"jit": "serial", "jit-threaded": "threaded"}.get(backend, backend)
 
 
 @pytest.fixture(scope="module")
@@ -68,46 +68,46 @@ def rmat_sym(rmat):
     return symmetrize(rmat)
 
 
+@pytest.mark.usefixtures("jit_tier")
 class TestBatchSequentialParity:
-    """Acceptance: every lane bitwise identical to its sequential run."""
+    """Acceptance: every lane bitwise identical to its own single run
+    on the generic kernel."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_bfs_lanes_match_sequential(self, rmat_sym, backend):
+    def test_bfs_lanes_match_reference(self, rmat_sym, backend):
         batched = bfs_multi_source(rmat_sym, ROOTS, options=_options(backend))
-        assert batched.run.backend == _expected_backend(backend)
+        assert batched.run.backend == backend
         for lane, root in enumerate(ROOTS):
-            ref = run_bfs(rmat_sym, root)
-            assert np.array_equal(ref.distances, batched.lane(lane)), (
+            ref, _ = reference_bfs(rmat_sym, root)
+            assert np.array_equal(ref, batched.lane(lane)), (
                 f"BFS lane {lane} (root {root}) diverged on {backend}"
             )
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_sssp_lanes_match_sequential(self, rmat_sym, backend):
+    def test_sssp_lanes_match_reference(self, rmat_sym, backend):
         batched = sssp_landmarks(rmat_sym, ROOTS, options=_options(backend))
         for lane, source in enumerate(ROOTS):
-            ref = run_sssp(rmat_sym, source)
-            assert np.array_equal(
-                ref.distances.ravel(), batched.lane(lane)
-            ), f"SSSP lane {lane} (source {source}) diverged on {backend}"
+            ref, _ = reference_sssp(rmat_sym, source)
+            assert np.array_equal(ref, batched.lane(lane)), (
+                f"SSSP lane {lane} (source {source}) diverged on {backend}"
+            )
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_ppr_lanes_match_sequential(self, rmat, backend):
+    def test_ppr_lanes_match_reference(self, rmat, backend):
         batched = pagerank_personalized_batch(
             rmat, ROOTS, max_iterations=12, options=_options(backend)
         )
         for lane, source in enumerate(ROOTS):
-            ref = run_personalized_pagerank(rmat, source, max_iterations=12)
-            assert np.array_equal(ref.ranks, batched.lane(lane)), (
+            ref, _ = reference_ppr(rmat, source, 12)
+            assert np.array_equal(ref, batched.lane(lane)), (
                 f"PPR lane {lane} (source {source}) diverged on {backend}"
             )
 
     def test_nonuniform_lane_parameters_still_match(self, rmat):
         """Lanes with different constructor params fall back to the
-        per-lane hooks and must still match sequential runs."""
+        per-lane hooks and must still match their single runs."""
         rs = [0.15, 0.25, 0.10, 0.5]
         sources = ROOTS[: len(rs)]
-        from repro.algorithms.pagerank import inverse_out_degrees
-
         programs = [PersonalizedPageRankProgram(r=r) for r in rs]
         n, k = rmat.n_vertices, len(rs)
         properties = np.zeros((k, n, 3))
@@ -121,8 +121,29 @@ class TestBatchSequentialParity:
             EngineOptions(max_iterations=8),
         )
         for lane, (s, r) in enumerate(zip(sources, rs)):
-            ref = run_personalized_pagerank(rmat, s, r=r, max_iterations=8)
-            assert np.array_equal(ref.ranks, run.properties[lane, :, 0])
+            ref, _ = reference_ppr(rmat, s, 8, r=r)
+            assert np.array_equal(ref, run.properties[lane, :, 0])
+
+    def test_pagerank_rides_the_lanes(self, rmat):
+        """PageRankProgram declares its identity, so it is lane-capable:
+        three lanes with different ``r`` each equal their single run."""
+        rs = [0.15, 0.3, 0.05]
+        assert PageRankProgram().supports_batched()
+        n, k = rmat.n_vertices, len(rs)
+        properties = np.ones((k, n, 2))
+        properties[:, :, 1] = inverse_out_degrees(rmat)[None, :]
+        run = run_graph_programs_batched(
+            rmat,
+            [PageRankProgram(r=r) for r in rs],
+            properties,
+            np.ones((k, n), dtype=bool),
+            EngineOptions(max_iterations=7),
+        )
+        for lane, r in enumerate(rs):
+            single = run_pagerank(rmat, r=r, max_iterations=7)
+            assert np.array_equal(single.ranks, run.properties[lane, :, 0])
+            ref, _ = reference_pagerank(rmat, 7, r=r)
+            assert np.array_equal(ref, run.properties[lane, :, 0])
 
 
 class TestPerLaneConvergence:
@@ -250,6 +271,29 @@ class TestDriverValidation:
                 EngineOptions(fused=False),
             )
 
+    def test_array_valued_program_attributes_compare_safely(self, rmat_sym):
+        """Regression: detecting uniform lanes compared ``vars()`` dicts
+        with ``==``, which raises on ndarray attributes (ambiguous truth
+        value).  Equal arrays are uniform, differing ones fall back to
+        the per-lane hooks; both run and agree with plain BFS."""
+
+        class WeightedBFS(BFSProgram):
+            def __init__(self, weights):
+                self.weights = np.asarray(weights)
+
+        props, active = self._bfs_state(rmat_sym)
+        expected = run_graph_programs_batched(
+            rmat_sym, [BFSProgram(), BFSProgram()], props, active
+        ).properties
+        for second in ([1.0, 2.0], [1.0, 3.0], [1.0, 2.0, 3.0]):
+            run = run_graph_programs_batched(
+                rmat_sym,
+                [WeightedBFS([1.0, 2.0]), WeightedBFS(second)],
+                props,
+                active,
+            )
+            assert np.array_equal(run.properties, expected)
+
     def test_empty_program_list_rejected(self, rmat_sym):
         with pytest.raises(ProgramError):
             run_graph_programs_batched(
@@ -313,10 +357,8 @@ class TestMultiFrontier:
 
 
 def _multi_vs_single_spmv(coo_blocks, program, n, lanes):
-    """Drive spmm_fused directly and compare per lane against spmv."""
-    from repro.core.spmv import spmv_fused
-    from repro.vector.dense import PropertyArray
-
+    """Drive the lane kernel directly and compare per lane against the
+    generic kernel (``run_block``), one frontier at a time."""
     k = len(lanes)
     x = MultiFrontier(n, k, fill=program.batch_reduce_identity())
     for lane, entries in enumerate(lanes):
@@ -324,15 +366,13 @@ def _multi_vs_single_spmv(coo_blocks, program, n, lanes):
             x.scatter_lane(lane, np.array([i]), np.array([v]))
     y = MultiFrontier(n, k)
     props = np.zeros((k, n))
-    spmm_fused(coo_blocks, x, y, program, props)
+    sweep_view(run_block_batch, coo_blocks, x, y, program, props)
     for lane, entries in enumerate(lanes):
         xs = BitvectorVector(n)
         for i, v in entries:
             xs.set(i, v)
         ys = BitvectorVector(n)
-        spmv_fused(
-            coo_blocks, xs, ys, program, PropertyArray(n, FLOAT64)
-        )
+        sweep_view(run_block, coo_blocks, xs, ys, program, np.zeros(n))
         assert np.array_equal(ys.indices(), y.lane_indices(lane))
         idx = ys.indices()
         assert np.array_equal(ys.values[idx], y.values[lane, idx])
@@ -505,40 +545,45 @@ class TestSnapshotCacheWarm:
 
 
 class TestDegenerateSingleLane:
-    """K=1 is a supported batch and bitwise identical to sequential.
+    """K=1 is a supported batch and bitwise identical to a single run.
 
     The serving scheduler dispatches partial batches on timeout, so a
-    lone request becomes a K=1 batched run; this pins down that the
-    degenerate batch takes the same SpMM machinery through the exact
-    sequential results — distances, ranks, convergence and superstep
-    counts alike.
+    lone request becomes a K=1 batched run; ``run_graph_program`` is the
+    same one-lane run with its state on the graph.  Both are pinned to
+    the generic-kernel reference — distances, ranks, convergence and
+    superstep counts alike.
     """
 
+    @pytest.mark.usefixtures("jit_tier")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_k1_bfs_bitwise_matches_sequential(self, rmat_sym, backend):
+    def test_k1_bfs_bitwise_matches_reference(self, rmat_sym, backend):
         root = ROOTS[2]
-        ref = run_bfs(rmat_sym, root)
+        ref, ref_stats = reference_bfs(rmat_sym, root)
         batched = bfs_multi_source(rmat_sym, [root], options=_options(backend))
+        single = run_bfs(rmat_sym, root, options=_options(backend))
         assert batched.run.n_lanes == 1
-        assert np.array_equal(ref.distances, batched.lane(0))
-        lane_stats = batched.run.lane_stats[0]
-        assert lane_stats.converged and ref.stats.converged
-        assert lane_stats.n_supersteps == ref.stats.n_supersteps
-        assert lane_stats.total_messages == ref.stats.total_messages
+        assert np.array_equal(ref, batched.lane(0))
+        assert np.array_equal(ref, single.distances)
+        for stats in (batched.run.lane_stats[0], single.stats):
+            assert stats.converged and ref_stats.converged
+            assert stats.n_supersteps == ref_stats.n_supersteps
+            assert stats.total_messages == ref_stats.total_messages
 
-    def test_k1_sssp_bitwise_matches_sequential(self, rmat_sym):
+    def test_k1_sssp_bitwise_matches_reference(self, rmat_sym):
         source = ROOTS[4]
-        ref = run_sssp(rmat_sym, source)
+        ref, _ = reference_sssp(rmat_sym, source)
         batched = sssp_landmarks(rmat_sym, [source])
-        assert np.array_equal(ref.distances, batched.lane(0))
+        assert np.array_equal(ref, batched.lane(0))
 
-    def test_k1_ppr_bitwise_matches_sequential(self, rmat):
+    def test_k1_ppr_bitwise_matches_reference(self, rmat):
         source = ROOTS[1]
-        ref = run_personalized_pagerank(rmat, source, max_iterations=9)
+        ref, ref_stats = reference_ppr(rmat, source, 9)
         batched = pagerank_personalized_batch(
             rmat, [source], max_iterations=9
         )
-        assert np.array_equal(ref.ranks, batched.lane(0))
+        single = run_personalized_pagerank(rmat, source, max_iterations=9)
+        assert np.array_equal(ref, batched.lane(0))
+        assert np.array_equal(ref, single.ranks)
         assert batched.run.total_edges_processed == (
-            ref.stats.total_edges_processed
+            ref_stats.total_edges_processed
         )

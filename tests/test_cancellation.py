@@ -157,6 +157,9 @@ class TestSequentialCancellation:
         assert np.array_equal(
             governed.vertex_properties.data, reference.vertex_properties.data
         )
+        # ... and the next frontier is still on the graph.
+        assert governed.active.any()
+        assert np.array_equal(governed.active, reference.active)
         assert stats.to_dict()["cancelled"] is True
 
     def test_deadline_cancels_within_one_superstep(self):

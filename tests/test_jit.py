@@ -10,10 +10,10 @@ The tier's defining claims, each tested here directly:
    kernel functions run as plain Python, which lets a NumPy-only CI
    exercise the jit dispatch, merge and stats paths end to end.
 3. **The fallback matrix** — numba missing (whole-executor swap with a
-   logged warning), non-JIT-able program (NumPy kernels wholesale with
-   a logged info), and non-eligible blocks (per-block NumPy dispatch) —
+   logged warning), non-JIT-able program (whole-executor swap with a
+   logged info), and non-eligible blocks (per-block NumPy dispatch) —
    every cell bitwise-identical to the serial reference, every cell
-   visible in ``kernel_counts``.
+   visible in ``kernel_counts`` / ``RunStats.backend``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_pagerank
 from repro.core.graph_program import EdgeDirection, SemiringProgram
 from repro.core.kernels import (
+    JIT_KERNEL_FOR,
     JIT_KERNEL_NAMES,
     KERNEL_JIT_DENSE,
     KERNEL_JIT_SPARSE,
     KERNEL_NAMES,
-    KERNEL_SCALAR,
 )
 from repro.core.engine import run_graph_program
 from repro.core.options import KNOWN_BACKENDS, EngineOptions
@@ -199,10 +199,13 @@ class TestInterpretedParity:
         assert any(k in JIT_KERNEL_NAMES for k in totals), totals
 
     @pytest.mark.parametrize("backend", ["jit", "jit-threaded"])
-    def test_bfs_mixed_dispatch_visible(self, interpreted, rmat_sym, backend):
-        """BFS frontiers span the whole selector range: the tiny root
-        frontier stays on the scalar NumPy kernel, the big middle
-        supersteps go compiled — and ``kernel_counts`` shows both."""
+    def test_bfs_whole_selector_range_compiled(
+        self, interpreted, rmat_sym, backend
+    ):
+        """BFS frontiers span the whole selector range.  Across lanes
+        there is no scalar kernel (the tiny root frontier runs
+        sparse-gather), so every block of every superstep goes compiled
+        — ``kernel_counts`` shows both jit shapes and nothing else."""
         deg = np.zeros(rmat_sym.n_vertices, dtype=np.int64)
         np.add.at(deg, rmat_sym.edges.rows, 1)
         root = int(np.flatnonzero(deg > 0)[deg[deg > 0].argmin()])
@@ -213,10 +216,29 @@ class TestInterpretedParity:
             options=EngineOptions(backend=backend, n_workers=2),
         )
         assert np.array_equal(ref.distances, got.distances)
-        totals = got.stats.kernel_totals()
-        assert set(totals) <= ALL_KERNEL_NAMES
-        assert any(k in JIT_KERNEL_NAMES for k in totals), totals
-        assert KERNEL_SCALAR in totals, totals
+        assert set(got.stats.kernel_totals()) == set(JIT_KERNEL_NAMES)
+        assert got.stats.kernel_totals() == {
+            JIT_KERNEL_FOR[k]: v for k, v in ref.stats.kernel_totals().items()
+        }
+
+    def test_non_float64_edge_values_dispatch_per_block(self, interpreted):
+        """Blocks whose edge values the compiled kernels are not typed
+        for run the NumPy lane kernel inside the same sweep, and
+        ``kernel_counts`` attributes them to the NumPy tier."""
+        from repro.graph.graph import Graph
+
+        edges = rmat_graph(scale=6, edge_factor=8, seed=5).edges
+        graph = Graph.from_edges(
+            64, edges.rows, edges.cols,
+            np.ones(edges.rows.shape[0], dtype=np.float32), dedup=False,
+        )
+        ref = run_pagerank(graph, max_iterations=4)
+        got = run_pagerank(
+            graph, max_iterations=4, options=EngineOptions(backend="jit")
+        )
+        assert np.array_equal(ref.ranks, got.ranks)
+        assert got.stats.backend == "jit"
+        assert set(got.stats.kernel_totals()) <= set(KERNEL_NAMES)
 
     def test_kernel_names_are_renamed_not_invented(self, interpreted, rmat):
         got = run_pagerank(
@@ -239,25 +261,24 @@ def _run_indegree(graph, semiring, options):
 class TestFallbackMatrix:
     """Every cell of the fallback matrix: identical results, honest logs."""
 
-    def test_non_jitable_program_runs_numpy_kernels(
-        self, interpreted, caplog
-    ):
-        """MAX_TIMES has no absorbing identity, so the tier refuses to
-        fuse it: the jit backend runs the NumPy kernels wholesale, says
-        so once, and the results match the serial backend exactly."""
+    def test_non_jitable_program_swaps_executor(self, interpreted, caplog):
+        """MAX_TIMES has no absorbing identity, so the tier has no plan
+        for it: the engine swaps in the fallback executor, says so, and
+        the results match the serial backend exactly."""
         ref, _ = _run_indegree(figure1_graph(), MAX_TIMES, EngineOptions())
         with caplog.at_level(logging.INFO, logger="repro.exec.jit"):
             got, stats = _run_indegree(
                 figure1_graph(), MAX_TIMES, EngineOptions(backend="jit")
             )
         assert np.array_equal(ref, got)
-        assert stats.backend == "jit"
+        assert stats.backend == "serial"
         totals = stats.kernel_totals()
         assert totals and not any(k in JIT_KERNEL_NAMES for k in totals)
         assert any(
             "no compiled (process, reduce) pair" in r.message
             for r in caplog.records
         )
+        assert not JitExecutor().supports(SemiringProgram(MAX_TIMES))
 
     def test_jitable_program_compiles_on_same_graph(self, interpreted):
         """Control for the test above: swap in PLUS_TIMES and the same
@@ -267,11 +288,8 @@ class TestFallbackMatrix:
             figure1_graph(), PLUS_TIMES, EngineOptions(backend="jit")
         )
         assert np.array_equal(ref, got)
-        # figure1 is tiny, so the selector may still pick scalar; all
-        # that is asserted here is that the program *plan* exists (no
-        # wholesale-NumPy log) and results match.  The compiled-kernel
-        # attribution is asserted on real graphs above.
-        assert set(stats.kernel_totals()) <= ALL_KERNEL_NAMES
+        assert stats.backend == "jit"
+        assert set(stats.kernel_totals()) <= set(JIT_KERNEL_NAMES)
 
     @pytest.mark.skipif(
         NUMBA_AVAILABLE, reason="needs the numba-missing environment"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.graph_program import EdgeDirection, SemiringProgram
 from repro.core.options import EngineOptions
 from repro.core.semiring import MIN_PLUS, PLUS_TIMES
-from repro.core.spmv import PartitionWork, spmv_fused, spmv_scalar
+from repro.core.spmv import PartitionWork, run_block, spmv_scalar, sweep_view
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
 from repro.matrix.partition import PartitionedMatrix
@@ -43,7 +43,9 @@ def _run_spmv(coo, x_idx, x_vals, semiring, *, fused, n_parts=2):
         x.set(int(i), float(v))
     work: list[PartitionWork] = []
     if fused:
-        edges = spmv_fused(blocks, x, y, program, properties, None, work)
+        edges = sweep_view(
+            run_block, blocks, x, y, program, properties.data, None, work
+        )
     else:
         edges = spmv_scalar(blocks, x, y, program, properties, None, work)
     return y, edges, work
@@ -252,7 +254,7 @@ class TestDenseFrontierIdentityHazard:
         x.set(0, SaturatingMinProgram.CAP - 0.5)
         x.set(1, SaturatingMinProgram.CAP - 0.5)
         work: list[PartitionWork] = []
-        spmv_fused(blocks, x, y, program, properties, None, work)
+        sweep_view(run_block, blocks, x, y, program, properties.data, None, work)
         assert work[0].kernel == "dense-pull", (
             "test setup no longer exercises the masked dense kernel"
         )
@@ -274,7 +276,7 @@ class TestDenseFrontierIdentityHazard:
         for vec in (x_f, x_s):
             vec.set(0, 1.0)
             vec.set(1, 2.5)
-        spmv_fused(blocks, x_f, y_f, program, properties)
+        sweep_view(run_block, blocks, x_f, y_f, program, properties.data)
         spmv_scalar(blocks, x_s, y_s, program, properties)
         assert np.array_equal(y_f.indices(), y_s.indices())
         assert np.allclose(
@@ -397,19 +399,30 @@ class TestSelectKernelBoundaries:
 
     def test_custom_thresholds_drive_engine_runs(self):
         """An engine run with a zero scalar budget must never pick the
-        scalar kernel, and results must be unchanged."""
-        from repro.algorithms.bfs import run_bfs
+        scalar kernel, and results must be unchanged.  (Only the generic
+        kernel has a scalar shape, so the program under test is BFS
+        without its lane certification.)"""
+        from repro.algorithms.bfs import BFSProgram, init_bfs
+        from repro.core.engine import run_graph_program
         from repro.graph.generators.rmat import rmat_graph
         from repro.graph.preprocess import symmetrize
 
+        from tests.generic_reference import generic
+
         graph = symmetrize(rmat_graph(scale=7, edge_factor=8, seed=2))
-        ref = run_bfs(graph, 0)
-        no_scalar = run_bfs(
-            graph, 0, options=EngineOptions(scalar_kernel_max_edges=0)
-        )
-        assert np.array_equal(ref.distances, no_scalar.distances)
-        assert "scalar" not in no_scalar.stats.kernel_totals()
-        assert "scalar" in ref.stats.kernel_totals()
+        program = generic(BFSProgram)()
+        totals, distances = [], []
+        for options in (
+            EngineOptions(),
+            EngineOptions(scalar_kernel_max_edges=0),
+        ):
+            init_bfs(graph, 0)
+            stats = run_graph_program(graph, program, options)
+            totals.append(stats.kernel_totals())
+            distances.append(graph.vertex_properties.data.copy())
+        assert np.array_equal(distances[0], distances[1])
+        assert "scalar" in totals[0]
+        assert "scalar" not in totals[1]
 
     def test_frontier_density_recorded(self):
         from repro.algorithms.bfs import run_bfs

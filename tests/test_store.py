@@ -612,7 +612,7 @@ def gate():
     return _load_gate_module()
 
 
-def _backend_record(pr_iter_seconds=0.01, calibration=0.01, reduction=2.5):
+def _backend_record(pr_iter_seconds=0.01, calibration=0.01):
     cell = lambda s: {"seconds_per_iteration": s, "seconds": s}  # noqa: E731
     return {
         "meta": {
@@ -624,7 +624,13 @@ def _backend_record(pr_iter_seconds=0.01, calibration=0.01, reduction=2.5):
         },
         "pagerank": {"serial": cell(pr_iter_seconds)},
         "bfs": {"serial": cell(pr_iter_seconds)},
-        "allocations": {"reduction_factor": reduction},
+    }
+
+
+def _ingest_record(speedup):
+    return {
+        "meta": {"benchmark": "bench_ingest", "scale": 12, "edge_factor": 8},
+        "speedup": {"snapshot_vs_cold": speedup},
     }
 
 
@@ -661,11 +667,10 @@ class TestRegressionGate:
         assert any(f["status"] == "fail" for f in findings)
 
     def test_ratio_floor_enforced(self, gate):
-        current = _backend_record(reduction=0.9)
-        baseline = _backend_record(reduction=0.9)
-        findings = gate.compare(current, baseline)
+        # Unchanged against its baseline, but under the absolute floor.
+        findings = gate.compare(_ingest_record(4.0), _ingest_record(4.0))
         failed = {f["metric"] for f in findings if f["status"] == "fail"}
-        assert "allocations.reduction_factor" in failed
+        assert "speedup.snapshot_vs_cold" in failed
 
     def test_config_mismatch_rejected(self, gate, tmp_path):
         current, baseline = _backend_record(), _backend_record()
