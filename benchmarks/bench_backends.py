@@ -2,7 +2,8 @@
 
 Emits ``BENCH_backends.json`` (repo root by default) recording PageRank
 time-per-iteration and BFS wall-clock for every execution backend on a
-Graph500 R-MAT graph.
+Graph500 R-MAT graph, and the ``dense_pull_crossover`` sweep that sets
+the kernel selector's constant.
 
 Run standalone::
 
@@ -60,6 +61,9 @@ def test_backend_bench_smoke(tmp_path):
         for config in ("serial", "serial+workspace", "threaded", "process"):
             assert record[workload][config]["edges_processed"] > 0
     assert record["winner"]["pagerank_parallel_backend"] in ("threaded", "process")
+    sweep = record["crossover_sweep"]
+    for lanes in ("k1", "k16"):
+        assert len(sweep[lanes]["seconds"]) == len(sweep["grid"])
 
 
 if __name__ == "__main__":

@@ -16,6 +16,13 @@ path, with the wins attributed separately:
 Workloads follow the paper's evaluation: PageRank (fixed iterations,
 reported per-iteration) and BFS (run to quiescence) on a Graph500 R-MAT
 graph.
+
+One more section, ``crossover_sweep``, is the measurement behind the
+kernel selector's one constant (``DENSE_PULL_CROSSOVER``): the traversal
+queries timed at K=1 and K=16 over a grid of
+``EngineOptions.dense_pull_crossover`` values, next to what an edge
+costs in each block kernel (see docs/KERNELS.md, "Selection
+thresholds").
 """
 
 from __future__ import annotations
@@ -27,13 +34,25 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algorithms.bfs import BFSProgram, init_bfs
+from repro.algorithms.batched import bfs_multi_source, sssp_landmarks
+from repro.algorithms.bfs import BFSProgram, init_bfs, run_bfs
 from repro.algorithms.pagerank import PageRankProgram, init_pagerank
+from repro.algorithms.sssp import run_sssp
 from repro.bench.calibrate import machine_calibration
 from repro.core.engine import graph_program_init, run_graph_program
 from repro.core.options import EngineOptions
 from repro.graph.generators.rmat import rmat_graph
-from repro.graph.preprocess import symmetrize
+from repro.graph.preprocess import symmetrize, with_random_weights
+
+#: ``dense_pull_crossover`` values the selector sweep times.  The ends
+#: force one kernel on every partial frontier: 1e-9 never pulls, 1e9
+#: always does.
+CROSSOVER_GRID = (1e-9, 1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 48.0, 1e9)
+#: Lane counts of the sweep: a single query and the serving batch width.
+SWEEP_LANES = (1, 16)
+#: Blocks below this many swept edges are left out of the per-edge
+#: costs: their time is NumPy's fixed per-call cost, not edge work.
+MIN_COSTED_EDGES = 4096
 
 
 def _default_workers() -> int:
@@ -106,6 +125,81 @@ def _time_config(
     return best
 
 
+def _traversals(graph, weighted, roots, n_lanes: int, options: EngineOptions):
+    """BFS then SSSP from ``roots``: K one-lane runs or one K-lane run.
+
+    Returns every run's ``RunStats`` (the K-lane runs contribute their
+    lane-0 stats, whose supersteps carry the shared sweeps).
+    """
+    if n_lanes == 1:
+        return [run_bfs(graph, r, options=options).stats for r in roots[:4]] + [
+            run_sssp(weighted, r, options=options).stats for r in roots[:4]
+        ]
+    lanes = roots[:n_lanes]
+    return [
+        bfs_multi_source(graph, lanes, options=options).run.lane_stats[0],
+        sssp_landmarks(weighted, lanes, options=options).run.lane_stats[0],
+    ]
+
+
+def _kernel_edge_cost(all_stats, kernel: str) -> dict | None:
+    """ns per swept edge of one block kernel, over blocks big enough
+    that edge work, not call overhead, is what was timed."""
+    work = [
+        w
+        for stats in all_stats
+        for iteration in stats.iterations
+        for w in iteration.partition_work
+        if w.kernel == kernel and w.edges >= MIN_COSTED_EDGES
+    ]
+    edges = sum(w.edges for w in work)
+    if not edges:
+        return None  # smoke scales: no block is that big
+    return {
+        "ns_per_edge": 1e9 * sum(w.seconds for w in work) / edges,
+        "edges": edges,
+    }
+
+
+def crossover_sweep(graph, roots: list[int], repeats: int) -> dict:
+    """Time the traversal queries across ``CROSSOVER_GRID`` at each lane
+    count, and cost an edge in each kernel where that kernel is forced."""
+    weighted = with_random_weights(graph, seed=3)
+    section: dict = {
+        "grid": list(CROSSOVER_GRID),
+        "roots": roots,
+        "default": EngineOptions().dense_pull_crossover,
+    }
+    forced = {"sparse-gather": CROSSOVER_GRID[0], "dense-pull": CROSSOVER_GRID[-1]}
+    for n_lanes in SWEEP_LANES:
+        seconds = []
+        for crossover in CROSSOVER_GRID:
+            options = EngineOptions(dense_pull_crossover=crossover)
+            _traversals(graph, weighted, roots, n_lanes, options)  # warm-up
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                _traversals(graph, weighted, roots, n_lanes, options)
+                best = min(best, time.perf_counter() - t0)
+            seconds.append(best)
+        costs = {}
+        for kernel, crossover in forced.items():
+            options = EngineOptions(
+                dense_pull_crossover=crossover, record_partition_stats=True
+            )
+            cost = _kernel_edge_cost(
+                _traversals(graph, weighted, roots, n_lanes, options), kernel
+            )
+            if cost is not None:
+                costs[kernel] = cost
+        section[f"k{n_lanes}"] = {
+            "seconds": seconds,
+            "best_crossover": CROSSOVER_GRID[int(np.argmin(seconds))],
+            "kernel_costs": costs,
+        }
+    return section
+
+
 def bench_backends(
     scale: int = 16,
     edge_factor: int = 16,
@@ -170,6 +264,10 @@ def bench_backends(
             repeats=repeats,
         )
 
+    # Roots with edges, hubs first (every one reaches the giant component).
+    sweep_roots = [int(v) for v in np.argsort(-out_deg)[: max(SWEEP_LANES)]]
+    record["crossover_sweep"] = crossover_sweep(sym, sweep_roots, repeats)
+
     serial = record["pagerank"]["serial"]["seconds_per_iteration"]
     record["pagerank_speedup_vs_serial"] = {
         name: (
@@ -222,4 +320,18 @@ def summarize(record: dict) -> str:
         f"winner: {record['winner']['pagerank_parallel_backend']} "
         f"({record['winner']['pagerank_speedup']:.2f}x vs serial fused)",
     ]
+    sweep = record["crossover_sweep"]
+    lines += ["", "dense_pull_crossover sweep, BFS+SSSP seconds "
+              f"(default {sweep['default']:g}):",
+              "  crossover " + " ".join(f"{c:>7g}" for c in sweep["grid"])]
+    for n_lanes in SWEEP_LANES:
+        cell = sweep[f"k{n_lanes}"]
+        costs = ", ".join(
+            f"{kernel} {cost['ns_per_edge']:.1f} ns/edge"
+            for kernel, cost in cell["kernel_costs"].items()
+        )
+        lines += [
+            f"  K={n_lanes:<7} " + " ".join(f"{s:>7.3f}" for s in cell["seconds"]),
+            f"            best {cell['best_crossover']:g}; {costs}",
+        ]
     return "\n".join(lines)

@@ -43,25 +43,32 @@ JIT_KERNEL_FOR = {
     KERNEL_DENSE: KERNEL_JIT_DENSE,
 }
 
-#: Frontiers whose *estimated* edge count is at or below this run the
-#: per-edge scalar kernel: below it, numpy's fixed per-call setup cost
-#: exceeds the per-edge Python dispatch it saves.
+#: Frontiers holding at most this many edges run the per-edge scalar
+#: kernel: below it, numpy's fixed per-call setup cost exceeds the
+#: per-edge Python dispatch it saves.
 SCALAR_KERNEL_MAX_EDGES = 32
 
-#: Default dense-pull crossover: pull every edge when the frontier
-#: covers more than ``1 / DENSE_PULL_CROSSOVER`` of a block's non-empty
-#: columns (``crossover * n_active > nzc``).
-DENSE_PULL_CROSSOVER = 2.0
+#: Default dense-pull crossover, in edges: pull every stored edge when
+#: the frontier's columns hold more than ``1 / DENSE_PULL_CROSSOVER`` of
+#: them (``crossover * frontier_edges > nnz``).  It stands for what a
+#: gathered edge costs relative to a pulled one (a sort, index
+#: composition and scattered reads against one pass through the block's
+#: cached destination order: 47 ns against 6 ns at K=1).  The value is
+#: taken from the ``crossover_sweep`` section of ``BENCH_backends.json``:
+#: BFS+SSSP time is flat from 4 to 16 at K=1 and within 10 % of its best
+#: from 2 to 16 at K=16 (docs/KERNELS.md, "Selection thresholds").
+#: Ligra's ``m / 20`` and Beamer's alpha = 14 are the same rule.
+DENSE_PULL_CROSSOVER = 6.0
 
 
 @dataclass(frozen=True)
 class KernelThresholds:
-    """The kernel selector's density crossovers, as one value object.
+    """The kernel selector's crossovers, in edges, as one value object.
 
     Built from ``EngineOptions`` by the engine (``scalar_kernel_max_edges``
     / ``dense_pull_crossover``) and threaded through the executors to
-    every :func:`select_kernel` call, so benchmarks can sweep the
-    crossover points per run instead of patching module constants.
+    every :func:`select_kernel` call, so ``repro.bench.backends`` can
+    sweep the crossover per run instead of patching module constants.
     """
 
     scalar_max_edges: int = SCALAR_KERNEL_MAX_EDGES
@@ -94,9 +101,19 @@ def _has_scalar_hooks(program) -> bool:
     )
 
 
+def frontier_edge_count(block, active_pos) -> int:
+    """Stored edges of ``block`` under the active column positions.
+
+    Exact, and O(active): the column pointers are already a prefix sum.
+    """
+    if active_pos.shape[0] == block.nzc:
+        return block.nnz
+    return int((block.cp[active_pos + 1] - block.cp[active_pos]).sum())
+
+
 def select_kernel(
     block,
-    n_active: int,
+    frontier_edges: int,
     program,
     message_spec,
     result_spec,
@@ -104,21 +121,21 @@ def select_kernel(
 ) -> str:
     """Pick the fused kernel for one (block, frontier) pair.
 
-    Driven by the frontier density relative to the block's non-empty
-    columns (``n_active / block.nzc``) and the block's nnz (which fixes
-    the expected edge count of the multiply).  The density crossovers
-    come from ``thresholds`` (``EngineOptions.scalar_kernel_max_edges``
-    / ``dense_pull_crossover``); batched SpMM callers pass the *union*
-    of the lanes' active columns as ``n_active`` (aggregate density).
-    Both the NumPy and the compiled tier dispatch on this one function,
-    so a given (block, frontier) always runs the same kernel *shape*
+    Work-proportional: the decision compares the edges the frontier
+    would gather (``frontier_edges``, see :func:`frontier_edge_count`)
+    with the edges a pull touches (``block.nnz``), weighted by what an
+    edge costs in each kernel (``thresholds.dense_crossover``).  A
+    column count says nothing about either on a skewed graph, where a
+    few hub columns hold most of a block's edges.  K-lane callers pass
+    the edges under the *union* of the lanes' active columns.  Both the
+    NumPy and the compiled tier dispatch on this one function, so a
+    given (block, frontier) always runs the same kernel *shape*
     regardless of backend.
     """
-    if n_active >= block.nzc:
+    if frontier_edges >= block.nnz:
         return KERNEL_DENSE  # full coverage: every stored edge fires
-    estimated_edges = (block.nnz * n_active) // max(block.nzc, 1)
     if (
-        estimated_edges <= thresholds.scalar_max_edges
+        frontier_edges <= thresholds.scalar_max_edges
         and result_spec.is_scalar
         and result_spec.dtype != object
         and message_spec.dtype != object
@@ -129,7 +146,7 @@ def select_kernel(
         program.reduce_identity is not None
         and message_spec.is_scalar
         and message_spec.dtype != object
-        and thresholds.dense_crossover * n_active > block.nzc
+        and thresholds.dense_crossover * frontier_edges > block.nnz
     ):
         return KERNEL_DENSE  # masked pull over every edge
     return KERNEL_SPARSE

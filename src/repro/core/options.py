@@ -31,9 +31,10 @@ parallel backends (:mod:`repro.exec`):
    re-partitioning the edge list.
 
 7. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
-   kernel selector's density crossovers (:func:`repro.core.spmv.select_kernel`),
-   exposed as options so benchmarks can sweep the thresholds instead of
-   editing module constants.
+   kernel selector's crossovers, both in edges
+   (:func:`repro.core.kernels.select_kernel`).  The defaults are
+   measured (docs/KERNELS.md); the options are the override
+   ``repro.bench.backends`` sweeps them with.
 
 The paper notes the only user-visible tunables are the thread count and the
 number of matrix partitions; everything else defaults on.
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.cancellation import CancellationToken
+from repro.core.kernels import DENSE_PULL_CROSSOVER, SCALAR_KERNEL_MAX_EDGES
 from repro.errors import ProgramError
 
 #: Execution backends the engine can dispatch SpMV work through.  Kept
@@ -96,16 +98,18 @@ class EngineOptions:
     #: the partitioning knobs; cache hits mmap the stored blocks with
     #: zero copies (see ``repro.store``).
     snapshot_cache: str | None = None
-    #: Kernel-selection threshold: frontiers whose estimated edge count
-    #: is at or below this run the per-edge scalar kernel (below it,
-    #: numpy's fixed per-call setup cost exceeds the per-edge Python
-    #: dispatch it saves).  See ``repro.core.spmv.select_kernel``.
-    scalar_kernel_max_edges: int = 32
+    #: Kernel-selection threshold: frontiers holding at most this many
+    #: edges run the per-edge scalar kernel (below it, numpy's fixed
+    #: per-call setup cost exceeds the per-edge Python dispatch it
+    #: saves).  See ``repro.core.kernels.select_kernel``.
+    scalar_kernel_max_edges: int = SCALAR_KERNEL_MAX_EDGES
     #: Kernel-selection threshold: the dense-pull kernel is chosen when
-    #: ``dense_pull_crossover * n_active > block.nzc`` (and the program
-    #: declares a reduce identity) — i.e. by default when the frontier
-    #: covers more than half of a block's non-empty columns.
-    dense_pull_crossover: float = 2.0
+    #: ``dense_pull_crossover * frontier_edges > block.nnz`` (and the
+    #: program declares a reduce identity), ``frontier_edges`` being the
+    #: exact edge count under the frontier's columns.  The value is what
+    #: a gathered edge costs relative to a pulled one; the default is
+    #: the measured ratio.
+    dense_pull_crossover: float = DENSE_PULL_CROSSOVER
     #: Hard superstep bound for run-to-quiescence runs
     #: (``max_iterations == -1``): past it the program evidently does
     #: not quiesce and the engine raises

@@ -65,9 +65,10 @@ from repro.core.kernels import (
     JIT_SEMIRINGS,
     KERNEL_DENSE,
     KERNEL_SPARSE,
+    frontier_edge_count,
     select_kernel,
 )
-from repro.core.spmv import BlockResult, sweep_view
+from repro.core.spmv import BlockResult, sweep_view, union_active_columns
 from repro.exec.base import Executor, SerialExecutor, finish_view
 from repro.exec.threaded import ThreadedExecutor
 
@@ -759,8 +760,7 @@ class JitExecutor(Executor):
         plan = self._plan
         if block.nzc == 0:
             return _empty_block_result(partition, t0)
-        col_lanes = x_valid[:, block.jc]
-        active_pos = np.flatnonzero(col_lanes.any(axis=0))
+        active_pos, uniform_send = union_active_columns(block, x_valid)
         n_active = int(active_pos.size)
         if n_active == 0:
             return _empty_block_result(partition, t0)
@@ -773,14 +773,12 @@ class JitExecutor(Executor):
                 thresholds,
             )
         shape = select_kernel(
-            block, n_active, program, program.message_spec,
-            program.result_spec, thresholds,
+            block, frontier_edge_count(block, active_pos), program,
+            program.message_spec, program.result_spec, thresholds,
         )
         dense = shape == KERNEL_DENSE
         full_coverage = n_active == block.nzc
-        mode = _received_mode(
-            program, bool(col_lanes[:, active_pos].all()), dense, full_coverage
-        )
+        mode = _received_mode(program, uniform_send, dense, full_coverage)
         compact = dense and not full_coverage and mode != 0
         row_lo, row_hi = block.row_range
         n_lanes = int(x_valid.shape[0])
@@ -939,8 +937,9 @@ class JitThreadedExecutor(JitExecutor):
             urows = empty_i64
             gbuf = empty_lanes
             if block.nzc:
-                col_lanes = x_valid[:, block.jc]
-                active_pos = np.flatnonzero(col_lanes.any(axis=0))
+                active_pos, uniform_send = union_active_columns(
+                    block, x_valid
+                )
                 n_active = int(active_pos.size)
                 actives[p] = n_active
                 if n_active:
@@ -955,14 +954,14 @@ class JitThreadedExecutor(JitExecutor):
                         )
                     else:
                         shape = select_kernel(
-                            block, n_active, program, program.message_spec,
+                            block, frontier_edge_count(block, active_pos),
+                            program, program.message_spec,
                             program.result_spec, thresholds,
                         )
                         dense = shape == KERNEL_DENSE
                         full = n_active == block.nzc
                         modes[p] = _received_mode(
-                            program, bool(col_lanes[:, active_pos].all()),
-                            dense, full,
+                            program, uniform_send, dense, full
                         )
                         compacts[p] = dense and not full and modes[p] != 0
                         if additive:

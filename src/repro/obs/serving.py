@@ -156,7 +156,8 @@ class ServeTelemetry:
             "repro_cache_misses_total", "Result-cache misses."
         )
         self._cache_evictions = r.counter(
-            "repro_cache_evictions_total", "Result-cache LRU evictions."
+            "repro_cache_evictions_total",
+            "Result-cache evictions (LRU overflow, superseded graph epochs).",
         )
         self._cache_expirations = r.counter(
             "repro_cache_expirations_total", "Result-cache TTL expirations."

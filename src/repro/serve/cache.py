@@ -7,11 +7,13 @@ the service caches final result vectors and answers repeats without
 touching the engine at all.
 
 Keys are built by :class:`repro.serve.service.GraphService` from the
-graph's content hash (``Graph.cache_key()``), the query kind and the
-canonicalized parameters, so a re-registered graph with different edges
-can never serve a stale entry.  Values are treated as immutable by
-convention (the service hands out the cached array; callers must not
-mutate it).
+graph's name, content hash (``Graph.cache_key()``) and epoch, the query
+kind and the canonicalized parameters, so a re-registered graph with
+different edges can never serve a stale entry; when a graph moves to a
+new epoch the service drops the entries of its earlier ones
+(:meth:`ResultCache.evict_where`), which nothing can match any more.
+Values are treated as immutable by convention (the service hands out
+the cached array; callers must not mutate it).
 
 ``capacity <= 0`` disables caching entirely (every ``get`` misses, no
 entry is stored); ``ttl_seconds = None`` disables expiry.  The clock is
@@ -105,6 +107,20 @@ class ResultCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._stats.evictions += 1
+
+    def evict_where(self, unreachable: Callable[[Hashable], bool]) -> int:
+        """Drop every entry whose key ``unreachable`` accepts.
+
+        For entries no lookup can match any more (a superseded graph
+        epoch): left alone they stay pinned until ``capacity`` newer
+        ones push them out.  Counted as evictions; returns how many.
+        """
+        with self._lock:
+            doomed = [key for key in self._entries if unreachable(key)]
+            for key in doomed:
+                del self._entries[key]
+            self._stats.evictions += len(doomed)
+        return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

@@ -376,7 +376,7 @@ class ReplicationFollower:
     def _swap(self, name: str, graph, epoch: int, source=None) -> None:
         registry = self.service.registry
         if name in registry:
-            registry.swap(name, graph, epoch=epoch, source=source)
+            self.service.swap_graph(name, graph, epoch=epoch, source=source)
         else:
             entry = registry.add_graph(name, graph, source=source)
             entry.epoch = int(epoch)

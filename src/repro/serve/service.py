@@ -6,8 +6,8 @@ serving benchmark) drive.  A query's life:
 1. **Canonicalize** — the query kind's adapter
    (:mod:`repro.algorithms.adapters`) validates parameters and produces
    the canonical dict that keys everything downstream.
-2. **Result cache** — keyed by (graph content hash, kind, canonical
-   params): a hit returns immediately, no engine work at all.
+2. **Result cache** — keyed by (graph name, content hash, epoch, kind,
+   canonical params): a hit returns immediately, no engine work at all.
 3. **Admission + batching** — a :class:`~repro.serve.scheduler.Ticket`
    enters the micro-batcher under the group ``(graph, kind,
    adapter.batch_key)``; the dispatcher coalesces up to ``max_batch_k``
@@ -59,7 +59,7 @@ from repro.obs.serving import ServeTelemetry
 from repro.obs.tracing import Trace
 from repro.serve.cache import ResultCache
 from repro.serve.quota import QuotaManager
-from repro.serve.registry import GraphRegistry
+from repro.serve.registry import GraphEntry, GraphRegistry
 from repro.serve.scheduler import BatchPolicy, MicroBatcher, Ticket
 from repro.store.delta_log import (
     DELTA_LOG_SUFFIX,
@@ -365,6 +365,7 @@ class GraphService:
             # a graph while old entries linger); the epoch makes every
             # pre-mutation entry structurally unmatchable.
             cache_key = (
+                graph_name,
                 entry.content_key(),
                 entry.epoch,
                 kind,
@@ -496,8 +497,8 @@ class GraphService:
         (when ``delta_log_dir`` is configured), compacts the overlay
         back into a plain graph / fresh snapshot once it exceeds
         ``compact_threshold`` of the base, and swaps the registry entry.
-        Cached results of earlier epochs stop matching automatically
-        (the cache key carries the epoch).
+        Cached results of earlier epochs stop matching (the cache key
+        carries the epoch) and are dropped (:meth:`swap_graph`).
 
         ``durable`` overrides the service's ``fsync`` default for this
         one batch: ``True`` fsyncs the log append before acknowledging
@@ -547,7 +548,7 @@ class GraphService:
                     new_graph = new_graph.to_graph()
                 compacted = True
                 self._generation[graph_name] = epoch
-            entry = self.registry.swap(
+            entry = self.swap_graph(
                 graph_name, new_graph, epoch=epoch, source=source
             )
             with self._lock:
@@ -569,6 +570,24 @@ class GraphService:
             "delta_edges": int(getattr(new_graph, "delta_edges", 0)),
             **batch.to_dict(),
         }
+
+    def swap_graph(
+        self, graph_name: str, graph: Graph, *, epoch: int, source=None
+    ) -> GraphEntry:
+        """Move a hosted graph to a new epoch (see ``GraphRegistry.swap``).
+
+        Cached results of its other epochs go with it: their keys carry
+        the epoch, so no later lookup can match them, and each holds a
+        full result vector.  A query still in flight on the old epoch
+        may store its result after this purge; the next swap drops it.
+        """
+        entry = self.registry.swap(
+            graph_name, graph, epoch=epoch, source=source
+        )
+        self.cache.evict_where(
+            lambda key: key[0] == graph_name and key[2] != entry.epoch
+        )
+        return entry
 
     def _delta_log(self, graph_name: str) -> DeltaLog | None:
         if self.delta_log_dir is None:
@@ -648,7 +667,7 @@ class GraphService:
                 epoch = max(epoch, batches[-1].epoch)
                 replayed = len(batches)
         if graph is not entry.graph:
-            self.registry.swap(graph_name, graph, epoch=epoch, source=source)
+            self.swap_graph(graph_name, graph, epoch=epoch, source=source)
         self._recovered_batches += replayed
 
     # ------------------------------------------------------------------

@@ -485,7 +485,9 @@ class TestSpMMKernels:
             def apply_batch(self, reduced, props):
                 return reduced
 
-        n = 50
+        # A path long enough that one edge is under an eighth of its
+        # block's 25: neither a pull nor (across lanes) a scalar loop.
+        n = 200
         src = np.arange(n - 1, dtype=np.int64)
         graph = Graph.from_edges(n, src, src + 1)
         props = np.ones((2, n))

@@ -92,6 +92,33 @@ class TestServiceMutation:
         # The new epoch's result caches under its own key.
         assert service.query("g", "bfs", {"root": 0}).cached
 
+    def test_superseded_epochs_leave_the_cache(self, service, sym):
+        """Regression: entries of an earlier epoch can never match
+        again (the key carries the epoch) yet stayed pinned, one result
+        vector each, until 1 024 newer ones pushed them out — occupancy
+        grew with every mutate+query round."""
+        roots = [int(v) for v in np.flatnonzero(sym.out_degrees())[:3]]
+        occupancy = []
+        for round_ in range(20):
+            service.mutate("g", inserts=([roots[0]], [round_ + 1]))
+            for root in roots:
+                assert not service.query("g", "bfs", {"root": root}).cached
+            assert service.query("g", "bfs", {"root": roots[0]}).cached
+            occupancy.append(service.cache.stats()["entries"])
+        assert occupancy == [len(roots)] * 20
+        assert service.cache.stats()["evictions"] == 19 * len(roots)
+
+    def test_other_graphs_keep_their_entries(self, sym):
+        registry = GraphRegistry()
+        registry.add_graph("g", sym)
+        registry.add_graph("h", sym)
+        with GraphService(registry) as svc:
+            svc.query("g", "bfs", {"root": 0})
+            svc.query("h", "bfs", {"root": 0})
+            svc.mutate("g", inserts=([0], [1]))
+            assert svc.query("h", "bfs", {"root": 0}).cached
+            assert svc.cache.stats()["entries"] == 1
+
     def test_mutation_of_unknown_graph(self, service):
         from repro.errors import UnknownGraphError
 

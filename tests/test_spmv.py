@@ -288,7 +288,7 @@ class TestSelectKernelBoundaries:
     """Satellite: the selector's edge cases, exercised directly."""
 
     def _block(self, n=64, cols=3, edges_per_col=20):
-        # 60 edges over 3 columns: a 2-of-3 frontier estimates 40 edges,
+        # 60 edges over 3 columns: a 2-of-3 frontier holds 40 edges,
         # above the default scalar budget (32), so the scalar-vs-dense
         # boundaries are both reachable.
         src = np.repeat(np.arange(cols, dtype=np.int64), edges_per_col)
@@ -302,7 +302,7 @@ class TestSelectKernelBoundaries:
         block = self._block()
         program = SemiringProgram(PLUS_TIMES)
         spec = program.message_spec
-        # n_active == 0 estimates zero edges: scalar kernel territory
+        # A frontier holding zero edges: scalar kernel territory
         # (run_block never calls the selector for an empty frontier, but
         # the selector itself must stay total).
         kernel = select_kernel(block, 0, program, spec, program.result_spec)
@@ -314,7 +314,7 @@ class TestSelectKernelBoundaries:
         block = self._block()
         program = SemiringProgram(PLUS_TIMES)
         kernel = select_kernel(
-            block, block.nzc, program, program.message_spec,
+            block, block.nnz, program, program.message_spec,
             program.result_spec,
         )
         assert kernel == "dense-pull"
@@ -367,20 +367,20 @@ class TestSelectKernelBoundaries:
         block = self._block()
         program = SemiringProgram(MIN_PLUS)  # has a reduce identity
         spec = program.message_spec
-        # Default crossover (2.0): 2 of 3 columns -> dense-pull.
+        # Default crossover: 40 of 60 edges -> dense-pull.
         assert (
-            select_kernel(block, 2, program, spec, spec) == "dense-pull"
+            select_kernel(block, 40, program, spec, spec) == "dense-pull"
         )
-        # Crossover 1.0 demands full coverage: 2 of 3 stays sparse.
+        # Crossover 1.0 demands full coverage: 40 of 60 stays sparse.
         tight = KernelThresholds(scalar_max_edges=0, dense_crossover=1.0)
         assert (
-            select_kernel(block, 2, program, spec, spec, tight)
+            select_kernel(block, 40, program, spec, spec, tight)
             == "sparse-gather"
         )
         # A huge scalar budget routes everything with scalar hooks there.
         lavish = KernelThresholds(scalar_max_edges=10_000)
         assert (
-            select_kernel(block, 2, program, spec, spec, lavish) == "scalar"
+            select_kernel(block, 40, program, spec, spec, lavish) == "scalar"
         )
 
     def test_options_expose_thresholds(self):
@@ -435,6 +435,121 @@ class TestSelectKernelBoundaries:
         assert densities[0] == 1.0 / graph.n_vertices
         assert max(densities) > densities[0]
         assert all(0.0 <= d <= 1.0 for d in densities)
+
+
+class TestEdgeProportionalSelection:
+    """The selector counts the frontier's edges, not its columns: on a
+    hub-skewed block the two disagree in both directions."""
+
+    N, HUB_EDGES, TAIL = 1024, 900, 100
+
+    def _block(self):
+        # Column 0 is a hub with 900 edges; columns 1..100 hold one each.
+        src = np.concatenate([
+            np.zeros(self.HUB_EDGES, dtype=np.int64),
+            np.arange(1, self.TAIL + 1, dtype=np.int64),
+        ])
+        dst = np.arange(src.shape[0], dtype=np.int64)
+        vals = 1.0 + (dst % 7)
+        coo = COOMatrix((self.N, self.N), dst, src, vals)
+        return PartitionedMatrix.from_coo(coo, 1).blocks[0]
+
+    def _lane_run(self, block, frontier, thresholds=None):
+        from repro.core.spmv import DEFAULT_THRESHOLDS, run_block_batch
+
+        program = SemiringProgram(MIN_PLUS)
+        x_valid = np.zeros((1, self.N), dtype=bool)
+        x_values = np.full((1, self.N), program.batch_reduce_identity())
+        x_valid[0, frontier] = True
+        x_values[0, frontier] = 0.5 * np.asarray(frontier)
+        return run_block_batch(
+            0, block, x_valid, x_values, program,
+            np.zeros((1, self.N)), None, thresholds or DEFAULT_THRESHOLDS,
+        )
+
+    def test_few_columns_most_edges_pull(self):
+        """One column of 101 (the column rule gathered it) holds 900 of
+        1000 edges: pulling all 1000 is cheaper than sorting 900."""
+        result = self._lane_run(self._block(), [0])
+        assert result.kernel == "dense-pull"
+        assert (result.active_columns, result.edges) == (1, 1000)
+
+    def test_many_columns_few_edges_gather(self):
+        """60 columns of 101 (the column rule pulled 1000 edges for
+        them) hold 60 edges: gather those."""
+        result = self._lane_run(self._block(), list(range(1, 61)))
+        assert result.kernel == "sparse-gather"
+        assert (result.active_columns, result.edges) == (60, 60)
+
+    @pytest.mark.parametrize("frontier", [[0], list(range(1, 61)), [0, 5, 9]])
+    def test_either_kernel_gives_the_same_bits(self, frontier):
+        from repro.core.spmv import KernelThresholds
+
+        block = self._block()
+        runs = {
+            r.kernel: r
+            for r in (
+                self._lane_run(
+                    block, frontier, KernelThresholds(dense_crossover=c)
+                )
+                for c in (1e-9, 1e9)
+            )
+        }
+        assert set(runs) == {"sparse-gather", "dense-pull"}
+        sparse, dense = runs["sparse-gather"], runs["dense-pull"]
+        assert np.array_equal(sparse.unique_dst, dense.unique_dst)
+        assert np.array_equal(sparse.reduced, dense.reduced)
+
+    def test_no_identity_never_pulls_a_partial_frontier(self):
+        """Without a reduce identity silent sources cannot be masked:
+        the hub frontier stays sparse-gather whatever its edge share,
+        and only true full coverage pulls."""
+        from repro.algorithms.sssp import SSSPProgram
+
+        from tests.generic_reference import generic
+
+        block = self._block()
+        program = generic(SSSPProgram)()
+        assert program.reduce_identity is None
+        x = BitvectorVector(self.N)
+        x.set(0, 1.0)
+        properties = np.full(self.N, np.inf)
+        partial = run_block(
+            0, block, x.valid_mask(), x.values, program, properties
+        )
+        assert (partial.kernel, partial.edges) == ("sparse-gather", 900)
+        for j in range(1, self.TAIL + 1):
+            x.set(j, 1.0)
+        full = run_block(
+            0, block, x.valid_mask(), x.values, program, properties
+        )
+        assert (full.kernel, full.edges) == ("dense-pull", 1000)
+
+
+class TestDestinationOrder:
+    """The 16-bit block-local sort key gives the int64 sort's permutation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        span=st.sampled_from([1, 2, 255, 256, 257, 65_535, 65_536, 65_537, 200_000]),
+        lo=st.integers(0, 1 << 40),
+        n_edges=st.integers(0, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_stable_argsort(self, span, lo, n_edges, seed):
+        from repro.core.spmv import destination_order
+
+        rng = np.random.default_rng(seed)
+        # Few distinct rows (many ties, where stability shows) plus the
+        # span's two ends: in a span of 65 537 the last row would wrap
+        # to 0 in a 16-bit key, so that span must take the int64 sort.
+        pool = np.unique(
+            np.concatenate([[0, span - 1], rng.integers(0, span, 12)])
+        )
+        edge_dst = lo + rng.choice(pool, size=n_edges)
+        order = destination_order(edge_dst, (lo, lo + span))
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(edge_dst, kind="stable"))
 
 
 class TestScalarProbeCounters:

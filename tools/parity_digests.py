@@ -1,14 +1,24 @@
 """Print SHA-256 digests of eight algorithms x five backends.
 
-A parity check across commits for engine refactors: run the same script
-in two checkouts and diff the output — results must be bitwise equal.
+A parity check across commits for engine refactors: results must be
+bitwise equal before and after.  Either run the same script in two
+checkouts and diff the output, or compare against a committed record:
 
     REPRO_JIT_INTERPRET=1 PYTHONPATH=src python tools/parity_digests.py [scale]
+    REPRO_JIT_INTERPRET=1 PYTHONPATH=src python tools/parity_digests.py 10 \
+        --check tools/parity_digests.expected
 
 (``REPRO_JIT_INTERPRET=1`` makes the jit backends run their own kernels
-without numba instead of falling back.)
+without numba instead of falling back.)  ``--check FILE`` exits 1 and
+prints the differing lines when the output is not ``FILE``, which holds
+the output of a run at the same scale; CI runs it so that a kernel or
+selector change that moves one bit on any backend fails the build.  To
+re-record after an intended change of results, redirect the output of a
+run without ``--check`` into the file.
 """
 
+import argparse
+import difflib
 import hashlib
 import sys
 
@@ -29,9 +39,6 @@ from repro.graph.generators.bipartite import BipartiteSpec, bipartite_rating_gra
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.preprocess import symmetrize, to_dag, with_random_weights
 
-SCALE = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-
-
 def digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -42,8 +49,9 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def main() -> None:
-    g = rmat_graph(scale=SCALE, edge_factor=8, seed=7)
+def digest_lines(scale: int) -> list[str]:
+    """One ``backend algorithm digest`` line per cell, then the ``ALL`` line."""
+    g = rmat_graph(scale=scale, edge_factor=8, seed=7)
     sym = symmetrize(g)
     weighted = with_random_weights(sym, seed=3)
     dag = to_dag(sym)
@@ -53,6 +61,7 @@ def main() -> None:
     bip = bipartite_rating_graph(spec, seed=5)
     seeds = {root: 0, int(np.argsort(deg)[-2]): 1, int(np.argsort(deg)[-3]): 2}
     total = hashlib.sha256()
+    lines = []
     for backend in KNOWN_BACKENDS:
         opts = EngineOptions(backend=backend, n_workers=2)
         rows = {
@@ -77,10 +86,38 @@ def main() -> None:
             "triangles": digest(run_triangle_count(dag, options=opts).per_vertex),
         }
         for name, d in rows.items():
-            print(f"{backend:13s} {name:11s} {d}")
+            lines.append(f"{backend:13s} {name:11s} {d}")
             total.update(f"{backend}{name}{d}".encode())
-    print("ALL", total.hexdigest())
+    lines.append(f"ALL {total.hexdigest()}")
+    return lines
+
+
+def main() -> int:
+    """Print the digests, or compare them with ``--check FILE``."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scale", nargs="?", type=int, default=12)
+    parser.add_argument(
+        "--check", metavar="FILE",
+        help="compare with FILE (a recorded run at the same scale)",
+    )
+    args = parser.parse_args()
+    lines = digest_lines(args.scale)
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    if lines == expected:
+        print(f"{len(lines) - 1} digests match {args.check}")
+        return 0
+    for line in difflib.unified_diff(
+        expected, lines, args.check, f"scale {args.scale}, this checkout",
+        lineterm="", n=0,
+    ):
+        print(line)
+    print("results are no longer bitwise what was recorded", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
