@@ -111,18 +111,6 @@ RATIO_FLOORS = {
     # crash-recovered service must match too — any divergence fails
     # regardless of timing.
     "parity.follower_bitwise": 1.0,
-    # Compiled-tier gate: the jit backends must stay bitwise identical
-    # to the serial NumPy reference (hard floor, with or without numba).
-    # The speedup floors only appear when numba is installed (see
-    # extract_metrics); 1.5x is the smoke floor — the >= 5x acceptance
-    # bar applies to full-scale records and is asserted by
-    # repro.bench.jit.acceptance_check, not here.
-    "parity.pagerank_bitwise_jit": 1.0,
-    "parity.pagerank_bitwise_jit_threaded": 1.0,
-    "parity.bfs_bitwise_jit": 1.0,
-    "parity.bfs_bitwise_jit_threaded": 1.0,
-    "speedup.jit_vs_threaded": 1.0,
-    "speedup.jit_threaded_vs_threaded": 1.5,
     # Governance gate: cancellation must be deterministic and contained
     # — a budget-B token run bitwise equals a plain max_iterations=B
     # run, lanes that survive a cancelled co-batched neighbor stay
@@ -299,26 +287,6 @@ def extract_metrics(record: dict) -> dict[str, tuple[float, str]]:
             value = _dig(record, name)
             if value is not None:
                 metrics[name] = (float(value), "floor")
-    elif benchmark == "bench_jit":
-        for workload, field in (
-            ("pagerank", "seconds_per_iteration"),
-            ("bfs", "seconds"),
-        ):
-            for config, cell in (record.get(workload) or {}).items():
-                metrics[f"{workload}.{config}.{field}"] = (
-                    float(cell[field]),
-                    "time",
-                )
-        # Bitwise parity with the serial NumPy reference is the tier's
-        # defining contract — hard floors, numba or not.
-        for name, value in (record.get("parity") or {}).items():
-            metrics[f"parity.{name}"] = (float(value), "floor")
-        # Speedup floors only make sense with the compiled tier actually
-        # present; without numba the jit backends run the same NumPy
-        # kernels and the ratio is ~1x by construction.
-        if _dig(record, "meta.numba_available"):
-            for name, value in (record.get("speedup") or {}).items():
-                metrics[f"speedup.{name}"] = (float(value), "floor")
     elif benchmark == "bench_governance":
         for name in (
             "cancel.seconds",

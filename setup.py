@@ -18,12 +18,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={
-        # Compiled-kernel tier (EngineOptions backend="jit"/"jit-threaded");
-        # without it those backends fall back to the NumPy executors with a
-        # logged warning.  See docs/KERNELS.md.
-        "jit": ["numba>=0.59"],
-    },
     entry_points={
         "console_scripts": [
             "repro-convert=repro.store.cli:main",

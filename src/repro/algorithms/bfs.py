@@ -47,10 +47,6 @@ class BFSProgram(GraphProgram):
     # reduction equal to inf can only mean "no lane message" — the
     # batched kernels may derive received masks by value.
     batch_received_by_value = True
-    # process is ``message + 1.0`` (the edge value is ignored): the
-    # compiled min-plus-constant op with const 1.0.
-    jit_semiring = "min-plus-c"
-    jit_const = 1.0
 
     # -- scalar hooks ----------------------------------------------------
     def send_message(self, vertex_prop):

@@ -30,7 +30,6 @@ class MinLabelProgram(GraphProgram):
     property_spec = FLOAT64
     reduce_ufunc = np.minimum
     reduce_identity = np.inf
-    jit_semiring = "min-first"
 
     # -- scalar hooks ----------------------------------------------------
     def send_message(self, vertex_prop):

@@ -38,14 +38,9 @@ class NearestSeedProgram(GraphProgram):
     property_spec = FLOAT64
     reduce_ufunc = np.minimum
     reduce_identity = np.inf
-    # process is ``message + stride`` (one more hop in the packed
-    # encoding): the compiled min-plus-constant op, with the constant
-    # fixed per instance below.
-    jit_semiring = "min-plus-c"
 
     def __init__(self, n_vertices: int) -> None:
         self.stride = float(n_vertices)
-        self.jit_const = self.stride
 
     # -- scalar hooks ----------------------------------------------------
     def send_message(self, vertex_prop):

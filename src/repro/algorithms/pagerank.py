@@ -64,8 +64,6 @@ class PageRankProgram(GraphProgram):
     # so a 0.0 message adds exactly nothing to any sum: identity
     # absorption certified, which makes the program lane-capable.
     reduce_identity = 0.0
-    # ... and the fold is a plain sum — the compiled plus-first op.
-    jit_semiring = "plus-first"
 
     def __init__(self, r: float = 0.15, tolerance: float = 0.0) -> None:
         if not 0.0 <= r <= 1.0:
@@ -160,7 +158,6 @@ class PersonalizedPageRankProgram(GraphProgram):
     # message contributes exactly nothing to any sum.
     reduce_identity = 0.0
     reactivate_all = True
-    jit_semiring = "plus-first"
 
     def __init__(self, r: float = 0.15) -> None:
         if not 0.0 <= r <= 1.0:

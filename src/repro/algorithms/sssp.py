@@ -41,7 +41,6 @@ class SSSPProgram(GraphProgram):
     # Finite distances plus finite non-negative weights stay finite, so
     # an inf reduction can only mean "no lane message" (see BFS).
     batch_received_by_value = True
-    jit_semiring = "min-plus"
 
     # -- scalar hooks ----------------------------------------------------
     def send_message(self, vertex_prop):

@@ -27,8 +27,7 @@ mmap views feed the same kernels the in-memory arrays do), plus a
 
 :func:`acceptance_check` evaluates the record against the contract:
 parity flags are unconditional; the parallel speedup bar only applies
-on machines with enough cores to express one (like the compiled-tier
-bench, which only demands speedup where Numba exists).
+on machines with enough cores to express one.
 """
 
 from __future__ import annotations

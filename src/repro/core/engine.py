@@ -52,14 +52,13 @@ Execution backends & workspace reuse
 The sweep is dispatched through a pluggable executor
 (:mod:`repro.exec`), selected by ``options.backend``: ``"serial"``
 (calling thread, the reference schedule), ``"threaded"`` (thread pool
-over GIL-releasing NumPy kernels), ``"process"`` (process pool; blocks
-shipped once, frontier/properties broadcast through shared memory) and
-the compiled ``"jit"`` / ``"jit-threaded"`` tier.  Partitions own
-disjoint output row ranges (section 4.4.1), so block results merge
-without locks and every backend produces bitwise-identical algorithm
-outputs.  An executor that cannot run a program (e.g. the process
-backend with object-valued properties, the jit tier without a compiled
-plan) is transparently replaced by its fallback schedule for that run;
+over GIL-releasing NumPy kernels) and ``"process"`` (process pool; blocks
+shipped once, frontier/properties broadcast through shared memory).
+Partitions own disjoint output row ranges (section 4.4.1), so block
+results merge without locks and every backend produces
+bitwise-identical algorithm outputs.  An executor that cannot run a
+program (the process backend with object-valued properties) is
+transparently replaced by the serial schedule for that run;
 ``RunStats.backend`` records the schedule actually used.
 
 Every run sweeps through a
@@ -90,7 +89,7 @@ from repro.core.spmv import (
     spmv_scalar,
 )
 from repro.errors import ConvergenceError, ProgramError
-from repro.exec import SuperstepWorkspace, create_executor
+from repro.exec import SerialExecutor, SuperstepWorkspace, create_executor
 from repro.graph.graph import Graph
 from repro.vector.dense import PropertyArray
 
@@ -786,12 +785,9 @@ def _run_supersteps(
             executor = create_executor(options)
             owns_executor = True
         if not executor.supports(program0):
-            # The executor names its own substitute (jit-threaded keeps
-            # the threaded schedule; everything else drops to serial).
-            substitute = executor.fallback()
             if owns_executor:
                 executor.close()
-            executor = substitute
+            executor = SerialExecutor(executor.n_workers)
             owns_executor = True
     backend = executor.name if executor is not None else "serial"
 

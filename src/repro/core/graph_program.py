@@ -88,21 +88,6 @@ class GraphProgram:
     #: must map an identity message to an identity result (min-plus and
     #: min-first do: inf + w == inf).
     reduce_identity = None
-    #: Optional name of a compiled (process, reduce) pair from
-    #: :data:`repro.core.kernels.JIT_SEMIRINGS` ("min-plus",
-    #: "plus-times", ...).  Naming one certifies that, on float64
-    #: scalars, ``process_message(m, e, p)`` equals the op's process
-    #: (ignoring the destination property; ops suffixed ``-c`` add
-    #: :attr:`jit_const` instead of the edge value) and ``reduce``
-    #: equals the op's fold — which lets the ``jit``/``jit-threaded``
-    #: backends run the block loop compiled, bypassing the Python hooks.
-    #: ``None`` (the default) keeps the program on the NumPy kernels
-    #: under every backend.  Results are bitwise identical either way.
-    jit_semiring: Optional[str] = None
-    #: Constant folded by ``-c`` jit ops (e.g. 1.0 for BFS's
-    #: ``message + 1.0``).  Ignored unless ``jit_semiring`` names an op
-    #: with ``uses_const``.
-    jit_const: float = 0.0
 
     # ------------------------------------------------------------------
     # Scalar hooks (Algorithm 1 / Algorithm 2)
@@ -387,14 +372,6 @@ class GraphProgram:
                 f"reduce_ufunc must be a numpy ufunc or None, "
                 f"got {type(self.reduce_ufunc).__name__}"
             )
-        if self.jit_semiring is not None:
-            from repro.core.kernels import JIT_SEMIRINGS
-
-            if self.jit_semiring not in JIT_SEMIRINGS:
-                raise ProgramError(
-                    f"jit_semiring must be one of {sorted(JIT_SEMIRINGS)} "
-                    f"or None, got {self.jit_semiring!r}"
-                )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(direction={self.direction.value})"
@@ -419,13 +396,6 @@ class SemiringProgram(GraphProgram):
         # kernel and the batched SpMM path (identity message == silence).
         if semiring.identity_absorbs:
             self.reduce_identity = semiring.add_identity
-        # Standard semirings with a compiled counterpart run on the jit
-        # tier by name; anything else (e.g. max-times, whose identity
-        # does not absorb) stays on the NumPy kernels.
-        from repro.core.kernels import JIT_SEMIRINGS
-
-        if semiring.name in JIT_SEMIRINGS and semiring.identity_absorbs:
-            self.jit_semiring = semiring.name
 
     def send_message(self, vertex_prop):
         return vertex_prop

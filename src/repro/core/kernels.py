@@ -1,20 +1,13 @@
-"""Kernel registry: names, selection thresholds and the JIT op table.
+"""Kernel registry: names and selection thresholds.
 
 Every per-block kernel the engine can run is named and selected here, in
-one place, so the NumPy tier (:mod:`repro.core.spmv`) and the compiled
-tier (:mod:`repro.exec.jit`) share a single selection/threshold path:
-:func:`select_kernel` decides *which shape* of kernel a (block, frontier)
-pair wants — scalar loop, sparse-gather or dense-pull — and each tier
-supplies its own implementation of that shape.  The jit tier reuses the
-decision verbatim and only renames the kernel it actually ran
-(``"sparse-gather"`` → ``"jit-sparse-gather"``) so ``kernel_counts``
-breakdowns attribute work to the tier that did it.
-
-The registry also fixes which (process, reduce) pairs the compiled tier
-knows how to fuse: :data:`JIT_SEMIRINGS` maps a semiring name declared
-on a program (``GraphProgram.jit_semiring``) to an integer op code the
-compiled kernels dispatch on.  Anything not in the table runs on the
-NumPy kernels — per block, with no change in results.
+one place: :func:`select_kernel` decides *which shape* of kernel a
+(block, frontier) pair wants — scalar loop, sparse-gather or dense-pull
+— and :mod:`repro.core.spmv` implements each shape for one lane
+(:func:`~repro.core.spmv.run_block`) and for K lanes
+(:func:`~repro.core.spmv.run_block_batch`).  Every executor runs those
+same kernels, so a given (block, frontier) runs the same kernel whatever
+the backend.
 
 See ``docs/KERNELS.md`` for the taxonomy and the selection heuristics in
 prose, with a worked ``kernel_counts`` example.
@@ -29,19 +22,6 @@ KERNEL_SCALAR = "scalar"
 KERNEL_SPARSE = "sparse-gather"
 KERNEL_DENSE = "dense-pull"
 KERNEL_NAMES = (KERNEL_SCALAR, KERNEL_SPARSE, KERNEL_DENSE)
-
-#: Compiled-tier kernel names.  Same selection, different implementation:
-#: a block recorded as ``jit-sparse-gather`` ran the compiled per-edge
-#: loop where the NumPy tier would have run ``sparse-gather``.
-KERNEL_JIT_SPARSE = "jit-sparse-gather"
-KERNEL_JIT_DENSE = "jit-dense-pull"
-JIT_KERNEL_NAMES = (KERNEL_JIT_SPARSE, KERNEL_JIT_DENSE)
-
-#: NumPy-tier name -> compiled-tier name.
-JIT_KERNEL_FOR = {
-    KERNEL_SPARSE: KERNEL_JIT_SPARSE,
-    KERNEL_DENSE: KERNEL_JIT_DENSE,
-}
 
 #: Frontiers holding at most this many edges run the per-edge scalar
 #: kernel: below it, numpy's fixed per-call setup cost exceeds the
@@ -127,10 +107,7 @@ def select_kernel(
     edge costs in each kernel (``thresholds.dense_crossover``).  A
     column count says nothing about either on a skewed graph, where a
     few hub columns hold most of a block's edges.  K-lane callers pass
-    the edges under the *union* of the lanes' active columns.  Both the
-    NumPy and the compiled tier dispatch on this one function, so a
-    given (block, frontier) always runs the same kernel *shape*
-    regardless of backend.
+    the edges under the *union* of the lanes' active columns.
     """
     if frontier_edges >= block.nnz:
         return KERNEL_DENSE  # full coverage: every stored edge fires
@@ -150,47 +127,3 @@ def select_kernel(
     ):
         return KERNEL_DENSE  # masked pull over every edge
     return KERNEL_SPARSE
-
-
-# ----------------------------------------------------------------------
-# JIT op registry: the (process, reduce) pairs the compiled tier fuses
-# ----------------------------------------------------------------------
-#: Integer op codes dispatched inside the compiled kernels.  Module-level
-#: constants (not an enum) so the numba-compiled dispatch is a plain
-#: integer compare chain and the kernels stay cacheable.
-JIT_OP_PLUS_TIMES = 0  # process: m * e          reduce: +
-JIT_OP_MIN_PLUS = 1    # process: m + e          reduce: min
-JIT_OP_MIN_FIRST = 2   # process: m              reduce: min
-JIT_OP_PLUS_FIRST = 3  # process: m              reduce: +
-JIT_OP_OR_AND = 4      # process: m and e (0/1)  reduce: or (0/1)
-JIT_OP_MIN_PLUS_C = 5  # process: m + const      reduce: min
-
-
-@dataclass(frozen=True)
-class JitOp:
-    """One compiled (process, reduce) pair.
-
-    ``code`` is the integer the compiled kernels dispatch on;
-    ``uses_const`` marks ops whose process hook folds in the program's
-    ``jit_const`` (e.g. BFS's ``message + 1.0``) rather than the edge
-    value.
-    """
-
-    code: int
-    uses_const: bool = False
-
-
-#: ``GraphProgram.jit_semiring`` name -> compiled op.  A program naming
-#: one of these certifies that, element for element, its
-#: ``process_message(m, e, p)`` equals the op's process (ignoring the
-#: destination property) and its ``reduce`` equals the op's fold — on
-#: float64 scalars.  That certification is what lets the jit tier skip
-#: the program's Python hooks entirely.
-JIT_SEMIRINGS = {
-    "plus-times": JitOp(JIT_OP_PLUS_TIMES),
-    "min-plus": JitOp(JIT_OP_MIN_PLUS),
-    "min-first": JitOp(JIT_OP_MIN_FIRST),
-    "plus-first": JitOp(JIT_OP_PLUS_FIRST),
-    "or-and": JitOp(JIT_OP_OR_AND),
-    "min-plus-c": JitOp(JIT_OP_MIN_PLUS_C, uses_const=True),
-}

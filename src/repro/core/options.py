@@ -53,13 +53,7 @@ from repro.errors import ProgramError
 #: here (not imported from ``repro.exec``) so option validation stays
 #: dependency-free and fails at construction time, not deep inside the
 #: engine.  ``repro.exec.BACKENDS`` asserts the same set.
-KNOWN_BACKENDS: tuple[str, ...] = (
-    "serial",
-    "threaded",
-    "process",
-    "jit",
-    "jit-threaded",
-)
+KNOWN_BACKENDS: tuple[str, ...] = ("serial", "threaded", "process")
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,9 @@ class EngineOptions:
     #: and Figure 5/7; cheap, but off by default for micro-benchmarks).
     record_partition_stats: bool = False
     #: Execution backend for the fused SpMV blocks (see ``repro.exec``):
-    #: ``"serial"``, ``"threaded"``, ``"process"``, or the compiled tier
-    #: ``"jit"`` / ``"jit-threaded"`` (Numba; falls back to serial NumPy
-    #: with a logged warning when Numba is unavailable).
+    #: ``"serial"``, ``"threaded"`` or ``"process"``.
     backend: str = "serial"
-    #: Worker count for the threaded/process backends (ignored by serial;
-    #: ``jit-threaded`` forwards it to Numba's thread pool when it can).
+    #: Worker count for the threaded/process backends (ignored by serial).
     n_workers: int = 1
     #: Directory for the automatic partitioned-view snapshot cache
     #: (None = off).  Views are keyed by the graph's content hash plus

@@ -13,19 +13,12 @@ serial        all blocks in the calling thread (reference)
 threaded      thread pool; NumPy kernels release the GIL and overlap
 process       process pool; blocks shipped once per workspace, frontier
               and properties broadcast via shared memory each superstep
-jit           Numba-compiled per-block lane kernels, calling thread
-jit-threaded  one packed Numba lane kernel per view, ``prange`` over
-              blocks
 ============= ===========================================================
 
-All backends run the identical per-block kernels (NumPy or their
-compiled twins), so algorithm outputs are bitwise identical across
-them.  The jit backends take lane-capable programs that name a compiled
-``jit_semiring`` and require the optional ``numba`` dependency
-(``pip install repro-graphmat[jit]``); any other program, or a missing
-numba, runs on their NumPy equivalents with one logged message.  See
-``docs/EXECUTION.md`` for when each backend wins and
-``docs/KERNELS.md`` for the kernel taxonomy both tiers share.
+All backends run the identical per-block NumPy kernels, so algorithm
+outputs are bitwise identical across them.  See ``docs/EXECUTION.md``
+for when each backend wins and ``docs/KERNELS.md`` for the kernel
+taxonomy.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from __future__ import annotations
 from repro.core.options import KNOWN_BACKENDS
 from repro.errors import ProgramError
 from repro.exec.base import Executor, SerialExecutor, finish_view
-from repro.exec.jit import JitExecutor, JitThreadedExecutor
 from repro.exec.process import ProcessExecutor
 from repro.exec.threaded import ThreadedExecutor
 from repro.exec.workspace import (
@@ -49,8 +41,6 @@ BACKENDS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
     ThreadedExecutor.name: ThreadedExecutor,
     ProcessExecutor.name: ProcessExecutor,
-    JitExecutor.name: JitExecutor,
-    JitThreadedExecutor.name: JitThreadedExecutor,
 }
 
 assert set(BACKENDS) == set(KNOWN_BACKENDS), (
@@ -80,8 +70,6 @@ __all__ = [
     "BatchBlockScratch",
     "BlockScratch",
     "Executor",
-    "JitExecutor",
-    "JitThreadedExecutor",
     "ProcessExecutor",
     "SerialExecutor",
     "SuperstepWorkspace",

@@ -44,18 +44,8 @@ class Executor:
 
     def supports(self, program) -> bool:
         """True if this executor can run ``program`` (else the engine
-        falls back to :meth:`fallback` for the run)."""
+        runs it on :class:`SerialExecutor` for the run)."""
         return True
-
-    def fallback(self) -> "Executor":
-        """Executor the engine substitutes when :meth:`supports` is False.
-
-        The base choice is the serial reference schedule; subclasses
-        with a cheaper near-equivalent override it (``jit-threaded``
-        degrades to ``threaded`` rather than all the way to serial).
-        The caller owns the returned executor's lifecycle.
-        """
-        return SerialExecutor(getattr(self, "n_workers", 1))
 
     def sweep(
         self,

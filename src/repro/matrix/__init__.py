@@ -1,7 +1,6 @@
-"""Sparse matrix substrate: COO, CSR, CSC, DCSC and the 1-D partitioner."""
+"""Sparse matrix substrate: COO, CSR, DCSC and the 1-D partitioner."""
 
 from repro.matrix.coo import COOMatrix
-from repro.matrix.csc import CSCMatrix
 from repro.matrix.csr import CSRMatrix
 from repro.matrix.dcsc import DCSCMatrix
 from repro.matrix.delta import (
@@ -22,7 +21,6 @@ __all__ = [
     "BlockDelta",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "DCSCMatrix",
     "PartitionedMatrix",
     "dedup_last_by_key",

@@ -39,6 +39,7 @@ refuses reads (:class:`~repro.errors.StaleReadError` -> 503) once
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -215,7 +216,14 @@ class ReplicationFollower:
                     cursor = self._resume_local(name) or self._bootstrap(name)
                     self._installed[name] = True
                 cursor = self._poll_once(name, cursor)
-            except (ReplicationError, urllib.error.URLError, OSError):
+            except (
+                ReplicationError,
+                urllib.error.URLError,
+                OSError,
+                # A leader that closes mid-body (IncompleteRead) or sends
+                # a garbled status line is a transport failure too.
+                http.client.HTTPException,
+            ):
                 with self._lock:
                     self._errors += 1
                 self._stop.wait(self.retry_seconds)
@@ -293,6 +301,11 @@ class ReplicationFollower:
                 )
             if status == 204 or not body:
                 break
+            if status != 200:
+                raise ReplicationError(
+                    f"leader {self.leader_url} replication catch-up for "
+                    f"{name!r} failed: HTTP {status}"
+                )
             self._append_local(name, body)
             offset = int(headers["X-Repro-Next-Offset"])
             for batch in decode_frames(body):

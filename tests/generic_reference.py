@@ -33,7 +33,7 @@ def generic(program_cls):
     return type(
         f"Generic{program_cls.__name__}",
         (program_cls,),
-        {"reduce_identity": None, "jit_semiring": None},
+        {"reduce_identity": None},
     )
 
 

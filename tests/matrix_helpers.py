@@ -1,43 +1,10 @@
-"""Format conversions and structural utilities shared across matrix formats."""
+"""Structural helpers the matrix tests compare formats with."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.matrix.coo import COOMatrix
-from repro.matrix.csc import CSCMatrix
-from repro.matrix.csr import CSRMatrix
-from repro.matrix.dcsc import DCSCMatrix
-
-
-def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
-    """COO -> CSR."""
-    return CSRMatrix.from_coo(coo)
-
-
-def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
-    """COO -> CSC."""
-    return CSCMatrix.from_coo(coo)
-
-
-def coo_to_dcsc(coo: COOMatrix) -> DCSCMatrix:
-    """COO -> DCSC."""
-    return DCSCMatrix.from_coo(coo)
-
-
-def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
-    """CSR -> CSC, via COO."""
-    return CSCMatrix.from_coo(csr.to_coo())
-
-
-def csc_to_csr(csc: CSCMatrix) -> CSRMatrix:
-    """CSC -> CSR, via COO."""
-    return CSRMatrix.from_coo(csc.to_coo())
-
-
-def transpose_csr(csr: CSRMatrix) -> CSRMatrix:
-    """Transpose a CSR matrix (returns CSR of the transpose)."""
-    return CSRMatrix.from_coo(csr.to_coo().transpose())
 
 
 def matrices_equal(a, b) -> bool:
@@ -62,7 +29,7 @@ def col_nnz(coo: COOMatrix) -> np.ndarray:
 
 
 def dense_from(matrix) -> np.ndarray:
-    """Densify any matrix format into a float64 numpy array (tests only)."""
+    """Densify any matrix format into a float64 numpy array."""
     coo = matrix if isinstance(matrix, COOMatrix) else matrix.to_coo()
     out = np.zeros(coo.shape, dtype=np.float64)
     # Later duplicates overwrite earlier ones, matching dedup policy "last"

@@ -68,7 +68,6 @@ def rmat_sym(rmat):
     return symmetrize(rmat)
 
 
-@pytest.mark.usefixtures("jit_tier")
 class TestBatchSequentialParity:
     """Acceptance: every lane bitwise identical to its own single run
     on the generic kernel."""
@@ -556,7 +555,6 @@ class TestDegenerateSingleLane:
     superstep counts alike.
     """
 
-    @pytest.mark.usefixtures("jit_tier")
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_k1_bfs_bitwise_matches_reference(self, rmat_sym, backend):
         root = ROOTS[2]

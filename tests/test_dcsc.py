@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import FormatError
 from repro.matrix.coo import COOMatrix
 from repro.matrix.dcsc import DCSCMatrix
-from repro.matrix.ops import dense_from, matrices_equal
+from tests.matrix_helpers import dense_from, matrices_equal
 
 from tests.test_matrix_formats import coo_matrices, small_coo
 

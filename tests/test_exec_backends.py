@@ -70,7 +70,6 @@ def rmat_sym(rmat):
     return symmetrize(rmat)
 
 
-@pytest.mark.usefixtures("jit_tier")
 class TestBackendParity:
     """Satellite: every algorithm identical under every backend.
 
@@ -378,6 +377,12 @@ class TestOptionsValidation:
     def test_unknown_backend_raises(self):
         with pytest.raises(ProgramError):
             EngineOptions(backend="gpu")
+
+    @pytest.mark.parametrize("backend", ["jit", "jit-threaded"])
+    def test_compiled_tier_backends_are_unknown(self, backend):
+        with pytest.raises(ProgramError) as err:
+            EngineOptions(backend=backend)
+        assert "available: serial, threaded, process" in str(err.value)
 
     def test_bad_worker_count_raises(self):
         with pytest.raises(ProgramError):

@@ -20,6 +20,7 @@ acknowledged requests lost.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -161,7 +162,12 @@ def _mutation_load(url, acked: list, stop: threading.Event, seed: int):
             )
             if status == 200:
                 acked.append(body["epoch"])
-        except (urllib.error.URLError, OSError, ConnectionError):
+        except (
+            urllib.error.URLError,
+            OSError,
+            ConnectionError,
+            http.client.HTTPException,  # killed mid-body: IncompleteRead
+        ):
             return  # the server crashed mid-request: that batch is unacked
         except urllib.error.HTTPError:
             pass

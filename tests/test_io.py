@@ -8,7 +8,7 @@ import pytest
 from repro.errors import IOFormatError
 from repro.graph.builder import build_graph
 from repro.graph.io import read_edge_list, read_mtx, write_edge_list, write_mtx
-from repro.matrix.ops import matrices_equal
+from tests.matrix_helpers import matrices_equal
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""COO / CSR / CSC structural tests and cross-format equivalence."""
+"""COO / CSR structural tests and cross-format equivalence."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError, ShapeError
 from repro.matrix.coo import COOMatrix
-from repro.matrix.csc import CSCMatrix
 from repro.matrix.csr import CSRMatrix
-from repro.matrix.ops import dense_from, matrices_equal, row_nnz, col_nnz
+from tests.matrix_helpers import col_nnz, dense_from, matrices_equal, row_nnz
 
 
 def small_coo():
@@ -163,28 +162,6 @@ class TestCSR:
             )
 
 
-class TestCSC:
-    def test_from_coo_columns(self):
-        csc = CSCMatrix.from_coo(small_coo())
-        rows, vals = csc.column(2)
-        assert rows.tolist() == [0, 1]
-        assert vals.tolist() == [2.0, 3.0]
-        assert csc.column_degree(2) == 2
-
-    def test_roundtrip(self):
-        csc = CSCMatrix.from_coo(small_coo())
-        assert matrices_equal(csc.to_coo(), small_coo())
-
-    def test_column_out_of_range(self):
-        csc = CSCMatrix.from_coo(small_coo())
-        with pytest.raises(IndexError):
-            csc.column(9)
-
-    def test_degrees(self):
-        csc = CSCMatrix.from_coo(small_coo())
-        assert csc.degrees().tolist() == [1, 1, 2, 1]
-
-
 class TestOps:
     def test_row_col_nnz(self):
         coo = small_coo()
@@ -222,13 +199,11 @@ def coo_matrices(draw, max_dim=12, max_nnz=40):
 
 @given(coo=coo_matrices())
 @settings(max_examples=60, deadline=None)
-def test_csr_csc_roundtrips_preserve_matrix(coo):
+def test_csr_roundtrip_preserves_matrix(coo):
     deduped = coo.deduplicated("last")
     csr = CSRMatrix.from_coo(deduped)
-    csc = CSCMatrix.from_coo(deduped)
     assert matrices_equal(csr.to_coo(), deduped)
-    assert matrices_equal(csc.to_coo(), deduped)
-    assert np.allclose(dense_from(csr), dense_from(csc))
+    assert np.allclose(dense_from(csr), dense_from(deduped))
 
 
 @given(coo=coo_matrices())

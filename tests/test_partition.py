@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.matrix.coo import COOMatrix
-from repro.matrix.ops import matrices_equal
+from tests.matrix_helpers import matrices_equal
 from repro.matrix.partition import (
     PartitionedMatrix,
     row_ranges_equal_nnz,

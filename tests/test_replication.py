@@ -7,6 +7,7 @@ of the replication pair under SIGKILL is the harness suite's job.
 
 from __future__ import annotations
 
+import http.server
 import json
 import threading
 import time
@@ -83,6 +84,57 @@ def _caught_up(leader_service, follower_service):
             return False
 
     return check
+
+
+class _FlakyLeader:
+    """HTTP proxy in front of a leader that can cut every reply short.
+
+    While ``broken`` it answers 200 with a ``Content-Length`` larger than
+    the body it writes and closes the connection; otherwise it relays
+    the leader's status, replication headers and body unchanged.
+    """
+
+    def __init__(self, upstream: str) -> None:
+        self.broken = True
+        proxy = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                if proxy.broken:
+                    self.send_response(200)
+                    self.send_header("Content-Length", "1000")
+                    self.end_headers()
+                    self.wfile.write(b"partial")
+                    self.close_connection = True
+                    return
+                try:
+                    with urllib.request.urlopen(
+                        upstream + self.path, timeout=30.0
+                    ) as reply:
+                        status, headers, body = (
+                            reply.status, reply.headers, reply.read()
+                        )
+                except urllib.error.HTTPError as error:
+                    status, headers, body = error.code, error.headers, error.read()
+                self.send_response(status)
+                for key, value in headers.items():
+                    if key.lower().startswith("x-repro-"):
+                        self.send_header(key, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        threading.Thread(target=self._server.serve_forever, daemon=True).start()
+        self.url = "http://%s:%s" % self._server.server_address[:2]
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
 
 
 class TestWaitForLog:
@@ -203,6 +255,29 @@ class TestFollower:
         assert np.array_equal(want, got, equal_nan=True)
         follower2.stop()
         fsvc2.close()
+
+    def test_follower_survives_truncated_leader_replies(self, leader, tmp_path):
+        lsvc, _server, url = leader
+        proxy = _FlakyLeader(url)
+        fsvc, follower = _follower(
+            proxy.url, tmp_path, graphs=["g"], retry_seconds=0.05
+        )
+        follower.start()
+        # Every reply announces more body than it sends, then the socket
+        # closes: the follower's reads end in http.client.IncompleteRead.
+        assert _wait(lambda: follower.status()["errors"] >= 3)
+        assert all(thread.is_alive() for thread in follower._threads)
+        assert follower.status()["snapshots_installed"] == 0
+        # Once the leader behaves, the same thread bootstraps and tails.
+        proxy.broken = False
+        lsvc.mutate("g", inserts=([0], [1]))
+        assert _wait(_caught_up(lsvc, fsvc))
+        lsvc.mutate("g", inserts=([2], [3]))
+        assert _wait(_caught_up(lsvc, fsvc))
+        assert follower.status()["batches_applied"] >= 1
+        follower.stop()
+        fsvc.close()
+        proxy.close()
 
     def test_staleness_guard(self, leader, tmp_path):
         lsvc, _server, url = leader

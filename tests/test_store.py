@@ -21,7 +21,7 @@ from repro.errors import IOFormatError
 from repro.graph.builder import build_graph
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.io import read_edge_list, read_mtx, write_edge_list
-from repro.matrix.ops import matrices_equal
+from tests.matrix_helpers import matrices_equal
 from repro.store import (
     ALIGNMENT,
     SnapshotReader,

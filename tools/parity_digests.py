@@ -1,20 +1,18 @@
-"""Print SHA-256 digests of eight algorithms x five backends.
+"""Print SHA-256 digests of eight algorithms x three backends.
 
 A parity check across commits for engine refactors: results must be
 bitwise equal before and after.  Either run the same script in two
 checkouts and diff the output, or compare against a committed record:
 
-    REPRO_JIT_INTERPRET=1 PYTHONPATH=src python tools/parity_digests.py [scale]
-    REPRO_JIT_INTERPRET=1 PYTHONPATH=src python tools/parity_digests.py 10 \
+    PYTHONPATH=src python tools/parity_digests.py [scale]
+    PYTHONPATH=src python tools/parity_digests.py 10 \
         --check tools/parity_digests.expected
 
-(``REPRO_JIT_INTERPRET=1`` makes the jit backends run their own kernels
-without numba instead of falling back.)  ``--check FILE`` exits 1 and
-prints the differing lines when the output is not ``FILE``, which holds
-the output of a run at the same scale; CI runs it so that a kernel or
-selector change that moves one bit on any backend fails the build.  To
-re-record after an intended change of results, redirect the output of a
-run without ``--check`` into the file.
+``--check FILE`` exits 1 and prints the differing lines when the output
+is not ``FILE``, which holds the output of a run at the same scale; CI
+runs it so that a kernel or selector change that moves one bit on any
+backend fails the build.  To re-record after an intended change of
+results, redirect the output of a run without ``--check`` into the file.
 """
 
 import argparse
