@@ -291,10 +291,17 @@ class TestTrace:
 
 class TestSanitizeRequestId:
     @pytest.mark.parametrize("raw", [
-        "abc", "A-b_c.9", "x" * 128, new_request_id(), " padded \t",
+        "abc", "A-b_c.9", "x" * 128, "089f013a5b214872b060ec754d5c469e",
+        " padded \t",
     ])
     def test_accepts_well_formed(self, raw):
         assert sanitize_request_id(raw) == raw.strip()
+
+    def test_accepts_generated_id(self):
+        # Kept out of the parametrization above: a random id would give
+        # the case a different name on every collection.
+        rid = new_request_id()
+        assert sanitize_request_id(rid) == rid
 
     @pytest.mark.parametrize("raw", [
         None, "", "   ", "x" * 129, "has space", "semi;colon",
