@@ -318,12 +318,9 @@ def bench_serve(
     options = EngineOptions()
     workload = _build_workload(graphs, per_kind, pr_iterations, seed=seed)
     references = _compute_references(graphs, workload, options)
-    # Pre-hash content keys so no measured phase pays them, and warm the
-    # batched kernels' per-block caches (dst_sorted_cols etc.) the same
-    # way the reference pass warmed the sequential path — bench_batch
-    # warms both sides too; a real server warms at startup.
-    for graph in graphs.values():
-        graph.cache_key()
+    # Warm the batched kernels' per-block caches (dst_sorted_cols etc.)
+    # the same way the reference pass warmed the sequential path —
+    # bench_batch warms both sides too; a real server warms at startup.
     _warm_batched_path(graphs, n_lanes, pr_iterations, options)
 
     record: dict = {

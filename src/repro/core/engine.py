@@ -372,48 +372,19 @@ def _superstep_shape(
     }
 
 
-def _resolve_view(graph: Graph, direction: str, options: EngineOptions):
-    """One partitioned view, via the snapshot cache when configured.
-
-    With ``options.snapshot_cache`` set, views resolve through
-    ``repro.store``: memory cache, then the on-disk ``.gmsnap`` cache
-    (mmap, zero-copy), then build-and-persist.  Graphs loaded from a
-    snapshot already carry their views in the memory cache, so either
-    path makes repeat engine starts O(header) instead of O(edges).
-
-    Delta overlays (``repro.dynamic.DeltaGraph``) bypass the on-disk
-    cache: epochs are transient, so persisting one view per epoch would
-    churn the cache directory with entries that are never hit again —
-    the overlay's own copy-on-write view maintenance (base blocks
-    aliased, touched blocks re-merged) is the cache.
-    """
-    if options.snapshot_cache is not None and not getattr(
-        graph, "is_delta_overlay", False
-    ):
-        from repro.store import cached_partitions
-
-        return cached_partitions(
-            graph,
-            direction,
-            options.n_partitions,
-            options.partition_strategy,
-            options.snapshot_cache,
-        )
-    if direction == "out":
-        return graph.out_partitions(options.n_partitions, options.partition_strategy)
-    return graph.in_partitions(options.n_partitions, options.partition_strategy)
-
-
 def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions):
-    """Partitioned matrix view(s) for a scatter direction."""
+    """Partitioned matrix view(s) for a scatter direction.
+
+    They come from the Graph's per-key view cache; a loaded snapshot's
+    views are already there, so an engine start on it is O(header)
+    instead of O(edges).
+    """
+    key = (options.n_partitions, options.partition_strategy)
     if direction is EdgeDirection.OUT_EDGES:
-        return [_resolve_view(graph, "out", options)]
+        return [graph.out_partitions(*key)]
     if direction is EdgeDirection.IN_EDGES:
-        return [_resolve_view(graph, "in", options)]
-    return [
-        _resolve_view(graph, "out", options),
-        _resolve_view(graph, "in", options),
-    ]
+        return [graph.in_partitions(*key)]
+    return [graph.out_partitions(*key), graph.in_partitions(*key)]
 
 
 def graph_program_init(
@@ -1089,8 +1060,8 @@ def run_graph_programs_batched(
     (called per lane); ``process_message``/``reduce`` semantics are
     taken from lane 0 and broadcast across the shared sweep.
 
-    Views resolve through the same ``options.snapshot_cache`` machinery
-    and ``options.backend`` selects the same executors as any other run
+    Views resolve through the same per-graph view cache and
+    ``options.backend`` selects the same executors as any other run
     (partition-disjoint row ranges make the K-lane accumulation
     lock-free on every backend).
 

@@ -24,13 +24,7 @@ parallel backends (:mod:`repro.exec`):
    over GIL-releasing NumPy kernels) or ``"process"`` (shared-memory
    process pool).  Orthogonal to ``n_threads``, which drives the paper's
    *simulated* multicore model.
-6. ``snapshot_cache`` — directory for automatic on-disk caching of the
-   partitioned DCSC views (``repro.store``): the first run on a graph
-   persists its views as mmap-able ``.gmsnap`` files and every later
-   run — in any process — loads them zero-copy instead of
-   re-partitioning the edge list.
-
-7. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
+6. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
    kernel selector's crossovers, both in edges
    (:func:`repro.core.kernels.select_kernel`).  The defaults are
    measured (docs/KERNELS.md); the options are the override
@@ -84,11 +78,6 @@ class EngineOptions:
     backend: str = "serial"
     #: Worker count for the threaded/process backends (ignored by serial).
     n_workers: int = 1
-    #: Directory for the automatic partitioned-view snapshot cache
-    #: (None = off).  Views are keyed by the graph's content hash plus
-    #: the partitioning knobs; cache hits mmap the stored blocks with
-    #: zero copies (see ``repro.store``).
-    snapshot_cache: str | None = None
     #: Kernel-selection threshold: frontiers holding at most this many
     #: edges run the per-edge scalar kernel (below it, numpy's fixed
     #: per-call setup cost exceeds the per-edge Python dispatch it
@@ -149,10 +138,6 @@ class EngineOptions:
             )
         if self.n_workers < 1:
             raise ProgramError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.snapshot_cache is not None and not str(self.snapshot_cache):
-            raise ProgramError(
-                "snapshot_cache must be a directory path or None, got ''"
-            )
         if self.scalar_kernel_max_edges < 0:
             raise ProgramError(
                 f"scalar_kernel_max_edges must be >= 0, "

@@ -163,11 +163,6 @@ class DeltaGraph(Graph):
     docstring for semantics.
     """
 
-    #: Engine hint: skip the on-disk snapshot view cache for overlays
-    #: (epochs are transient; persisting per-epoch views would churn the
-    #: cache directory for no reuse).
-    is_delta_overlay = True
-
     def __init__(self, base: Graph, *, _state: dict | None = None) -> None:
         if isinstance(base, DeltaGraph):
             raise GraphError(
@@ -184,7 +179,6 @@ class DeltaGraph(Graph):
         self._out_csr = None
         self._in_csr = None
         self.snapshot_path = None
-        self._cache_key = None
         self._merged: COOMatrix | None = None
         #: Cumulative delta entries sorted by the IN view's key order
         #: (``dst * n + src``), built lazily per instance.
@@ -199,12 +193,8 @@ class DeltaGraph(Graph):
             self._ins_keys = _EMPTY_KEYS
             self._ins_vals = index.vals[:0]
             self._del_keys = _EMPTY_KEYS
-            self._out_deg = np.bincount(
-                base.edges.rows, minlength=n
-            ).astype(np.int64)
-            self._in_deg = np.bincount(
-                base.edges.cols, minlength=n
-            ).astype(np.int64)
+            self._out_deg = base.out_degrees()
+            self._in_deg = base.in_degrees()
         else:
             self.__dict__.update(_state)
 
@@ -237,12 +227,6 @@ class DeltaGraph(Graph):
             )
         return self._merged
 
-    def out_degrees(self) -> np.ndarray:
-        return self._out_deg.copy()
-
-    def in_degrees(self) -> np.ndarray:
-        return self._in_deg.copy()
-
     @property
     def delta_edges(self) -> int:
         """Cumulative overlay size (upserts + tombstones) vs the base."""
@@ -253,22 +237,6 @@ class DeltaGraph(Graph):
         """Overlay size relative to the base edge count (compaction
         trigger signal; see ``repro.store.delta_log``)."""
         return self.delta_edges / max(1, self.base.n_edges)
-
-    def cache_key(self) -> str:
-        """Content hash: base key + cumulative delta (epoch-independent —
-        two overlays with equal base and equal net delta share a key)."""
-        if self._cache_key is None:
-            import hashlib
-
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(self.base.cache_key().encode())
-            digest.update(memoryview(self._ins_keys).cast("B"))
-            digest.update(
-                memoryview(np.ascontiguousarray(self._ins_vals)).cast("B")
-            )
-            digest.update(memoryview(self._del_keys).cast("B"))
-            self._cache_key = digest.hexdigest()
-        return self._cache_key
 
     def to_graph(self) -> Graph:
         """Materialize a plain immutable :class:`Graph` of the merged edge
@@ -338,8 +306,8 @@ class DeltaGraph(Graph):
         new_dst = ins_keys[~replaced] % n
         eff_del_src = eff_del_keys // n
         eff_del_dst = eff_del_keys % n
-        out_deg = self._out_deg.copy()
-        in_deg = self._in_deg.copy()
+        out_deg = self.out_degrees()
+        in_deg = self.in_degrees()
         np.add.at(out_deg, new_src, 1)
         np.add.at(in_deg, new_dst, 1)
         np.subtract.at(out_deg, eff_del_src, 1)

@@ -15,7 +15,8 @@ Edge storage is a COO edge matrix ``A`` with ``A[u, v] = w`` for each edge
 
 Views are built lazily and cached per (n_partitions, strategy) so repeated
 runs (benchmarks, multi-phase algorithms) pay construction once.  CSR
-adjacency views are cached too for the baseline frameworks and native code.
+adjacency views are cached too for the baseline frameworks and native code;
+degrees are counted straight from the COO, so they need no CSR.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class Graph:
         self._in_cache: dict[tuple[int, str], PartitionedMatrix] = {}
         self._out_csr: CSRMatrix | None = None
         self._in_csr: CSRMatrix | None = None
+        self._out_deg: np.ndarray | None = None
+        self._in_deg: np.ndarray | None = None
         #: Set by ``repro.store.load_snapshot`` on mmap-backed graphs.
         self.snapshot_path: str | None = None
-        self._cache_key: str | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -97,10 +99,20 @@ class Graph:
         return self._in_csr
 
     def out_degrees(self) -> np.ndarray:
-        return self.out_csr().degrees()
+        """Out-degree per vertex, counted from the COO (no CSR built)."""
+        if self._out_deg is None:
+            self._out_deg = np.bincount(
+                self._edges.rows, minlength=self.n_vertices
+            ).astype(np.int64)
+        return self._out_deg.copy()
 
     def in_degrees(self) -> np.ndarray:
-        return self.in_csr().degrees()
+        """In-degree per vertex, counted from the COO (no CSR built)."""
+        if self._in_deg is None:
+            self._in_deg = np.bincount(
+                self._edges.cols, minlength=self.n_vertices
+            ).astype(np.int64)
+        return self._in_deg.copy()
 
     def out_partitions(
         self, n_partitions: int = 1, strategy: str = "rows"
@@ -131,7 +143,7 @@ class Graph:
     # ------------------------------------------------------------------
     # Partitioned-view cache plumbing (used by ``repro.store``)
     # ------------------------------------------------------------------
-    def _view_cache(self, direction: str) -> dict:
+    def _views(self, direction: str) -> dict:
         if direction == "out":
             return self._out_cache
         if direction == "in":
@@ -142,7 +154,7 @@ class Graph:
         self, direction: str, n_partitions: int, strategy: str
     ) -> PartitionedMatrix | None:
         """The cached partitioned view for a key, or None (never builds)."""
-        return self._view_cache(direction).get((int(n_partitions), strategy))
+        return self._views(direction).get((int(n_partitions), strategy))
 
     def adopt_partitions(
         self,
@@ -159,32 +171,8 @@ class Graph:
                 f"partitioned view shape {partitions.shape} does not match "
                 f"graph with {self.n_vertices} vertices"
             )
-        self._view_cache(direction)[(int(n_partitions), strategy)] = partitions
+        self._views(direction)[(int(n_partitions), strategy)] = partitions
         return partitions
-
-    def cache_key(self) -> str:
-        """Content hash of the edge structure (stable across processes).
-
-        Keys on-disk view caches (``EngineOptions.snapshot_cache``): two
-        Graph objects with identical edge triples share a key.  Computed
-        once per instance — O(edges) hashing, far cheaper than one
-        re-partitioning — then memoized.
-        """
-        if self._cache_key is None:
-            import hashlib
-
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(
-                f"{self.n_vertices}:{self._edges.vals.dtype.str}".encode()
-            )
-            # Hash the array buffers in place (no .tobytes() copies):
-            # COOMatrix guarantees C-contiguity, and for mmap-backed
-            # graphs this streams file pages instead of heap copies.
-            digest.update(memoryview(self._edges.rows).cast("B"))
-            digest.update(memoryview(self._edges.cols).cast("B"))
-            digest.update(memoryview(self._edges.vals).cast("B"))
-            self._cache_key = digest.hexdigest()
-        return self._cache_key
 
     # ------------------------------------------------------------------
     # Vertex state (the paper's G.vertex_property / G.active)
@@ -253,7 +241,8 @@ class Graph:
         self._in_cache.clear()
         self._out_csr = None
         self._in_csr = None
-        self._cache_key = None
+        self._out_deg = None
+        self._in_deg = None
 
     def __repr__(self) -> str:
         return (

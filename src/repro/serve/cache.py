@@ -7,11 +7,12 @@ the service caches final result vectors and answers repeats without
 touching the engine at all.
 
 Keys are built by :class:`repro.serve.service.GraphService` from the
-graph's name, content hash (``Graph.cache_key()``) and epoch, the query
-kind and the canonicalized parameters, so a re-registered graph with
-different edges can never serve a stale entry; when a graph moves to a
-new epoch the service drops the entries of its earlier ones
-(:meth:`ResultCache.evict_where`), which nothing can match any more.
+graph's name, its registry install serial (a fresh one for every
+add, swap or re-registration), the query kind and the canonicalized
+parameters, so a re-registered or swapped graph can never serve a stale
+entry; when a graph is swapped the service drops the entries of its
+earlier install serials (:meth:`ResultCache.evict_where`), which nothing
+can match any more.
 Values are treated as immutable by convention (the service hands out
 the cached array; callers must not mutate it).
 
@@ -111,8 +112,8 @@ class ResultCache:
     def evict_where(self, unreachable: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key ``unreachable`` accepts.
 
-        For entries no lookup can match any more (a superseded graph
-        epoch): left alone they stay pinned until ``capacity`` newer
+        For entries no lookup can match any more (a swapped-out graph
+        object): left alone they stay pinned until ``capacity`` newer
         ones push them out.  Counted as evictions; returns how many.
         """
         with self._lock:

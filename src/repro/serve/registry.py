@@ -15,6 +15,7 @@ lock-protected dictionary reads.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,11 +31,15 @@ class GraphEntry:
     """One hosted graph plus its provenance.
 
     ``epoch`` counts applied mutation batches since registration (0 for
-    a never-mutated graph).  It versions the service's result-cache keys
-    — a mutation bumps the epoch, so every pre-mutation cache entry
-    stops matching — and every admitted query is pinned to the
-    ``(graph, epoch)`` pair it was admitted against (mutations swap the
-    entry's graph object; they never mutate a graph in flight).
+    a never-mutated graph); pins, ``/graphs`` and replication read it.
+    ``serial`` is the install serial: the registry stamps every entry
+    it installs (add or swap) with the next value of one registry-wide
+    counter, so it names one graph object for the registry's lifetime.
+    It versions the service's result-cache keys and batch groups —
+    remove-then-add and a same-epoch swap both get a fresh serial,
+    where the epoch would repeat.  Every admitted query is pinned to
+    the entry it was admitted against (mutations swap the entry's graph
+    object; they never mutate a graph in flight).
     """
 
     name: str
@@ -46,10 +51,9 @@ class GraphEntry:
     load_seconds: float = 0.0
     #: Mutation batches applied since registration.
     epoch: int = 0
-
-    def content_key(self) -> str:
-        """The graph's content hash (memoized on the Graph itself)."""
-        return self.graph.cache_key()
+    #: Install serial, stamped by :class:`GraphRegistry` (0 = never
+    #: installed).
+    serial: int = 0
 
     def describe(self) -> dict:
         """JSON-ready summary for the ``/graphs`` endpoint."""
@@ -72,6 +76,7 @@ class GraphRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, GraphEntry] = {}
+        self._serials = itertools.count(1)
 
     def add_snapshot(
         self,
@@ -107,6 +112,7 @@ class GraphRegistry:
                     f"graph {entry.name!r} is already registered; "
                     f"remove it first to replace it"
                 )
+            entry.serial = next(self._serials)
             self._entries[entry.name] = entry
         return entry
 
@@ -135,6 +141,7 @@ class GraphRegistry:
                 loaded_at=old.loaded_at,
                 load_seconds=old.load_seconds,
                 epoch=int(epoch),
+                serial=next(self._serials),
             )
             self._entries[name] = entry
         return entry

@@ -6,12 +6,12 @@ serving benchmark) drive.  A query's life:
 1. **Canonicalize** — the query kind's adapter
    (:mod:`repro.algorithms.adapters`) validates parameters and produces
    the canonical dict that keys everything downstream.
-2. **Result cache** — keyed by (graph name, content hash, epoch, kind,
+2. **Result cache** — keyed by (graph name, install serial, kind,
    canonical params): a hit returns immediately, no engine work at all.
 3. **Admission + batching** — a :class:`~repro.serve.scheduler.Ticket`
-   enters the micro-batcher under the group ``(graph, kind,
-   adapter.batch_key)``; the dispatcher coalesces up to ``max_batch_k``
-   same-group requests into one
+   enters the micro-batcher under the group ``(graph, install serial,
+   kind, adapter.batch_key)``; the dispatcher coalesces up to
+   ``max_batch_k`` same-group requests into one
    :func:`~repro.core.engine.run_graph_programs_batched` call (partial
    batches dispatch after ``max_wait_ms``), with identical in-flight
    requests deduplicated onto one lane.
@@ -150,8 +150,9 @@ class _Payload:
     The payload pins the *graph object* (and its epoch) the query was
     admitted against: mutations swap the registry entry, so a batch
     dispatched after a mutation still computes on the epoch its tickets
-    saw — the batch group includes the epoch, so tickets from different
-    epochs are never co-batched.
+    saw — the batch group includes the entry's install serial, so
+    tickets admitted against different graph objects are never
+    co-batched.
     """
 
     adapter: QueryAdapter
@@ -343,8 +344,8 @@ class GraphService:
                 deadline_at = self._clock() + deadline
             adapter = get_adapter(kind)
             # One registry read pins this query to a consistent (graph
-            # object, epoch) pair: a concurrent mutation swaps the entry
-            # but never mutates a graph object in place.
+            # object, epoch, serial) entry: a concurrent mutation swaps
+            # the entry but never mutates a graph object in place.
             entry = self.registry.entry(graph_name)
             canonical = adapter.canonicalize(entry.graph, dict(params or {}))
             # Quota admission after validation (malformed requests burn
@@ -360,14 +361,12 @@ class GraphService:
             with self._lock:
                 self._queries += 1
                 self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-            # Epoch-versioned cache key: content hash alone is stale-prone
-            # once mutation exists (an overlay could be compacted back into
-            # a graph while old entries linger); the epoch makes every
-            # pre-mutation entry structurally unmatchable.
+            # The install serial names this graph object: every swap,
+            # remove-then-add or same-epoch reinstall gets a fresh one,
+            # so no earlier object's entry can ever match.
             cache_key = (
                 graph_name,
-                entry.content_key(),
-                entry.epoch,
+                entry.serial,
                 kind,
                 tuple(sorted(canonical.items())),
             )
@@ -388,7 +387,7 @@ class GraphService:
                 )
             self._check_deadline_feasible(deadline_at)
             group = (
-                graph_name, entry.epoch, kind, adapter.batch_key(canonical)
+                graph_name, entry.serial, kind, adapter.batch_key(canonical)
             )
             ticket = Ticket(
                 group=group,
@@ -498,7 +497,7 @@ class GraphService:
         back into a plain graph / fresh snapshot once it exceeds
         ``compact_threshold`` of the base, and swaps the registry entry.
         Cached results of earlier epochs stop matching (the cache key
-        carries the epoch) and are dropped (:meth:`swap_graph`).
+        carries the install serial) and are dropped (:meth:`swap_graph`).
 
         ``durable`` overrides the service's ``fsync`` default for this
         one batch: ``True`` fsyncs the log append before acknowledging
@@ -576,16 +575,17 @@ class GraphService:
     ) -> GraphEntry:
         """Move a hosted graph to a new epoch (see ``GraphRegistry.swap``).
 
-        Cached results of its other epochs go with it: their keys carry
-        the epoch, so no later lookup can match them, and each holds a
-        full result vector.  A query still in flight on the old epoch
-        may store its result after this purge; the next swap drops it.
+        Cached results of its earlier graph objects go with it: their
+        keys carry an older install serial, so no later lookup can match
+        them, and each holds a full result vector.  A query still in
+        flight on an old object may store its result after this purge;
+        the next swap drops it.
         """
         entry = self.registry.swap(
             graph_name, graph, epoch=epoch, source=source
         )
         self.cache.evict_where(
-            lambda key: key[0] == graph_name and key[2] != entry.epoch
+            lambda key: key[0] == graph_name and key[1] != entry.serial
         )
         return entry
 
@@ -763,7 +763,7 @@ class GraphService:
     # Dispatch path (the batcher's thread)
     # ------------------------------------------------------------------
     def _execute_batch(self, group: Hashable, tickets: list[Ticket]) -> None:
-        graph_name, _epoch, kind, _batch_key = group
+        graph_name, _serial, kind, _batch_key = group
         # The pinned object, not a fresh registry read: a mutation
         # between admission and dispatch must not retarget this batch.
         graph = tickets[0].payload.graph

@@ -10,8 +10,6 @@ representation itself:
   views with zero edge copies and pre-seeded partition caches,
 - :mod:`repro.store.ingest` — bounded-memory streaming conversion of
   edge lists / MatrixMarket (gzip ok) into snapshots,
-- :mod:`repro.store.view_cache` — the engine's automatic on-disk view
-  cache (``EngineOptions.snapshot_cache``),
 - :mod:`repro.store.delta_log` — append-only mutation logs for hosted
   graphs (``.gmdelta``): durable deltas over an immutable snapshot,
   replayable into a :class:`~repro.dynamic.DeltaGraph`, compacted back
@@ -50,14 +48,11 @@ from repro.store.snapshot import (
     SNAPSHOT_SUFFIX,
     close_snapshots,
     load_snapshot,
-    load_views,
     materialize_block,
     open_snapshot,
     save_snapshot,
-    save_views,
     snapshot_info,
 )
-from repro.store.view_cache import cache_entry_path, cached_partitions
 
 __all__ = [
     "ALIGNMENT",
@@ -73,19 +68,15 @@ __all__ = [
     "SNAPSHOT_SUFFIX",
     "SnapshotReader",
     "SnapshotWriter",
-    "cache_entry_path",
-    "cached_partitions",
     "close_snapshots",
     "ingest_edge_list",
     "ingest_file",
     "ingest_mtx",
     "load_snapshot",
-    "load_views",
     "materialize_block",
     "open_snapshot",
     "read_document",
     "save_snapshot",
-    "save_views",
     "sniff_format",
     "snapshot_info",
 ]

@@ -187,40 +187,6 @@ def save_snapshot(
         return writer.close(document)
 
 
-def save_views(
-    shape: tuple[int, int],
-    views: list[tuple[str, int, str, PartitionedMatrix]],
-    path: str | Path,
-    *,
-    include_caches: bool = False,
-    meta: dict | None = None,
-) -> Path:
-    """Snapshot bare partitioned views (no edge section).
-
-    Used by the engine's automatic view cache
-    (``EngineOptions.snapshot_cache``), where the Graph already owns the
-    edges and only the partitioning work is worth persisting.  Each view
-    is ``(direction, n_partitions, strategy, partitions)``.
-    """
-    path = Path(path)
-    with SnapshotWriter(path) as writer:
-        document = {
-            "kind": "views",
-            "meta": meta or {},
-            "graph": {"n_vertices": int(shape[0]), "n_edges": None},
-            "views": [
-                _write_view(
-                    writer, i, direction, n_partitions, strategy, pm,
-                    include_caches,
-                )
-                for i, (direction, n_partitions, strategy, pm) in enumerate(
-                    views
-                )
-            ],
-        }
-        return writer.close(document)
-
-
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
@@ -272,27 +238,6 @@ def _load_view(
     return partitions
 
 
-def load_views(
-    path: str | Path, *, mmap: bool = True, verify: bool = False
-) -> list[tuple[str, int, str, PartitionedMatrix]]:
-    """Load every partitioned view of a snapshot (edges not required).
-
-    Returns ``(direction, n_partitions, strategy, partitions)`` tuples.
-    """
-    reader = open_snapshot(path, mmap=mmap)
-    if verify:
-        reader.verify()
-    return [
-        (
-            view_doc["direction"],
-            int(view_doc["n_partitions"]),
-            view_doc["strategy"],
-            _load_view(reader, view_index, view_doc),
-        )
-        for view_index, view_doc in enumerate(reader.document["views"])
-    ]
-
-
 def load_snapshot(
     path: str | Path, *, mmap: bool = True, verify: bool = False
 ) -> Graph:
@@ -315,8 +260,7 @@ def load_snapshot(
     document = reader.document
     if document.get("kind") != "graph":
         raise IOFormatError(
-            f"{path}: snapshot holds {document.get('kind')!r}, not a graph "
-            "(use load_views for bare view snapshots)"
+            f"{path}: snapshot holds {document.get('kind')!r}, not a graph"
         )
     n = int(document["graph"]["n_vertices"])
     edges_doc = document["edges"]

@@ -40,6 +40,7 @@ from repro.graph.generators.rmat import rmat_graph
 from repro.graph.graph import Graph
 from repro.graph.preprocess import symmetrize
 from repro.matrix.partition import PartitionedMatrix
+from repro.store import load_snapshot, save_snapshot
 from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import FLOAT64, OBJECT, BitvectorVector
 
@@ -510,36 +511,26 @@ class TestSnapshotCacheWarm:
     def test_batched_run_reuses_mmap_views_without_rebuild(
         self, rmat_sym, tmp_path, monkeypatch
     ):
-        """Satellite: a warm snapshot cache must feed the batched driver
-        mmap'd DCSC views — no re-partitioning on the second run."""
-        cache = tmp_path / "view-cache"
-        options = EngineOptions(snapshot_cache=str(cache))
-        edges = rmat_sym.edges
-        # Fresh graphs on both sides: the module fixture already holds
-        # in-memory views, which would satisfy the lookup before the
-        # disk cache ever gets exercised.
-        cold_graph = Graph.from_edges(
-            rmat_sym.n_vertices, edges.rows, edges.cols, edges.vals,
-            dedup=False,
+        """A loaded snapshot feeds the batched driver its mmap'd DCSC
+        views: no re-partitioning of the edge list."""
+        options = EngineOptions()
+        path = tmp_path / "g.gmsnap"
+        save_snapshot(
+            rmat_sym,
+            path,
+            n_partitions=options.n_partitions,
+            strategy=options.partition_strategy,
         )
-        cold = bfs_multi_source(cold_graph, ROOTS[:4], options=options)
-        assert cache.exists() and list(cache.glob("*.gmsnap"))
-
-        # Same edges, fresh Graph: only the on-disk cache can satisfy it.
-        fresh = Graph.from_edges(
-            rmat_sym.n_vertices, edges.rows, edges.cols, edges.vals,
-            dedup=False,
-        )
+        expected = bfs_multi_source(rmat_sym, ROOTS[:4], options=options)
+        loaded = load_snapshot(path)
 
         def boom(*args, **kwargs):
-            raise AssertionError(
-                "partition rebuild on a warm snapshot cache"
-            )
+            raise AssertionError("partition rebuild on a loaded snapshot")
 
         monkeypatch.setattr(PartitionedMatrix, "from_coo", boom)
-        warm = bfs_multi_source(fresh, ROOTS[:4], options=options)
-        assert np.array_equal(cold.values, warm.values)
-        view = fresh.peek_partitions(
+        warm = bfs_multi_source(loaded, ROOTS[:4], options=options)
+        assert np.array_equal(expected.values, warm.values)
+        view = loaded.peek_partitions(
             "out", options.n_partitions, options.partition_strategy
         )
         assert view is not None and view.snapshot_path is not None

@@ -189,15 +189,6 @@ class TestDeltaGraphSemantics:
         assert isinstance(dg, DeltaGraph)
         assert dg.epoch == 0 and dg.base is weighted_graph
 
-    def test_cache_key_tracks_content(self, weighted_graph):
-        dg = DeltaGraph(weighted_graph)
-        d1 = dg.apply_delta(inserts=([0], [1], [5.0]))
-        d2 = dg.apply_delta(inserts=([0], [1], [5.0]))
-        d3 = dg.apply_delta(inserts=([0], [1], [6.0]))
-        assert d1.cache_key() == d2.cache_key()
-        assert d1.cache_key() != d3.cache_key()
-        assert d1.cache_key() != dg.cache_key()
-
 
 # ----------------------------------------------------------------------
 # View parity: merged blocks bitwise-identical to a rebuild
@@ -342,15 +333,6 @@ class TestEngineOverOverlay:
             run_label_propagation(dg, seeds).labels,
             run_label_propagation(ref, seeds).labels,
         )
-
-    def test_snapshot_cache_bypassed_for_overlays(self, mutated, tmp_path):
-        dg, _ = mutated
-        options = EngineOptions(snapshot_cache=str(tmp_path / "views"))
-        run_bfs(dg, 0, options=options)
-        # The overlay's views must not be persisted per epoch.
-        assert not list((tmp_path / "views").glob("*.gmsnap")) or not (
-            tmp_path / "views"
-        ).exists()
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.dynamic import DeltaGraph
 from repro.errors import GraphError
 from repro.graph.builder import build_graph, edges_from_iterable
 from repro.graph.graph import Graph
@@ -34,8 +35,28 @@ class TestGraphContainer:
             Graph(COOMatrix((2, 3), np.array([0]), np.array([1])))
 
     def test_degrees(self, fig1):
+        """Degrees are counted from the COO and equal the CSR's row
+        lengths, isolated vertices (5, 6), self-loops (1, 3) and sinks
+        (4) included, on a plain graph and on a delta overlay."""
         assert fig1.out_degrees().tolist() == [3, 1, 1, 1]
         assert fig1.in_degrees().tolist() == [1, 1, 2, 2]
+        src = np.array([0, 0, 1, 1, 2, 3, 3])
+        dst = np.array([1, 4, 1, 2, 4, 3, 0])
+        graph = Graph.from_edges(7, src, dst)
+        overlay = DeltaGraph(graph).apply_delta(
+            inserts=([2, 0], [2, 3]), deletes=([0], [1])
+        )
+        for g in (graph, overlay):
+            out_deg, in_deg = g.out_degrees(), g.in_degrees()
+            assert g._out_csr is None and g._in_csr is None
+            assert out_deg.dtype == in_deg.dtype == np.int64
+            assert np.array_equal(out_deg, np.diff(g.out_csr().indptr))
+            assert np.array_equal(in_deg, np.diff(g.in_csr().indptr))
+            assert out_deg[5] == in_deg[5] == out_deg[6] == in_deg[6] == 0
+            assert out_deg[4] == 0 and in_deg[4] > 0
+        # Callers get a copy: scribbling on it leaves the graph's count.
+        graph.out_degrees()[0] = 99
+        assert graph.out_degrees()[0] == 2
 
     def test_csr_views_cached(self, fig1):
         assert fig1.out_csr() is fig1.out_csr()

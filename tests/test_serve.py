@@ -94,11 +94,6 @@ class TestGraphRegistry:
         with pytest.raises(UnknownGraphError):
             registry.remove("dir")
 
-    def test_content_key_memoized_and_content_addressed(self, registry):
-        entry = registry.entry("dir")
-        assert entry.content_key() == entry.content_key()
-        assert entry.content_key() != registry.entry("sym").content_key()
-
 
 # ----------------------------------------------------------------------
 # ResultCache

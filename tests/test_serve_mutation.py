@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -152,8 +153,6 @@ class TestServiceMutation:
             thread = threading.Thread(target=ask)
             thread.start()
             # Let the query reach the queue, then mutate.
-            import time
-
             time.sleep(0.02)
             svc.mutate("g", inserts=([0], [target]))
             thread.join(timeout=30)
@@ -163,6 +162,82 @@ class TestServiceMutation:
             # A fresh query sees the mutation.
             fresh = svc.query("g", "bfs", {"root": 0})
             assert np.isfinite(fresh.values[target])
+
+
+class TestInstallSerial:
+    """Served results are keyed by the registry's install serial, not
+    by the epoch: both cases below reuse an epoch number for different
+    edges."""
+
+    @pytest.fixture()
+    def other(self, sym):
+        """Same vertex set as ``sym``, different edges: a path graph."""
+        src = np.arange(sym.n_vertices - 1)
+        return symmetrize(Graph.from_edges(sym.n_vertices, src, src + 1))
+
+    def test_remove_then_add_misses_the_cache(self, service, other):
+        service.query("g", "bfs", {"root": 0})
+        assert service.query("g", "bfs", {"root": 0}).cached
+        service.registry.remove("g")
+        service.registry.add_graph("g", other)
+        assert service.registry.entry("g").epoch == 0
+        after = service.query("g", "bfs", {"root": 0})
+        assert not after.cached
+        assert np.array_equal(after.values, run_bfs(other, 0).distances)
+
+    def test_same_epoch_swap_never_cobatches(self, sym, other):
+        registry = GraphRegistry()
+        registry.add_graph("g", sym)
+        # A full batch is two tickets and a partial one waits a minute:
+        # the window stays open until close() drains the queue.
+        svc = GraphService(
+            registry, policy=BatchPolicy(max_batch_k=2, max_wait_ms=60_000.0)
+        )
+        results = {}
+
+        def ask(slot, root):
+            results[slot] = svc.query("g", "bfs", {"root": root})
+
+        def wait_submitted(count):
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                scheduler = svc.stats()["scheduler"]
+                if scheduler["submitted"] >= count:
+                    return scheduler["pending"]
+                time.sleep(0.001)
+            raise AssertionError(f"{count} tickets never reached the queue")
+
+        threads = [
+            threading.Thread(target=ask, args=("before", 0)),
+            threading.Thread(target=ask, args=("after", 1)),
+        ]
+        try:
+            threads[0].start()
+            assert wait_submitted(1) == 1
+            svc.swap_graph("g", other, epoch=0)
+            threads[1].start()
+            assert wait_submitted(2) == 2  # two groups, neither one full
+        finally:
+            svc.close()  # drains both queued tickets
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join(timeout=30)
+        assert results["before"].batch_k == results["after"].batch_k == 1
+        assert np.array_equal(
+            results["before"].values, run_bfs(sym, 0).distances
+        )
+        assert np.array_equal(
+            results["after"].values, run_bfs(other, 1).distances
+        )
+
+    def test_same_epoch_swap_misses_the_cache(self, service, sym, other):
+        service.query("g", "bfs", {"root": 0})
+        assert service.query("g", "bfs", {"root": 0}).cached
+        service.swap_graph("g", other, epoch=0)
+        after = service.query("g", "bfs", {"root": 0})
+        assert not after.cached
+        assert np.array_equal(after.values, run_bfs(other, 0).distances)
+        assert service.cache.stats()["entries"] == 1
 
 
 class TestDeltaLogWiring:

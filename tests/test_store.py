@@ -19,7 +19,6 @@ from repro.core.engine import run_graph_program
 from repro.core.options import EngineOptions
 from repro.errors import IOFormatError
 from repro.graph.builder import build_graph
-from repro.graph.generators.rmat import rmat_graph
 from repro.graph.io import read_edge_list, read_mtx, write_edge_list
 from tests.matrix_helpers import matrices_equal
 from repro.store import (
@@ -31,10 +30,9 @@ from repro.store import (
     ingest_file,
     ingest_mtx,
     load_snapshot,
-    load_views,
+    open_snapshot,
     read_document,
     save_snapshot,
-    save_views,
     sniff_format,
 )
 from repro.store.cli import main as cli_main
@@ -183,15 +181,12 @@ class TestSnapshotRoundTrip:
             assert restored.row_range == reference.row_range
         assert view.payload_nbytes() < in_memory.payload_nbytes()
 
-    def test_views_snapshot_kind_guard(self, tmp_path, rmat_small):
+    def test_views_snapshot_kind_guard(self, tmp_path):
         path = tmp_path / "v.gmsnap"
-        pm = rmat_small.out_partitions(2, "rows")
-        save_views(pm.shape, [("out", 2, "rows", pm)], path)
+        with SnapshotWriter(path) as writer:
+            writer.close({"kind": "views", "views": []})
         with pytest.raises(IOFormatError, match="not a graph"):
             load_snapshot(path)
-        direction, n_parts, strategy, loaded = load_views(path)[0]
-        assert (direction, n_parts, strategy) == ("out", 2, "rows")
-        assert matrices_equal(loaded.to_coo(), pm.to_coo())
 
     def test_resave_invalidates_reader_cache(self, tmp_path):
         path = tmp_path / "g.gmsnap"
@@ -404,7 +399,10 @@ def test_edge_list_snapshot_roundtrip_exact(case, tmp_path_factory):
     loaded_a = load_snapshot(snap_a)
     assert loaded_a.n_vertices == reference.n_vertices
     assert matrices_equal(loaded_a.edges, reference.edges)
-    view = load_views(snap_a)[0][3]  # partition count may have been clamped
+    view_doc = open_snapshot(snap_a).document["views"][0]
+    view = loaded_a.peek_partitions(  # the count may have been clamped
+        "out", view_doc["n_partitions"], view_doc["strategy"]
+    )
     assert matrices_equal(view.to_coo(), reference.edges.transpose())
 
     # Path 2: in-memory snapshot of the reference graph.
@@ -495,74 +493,19 @@ class TestEngineIntegration:
         assert stats.backend == "process"
         assert np.array_equal(loaded.vertex_properties.data, expected)
 
-    def test_snapshot_cache_option(self, tmp_path):
-        cache = tmp_path / "viewcache"
-        options = EngineOptions(snapshot_cache=str(cache), max_iterations=4)
-        edges = [(0, 1), (1, 2), (2, 0), (0, 2)]
-        expected = _pagerank(build_graph(edges))  # plain run, no cache
-        first = build_graph(edges)
-        program = PageRankProgram()
-        init_pagerank(first, program)
-        run_graph_program(first, program, options)
-        entries = list(cache.glob("*.gmsnap"))
-        assert len(entries) == 1
-        # A fresh graph with identical edges hits the same cache entry.
-        second = build_graph(edges)
-        program = PageRankProgram()
-        init_pagerank(second, program)
-        run_graph_program(second, program, options)
-        assert list(cache.glob("*.gmsnap")) == entries
-        view = second.peek_partitions("out", options.n_partitions, "rows")
-        assert view is not None and view.snapshot_path is not None
-        assert np.array_equal(second.vertex_properties.data, expected)
+    def test_inverse_degrees_build_no_csr(self, tmp_path, rmat_small):
+        """PageRank's degree normalization counts the mmap'd COO; it
+        builds no CSR (the frameworks' view) on a served graph."""
+        from repro.algorithms.pagerank import inverse_out_degrees
 
-    def test_snapshot_cache_rejects_empty_string(self):
-        from repro.errors import ProgramError
-
-        with pytest.raises(ProgramError):
-            EngineOptions(snapshot_cache="")
-
-    def test_cached_partitions_concurrent_readers(self, tmp_path):
-        """Populate-on-miss is race-free: many threads resolving the same
-        cold view build and persist exactly once, and every thread gets
-        the same adopted (snapshot-backed) object — the situation the
-        multi-threaded query server puts this cache in."""
-        import threading
-
-        from repro.store.view_cache import cached_partitions
-
-        graph = rmat_graph(8, 4, seed=13)
-        cache = tmp_path / "viewcache"
-        results: list = [None] * 16
-        errors: list = []
-        barrier = threading.Barrier(len(results))
-
-        def resolve(slot: int) -> None:
-            try:
-                barrier.wait(timeout=30)  # maximize miss contention
-                results[slot] = cached_partitions(graph, "out", 4, "rows", cache)
-            except Exception as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=resolve, args=(slot,))
-            for slot in range(len(results))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert all(view is results[0] for view in results)
-        assert results[0].snapshot_path is not None
-        assert len(list(cache.glob("*.gmsnap"))) == 1
-        # The adopted view is what later engine runs resolve to.
-        assert graph.peek_partitions("out", 4, "rows") is results[0]
+        path = tmp_path / "g.gmsnap"
+        save_snapshot(rmat_small, path)
+        loaded = load_snapshot(path)
+        inv = inverse_out_degrees(loaded)
+        assert loaded._out_csr is None and loaded._in_csr is None
+        assert np.array_equal(inv, inverse_out_degrees(rmat_small))
 
 
-# ----------------------------------------------------------------------
-# repro-convert CLI
-# ----------------------------------------------------------------------
 class TestCLI:
     def test_convert_info_verify(self, tmp_path, capsys):
         source = tmp_path / "edges.tsv"
