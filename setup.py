@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata (there is no ``pyproject.toml``; this file is all of it).
 
-This repository is developed in an offline environment without the
-``wheel`` package, so ``pip install -e .`` must use the legacy
-``setup.py develop`` code path; all real metadata lives in pyproject.toml.
+``pip install -e .`` takes the legacy ``setup.py develop`` path where
+the ``wheel`` package is missing.  ``_ckernels.c`` ships as package
+data so an installed copy can build its compiled lane kernels on first
+use (``repro.core.ckernels``).
 """
 
 from setuptools import find_packages, setup
@@ -16,6 +17,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.core": ["_ckernels.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10"],
     entry_points={

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
+from repro.core.kernels import MIN_PLUS_C_KERNEL, LaneKernel
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.graph.graph import Graph
 from repro.vector.sparse_vector import FLOAT64
@@ -67,6 +68,8 @@ class BFSProgram(GraphProgram):
 
     def process_message_batch(self, messages, edge_values, dst_props):
         return messages + 1.0
+
+    lane_kernel = LaneKernel(MIN_PLUS_C_KERNEL, 1.0)
 
     def apply_batch(self, reduced, props):
         return np.minimum(reduced, props)

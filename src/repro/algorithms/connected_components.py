@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
+from repro.core.kernels import MIN_FIRST_KERNEL, LaneKernel
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.graph.graph import Graph
 from repro.vector.sparse_vector import FLOAT64
@@ -50,6 +51,8 @@ class MinLabelProgram(GraphProgram):
 
     def process_message_batch(self, messages, edge_values, dst_props):
         return messages
+
+    lane_kernel = LaneKernel(MIN_FIRST_KERNEL)
 
     def apply_batch(self, reduced, props):
         return np.minimum(reduced, props)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
+from repro.core.kernels import MIN_PLUS_C_KERNEL, LaneKernel
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.errors import GraphError
 from repro.graph.graph import Graph
@@ -62,6 +63,10 @@ class NearestSeedProgram(GraphProgram):
 
     def process_message_batch(self, messages, edge_values, dst_props):
         return messages + self.stride
+
+    @property
+    def lane_kernel(self):
+        return LaneKernel(MIN_PLUS_C_KERNEL, self.stride)
 
     def apply_batch(self, reduced, props):
         return np.minimum(reduced, props)

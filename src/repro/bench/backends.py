@@ -21,8 +21,8 @@ One more section, ``crossover_sweep``, is the measurement behind the
 kernel selector's one constant (``DENSE_PULL_CROSSOVER``): the traversal
 queries timed at K=1 and K=16 over a grid of
 ``EngineOptions.dense_pull_crossover`` values, next to what an edge
-costs in each block kernel (see docs/KERNELS.md, "Selection
-thresholds").
+costs in each block kernel, overall and per lane kernel (see
+docs/KERNELS.md, "Selection thresholds").
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import numpy as np
 from repro.algorithms.batched import bfs_multi_source, sssp_landmarks
 from repro.algorithms.bfs import BFSProgram, init_bfs, run_bfs
 from repro.algorithms.pagerank import PageRankProgram, init_pagerank
-from repro.algorithms.sssp import run_sssp
+from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.bench.calibrate import machine_calibration
+from repro.core import ckernels
 from repro.core.engine import graph_program_init, run_graph_program
 from repro.core.options import EngineOptions
 from repro.graph.generators.rmat import rmat_graph
@@ -129,17 +130,22 @@ def _traversals(graph, weighted, roots, n_lanes: int, options: EngineOptions):
     """BFS then SSSP from ``roots``: K one-lane runs or one K-lane run.
 
     Returns every run's ``RunStats`` (the K-lane runs contribute their
-    lane-0 stats, whose supersteps carry the shared sweeps).
+    lane-0 stats, whose supersteps carry the shared sweeps), keyed by
+    the program's lane kernel: BFS is ``min-plus-c``, SSSP ``min-plus``.
     """
+    bfs, sssp = BFSProgram.lane_kernel.name, SSSPProgram.lane_kernel.name
     if n_lanes == 1:
-        return [run_bfs(graph, r, options=options).stats for r in roots[:4]] + [
-            run_sssp(weighted, r, options=options).stats for r in roots[:4]
-        ]
+        return {
+            bfs: [run_bfs(graph, r, options=options).stats for r in roots[:4]],
+            sssp: [
+                run_sssp(weighted, r, options=options).stats for r in roots[:4]
+            ],
+        }
     lanes = roots[:n_lanes]
-    return [
-        bfs_multi_source(graph, lanes, options=options).run.lane_stats[0],
-        sssp_landmarks(weighted, lanes, options=options).run.lane_stats[0],
-    ]
+    return {
+        bfs: [bfs_multi_source(graph, lanes, options=options).run.lane_stats[0]],
+        sssp: [sssp_landmarks(weighted, lanes, options=options).run.lane_stats[0]],
+    }
 
 
 def _kernel_edge_cost(all_stats, kernel: str) -> dict | None:
@@ -183,19 +189,27 @@ def crossover_sweep(graph, roots: list[int], repeats: int) -> dict:
                 best = min(best, time.perf_counter() - t0)
             seconds.append(best)
         costs = {}
+        lane_costs: dict = {}
         for kernel, crossover in forced.items():
             options = EngineOptions(
                 dense_pull_crossover=crossover, record_partition_stats=True
             )
+            runs = _traversals(graph, weighted, roots, n_lanes, options)
             cost = _kernel_edge_cost(
-                _traversals(graph, weighted, roots, n_lanes, options), kernel
+                [stats for stats_list in runs.values() for stats in stats_list],
+                kernel,
             )
             if cost is not None:
                 costs[kernel] = cost
+            for lane_kernel, stats_list in runs.items():
+                cost = _kernel_edge_cost(stats_list, kernel)
+                if cost is not None:
+                    lane_costs.setdefault(lane_kernel, {})[kernel] = cost
         section[f"k{n_lanes}"] = {
             "seconds": seconds,
             "best_crossover": CROSSOVER_GRID[int(np.argmin(seconds))],
             "kernel_costs": costs,
+            "lane_kernel_costs": lane_costs,
         }
     return section
 
@@ -235,6 +249,10 @@ def bench_backends(
             # gate rescale this record's absolute times onto another
             # host before applying its tolerance.
             "calibration_seconds": machine_calibration(),
+            # Whether the min-family sweeps ran compiled, and if not why.
+            "ckernels": {
+                key: ckernels.status()[key] for key in ("loaded", "reason")
+            },
         },
         "pagerank": {},
         "bfs": {},
@@ -305,6 +323,12 @@ def summarize(record: dict) -> str:
         f"({record['meta']['n_vertices']} vertices, "
         f"{record['meta']['n_edges']} edges), "
         f"{record['meta']['n_workers']} workers",
+        "C kernels: "
+        + (
+            "loaded"
+            if record["meta"]["ckernels"]["loaded"]
+            else f"NumPy fold ({record['meta']['ckernels']['reason']})"
+        ),
         "",
         f"{'config':<18} {'PR s/iter':>10} {'PR Medges/s':>12} {'BFS s':>8}",
     ]

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.semiring import Semiring
+from repro.core.kernels import MIN_FIRST_KERNEL, MIN_PLUS_KERNEL, LaneKernel
+from repro.core.semiring import MIN_FIRST, Semiring
 from repro.errors import ProgramError
 from repro.vector.sparse_vector import FLOAT64, ValueSpec
 
@@ -41,6 +42,14 @@ class EdgeDirection(enum.Enum):
     OUT_EDGES = "out"
     IN_EDGES = "in"
     ALL_EDGES = "all"
+
+
+#: What a ``lane_kernel`` computes: redefining one of these drops it.
+_LANE_KERNEL_HOOKS = (
+    "process_message_batch",
+    "process_message_lanes",
+    "reduce_ufunc",
+)
 
 
 class GraphProgram:
@@ -88,6 +97,20 @@ class GraphProgram:
     #: must map an identity message to an identity result (min-plus and
     #: min-first do: inf + w == inf).
     reduce_identity = None
+    #: Optional :class:`~repro.core.kernels.LaneKernel` naming the
+    #: compiled sweep (:mod:`repro.core.ckernels`) that computes this
+    #: program's ``process_message_lanes`` + ``reduce_ufunc`` bit for
+    #: bit.  A subclass that redefines one of those hooks without
+    #: declaring its own key inherits None (``__init_subclass__``).
+    lane_kernel: Optional[LaneKernel] = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        if "lane_kernel" not in body and any(
+            hook in body for hook in _LANE_KERNEL_HOOKS
+        ):
+            cls.lane_kernel = None
 
     # ------------------------------------------------------------------
     # Scalar hooks (Algorithm 1 / Algorithm 2)
@@ -396,6 +419,17 @@ class SemiringProgram(GraphProgram):
         # kernel and the batched SpMM path (identity message == silence).
         if semiring.identity_absorbs:
             self.reduce_identity = semiring.add_identity
+
+    @property
+    def lane_kernel(self):
+        """``min-plus`` / ``min-first`` for those semirings, else None."""
+        if self.semiring.add_ufunc is not np.minimum:
+            return None
+        kernel = {
+            np.add: MIN_PLUS_KERNEL,
+            MIN_FIRST.multiply_ufunc: MIN_FIRST_KERNEL,
+        }.get(self.semiring.multiply_ufunc)
+        return None if kernel is None else LaneKernel(kernel)
 
     def send_message(self, vertex_prop):
         return vertex_prop

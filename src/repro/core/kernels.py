@@ -16,12 +16,29 @@ prose, with a worked ``kernel_counts`` example.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Kernel names recorded into PartitionWork / IterationStats.
 KERNEL_SCALAR = "scalar"
 KERNEL_SPARSE = "sparse-gather"
 KERNEL_DENSE = "dense-pull"
 KERNEL_NAMES = (KERNEL_SCALAR, KERNEL_SPARSE, KERNEL_DENSE)
+
+#: The (reduce, process) pairs with a compiled lane sweep
+#: (:mod:`repro.core.ckernels`); both kernel shapes run them.
+MIN_PLUS_KERNEL = "min-plus"  # min over message + edge value
+MIN_PLUS_C_KERNEL = "min-plus-c"  # min over message + a constant
+MIN_FIRST_KERNEL = "min-first"  # min over the message
+
+
+class LaneKernel(NamedTuple):
+    """A program's ``lane_kernel`` key: which compiled sweep computes
+    its ``process_message_lanes`` + ``reduce_ufunc`` exactly."""
+
+    name: str
+    #: The ``c`` of ``min-plus-c``; unused by the other two.
+    constant: float = 0.0
+
 
 #: Frontiers holding at most this many edges run the per-edge scalar
 #: kernel: below it, numpy's fixed per-call setup cost exceeds the
@@ -33,11 +50,13 @@ SCALAR_KERNEL_MAX_EDGES = 32
 #: them (``crossover * frontier_edges > nnz``).  It stands for what a
 #: gathered edge costs relative to a pulled one (a sort, index
 #: composition and scattered reads against one pass through the block's
-#: cached destination order: 47 ns against 6 ns at K=1).  The value is
-#: taken from the ``crossover_sweep`` section of ``BENCH_backends.json``:
-#: BFS+SSSP time is flat from 4 to 16 at K=1 and within 10 % of its best
-#: from 2 to 16 at K=16 (docs/KERNELS.md, "Selection thresholds").
-#: Ligra's ``m / 20`` and Beamer's alpha = 14 are the same rule.
+#: cached destination order).  The value comes from the
+#: ``crossover_sweep`` section of ``BENCH_backends.json``.  Swept for the
+#: NumPy fold, BFS+SSSP time was flat from 4 to 16 at K=1 and within
+#: 10 % of its best from 2 to 16 at K=16.  With the compiled min kernels
+#: the two lane counts disagree (best 16 at K=1, 4 at K=16), so 6 stays
+#: (docs/KERNELS.md, "Selection thresholds").  Ligra's ``m / 20`` and
+#: Beamer's alpha = 14 are the same rule.
 DENSE_PULL_CROSSOVER = 6.0
 
 

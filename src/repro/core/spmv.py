@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import ckernels
 from repro.core.graph_program import GraphProgram
 from repro.core.kernels import (  # noqa: F401  (re-exported: this was
     DEFAULT_THRESHOLDS,  # the registry's home before repro.core.kernels)
@@ -720,7 +721,22 @@ def _tiled_process_reduce(
     write+read round-trip of the edge-wide intermediate: the tile stays
     cache-resident, so the superstep's DRAM traffic is the frontier
     reads plus the output writes.
+
+    A program declaring a ``lane_kernel`` (and reading no destination
+    properties) runs the compiled sweep of :mod:`repro.core.ckernels`
+    instead, with the same result bits; this NumPy fold is its fallback.
     """
+    if (
+        program.lane_kernel is not None
+        and properties_lanes is None
+        and program.result_spec.dtype == np.float64
+    ):
+        reduced = ckernels.lane_sweep(
+            program.lane_kernel, x_values, sorted_cols, sorted_vals,
+            group_starts, edges,
+        )
+        if reduced is not None:
+            return reduced
     n_lanes = int(x_values.shape[0])
     n_groups = int(group_starts.shape[0])
     out = np.empty((n_lanes, n_groups), dtype=program.result_spec.dtype)

@@ -1,14 +1,37 @@
 """Generalized SpMV tests: all code paths agree with scipy reference."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph_program import EdgeDirection, SemiringProgram
+from repro.algorithms.batched import bfs_multi_source, sssp_landmarks
+from repro.algorithms.bfs import BFSProgram, run_bfs
+from repro.algorithms.connected_components import (
+    MinLabelProgram,
+    run_connected_components,
+)
+from repro.algorithms.label_propagation import (
+    NearestSeedProgram,
+    run_label_propagation,
+)
+from repro.algorithms.sssp import SSSPProgram, run_sssp
+from repro.core import ckernels, spmv
+from repro.core.engine import run_graph_program
+from repro.core.graph_program import EdgeDirection, GraphProgram, SemiringProgram
+from repro.core.kernels import KernelThresholds
 from repro.core.options import EngineOptions
-from repro.core.semiring import MIN_PLUS, PLUS_TIMES
-from repro.core.spmv import PartitionWork, run_block, spmv_scalar, sweep_view
+from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_TIMES
+from repro.core.spmv import (
+    PartitionWork,
+    _tiled_process_reduce,
+    run_block,
+    run_block_batch,
+    spmv_scalar,
+    sweep_view,
+)
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
 from repro.matrix.partition import PartitionedMatrix
@@ -593,3 +616,285 @@ class TestScalarProbeCounters:
         nzc = sum(b.nzc for b in blocks)
         # 2 random accesses per edge + one probe per tested column.
         assert counters.random_accesses == 2 * edges + nzc
+
+
+# ----------------------------------------------------------------------
+# Compiled lane kernels (repro.core.ckernels) against the NumPy fold
+# ----------------------------------------------------------------------
+needs_ckernels = pytest.mark.skipif(
+    not ckernels.status()["loaded"],
+    reason=f"C kernels not loaded: {ckernels.status()['reason']}",
+)
+
+#: Finite floats, both zeros, both infinities and NaNs of any payload.
+_LANE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.floats(),
+)
+
+
+def numpy_fold():
+    """Context: ``_tiled_process_reduce`` with the loader disabled."""
+    return mock.patch.object(ckernels, "_ensure", return_value=None)
+
+
+def assert_min_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    """Bit for bit, except where ``np.minimum.reduceat`` itself has no
+    fixed order: the sign of a zero minimum and the payload of a NaN
+    (docs/KERNELS.md, "Compiled kernel shapes")."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    same = got.view(np.int64) == want.view(np.int64)
+    same |= (got == 0) & (want == 0)
+    same |= np.isnan(got) & np.isnan(want)
+    assert same.all(), (got[~same], want[~same])
+
+
+def _keyed_programs(n_vertices: int):
+    """One instance of every built-in program declaring a lane kernel."""
+    return [
+        SSSPProgram(),
+        BFSProgram(),
+        MinLabelProgram(),
+        NearestSeedProgram(n_vertices),
+        SemiringProgram(MIN_PLUS),
+        SemiringProgram(MIN_FIRST),
+    ]
+
+
+@st.composite
+def lane_blocks(draw):
+    """A destination-grouped K-lane edge space with a small NumPy tile:
+    single-edge groups, and sometimes one hub group larger than a tile."""
+    k = draw(st.integers(1, 17))
+    n = draw(st.integers(1, 12))
+    tile = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        hub = tile + draw(st.integers(1, 10))
+        sizes.insert(draw(st.integers(0, len(sizes))), hub)
+    edges = sum(sizes)
+    starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+    cols = np.asarray(
+        draw(st.lists(st.integers(0, n - 1), min_size=edges, max_size=edges)),
+        dtype=np.int64,
+    )
+    vals = np.asarray(
+        draw(st.lists(_LANE_VALUES, min_size=edges, max_size=edges)),
+        dtype=np.float64,
+    )
+    x = np.asarray(
+        draw(st.lists(_LANE_VALUES, min_size=k * n, max_size=k * n)),
+        dtype=np.float64,
+    ).reshape(k, n)
+    return x, cols, vals, starts, edges, tile
+
+
+def _tiled(program, x, cols, vals, starts, edges):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+        return _tiled_process_reduce(
+            program, x, cols, vals, starts, edges, None, None, None
+        )
+
+
+@needs_ckernels
+class TestLaneKernelBits:
+    """The C sweep equals the NumPy fold for every lane-kernel program."""
+
+    @given(data=lane_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_fold(self, data):
+        x, cols, vals, starts, edges, tile = data
+        with mock.patch.object(
+            spmv, "_batch_tile_edges", lambda n_lanes, itemsize: tile
+        ):
+            for program in _keyed_programs(x.shape[1]):
+                got = _tiled(program, x, cols, vals, starts, edges)
+                with numpy_fold():
+                    want = _tiled(program, x, cols, vals, starts, edges)
+                assert_min_bits_equal(got, want)
+
+    @given(data=lane_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_documented_left_fold(self, data):
+        """First of equal values and first NaN win, in stored order; the
+        zero's sign is exact (only a NaN's payload is unchecked)."""
+        x, cols, vals, starts, edges, _ = data
+        ends = np.append(starts[1:], edges)
+        for program in _keyed_programs(x.shape[1]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                messages = np.asarray(
+                    program.process_message_lanes(x[:, cols], vals, None)
+                )
+            want = np.empty((x.shape[0], starts.shape[0]))
+            for lane in range(x.shape[0]):
+                for g, (lo, hi) in enumerate(zip(starts, ends)):
+                    acc = messages[lane, lo]
+                    for v in messages[lane, lo + 1:hi]:
+                        acc = acc if (acc <= v or acc != acc) else v
+                    want[lane, g] = acc
+            got = _tiled(program, x, cols, vals, starts, edges)
+            same = (got.view(np.int64) == want.view(np.int64)) | (
+                np.isnan(got) & np.isnan(want)
+            )
+            assert same.all()
+
+    @given(coo=coo_matrices(max_dim=15, max_nnz=60), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_both_shapes_match_numpy_fold(self, coo, data):
+        """Through run_block_batch: dense-pull and sparse-gather inputs."""
+        n = max(coo.shape)
+        coo = COOMatrix((n, n), coo.rows, coo.cols, coo.vals)
+        block = PartitionedMatrix.from_coo(coo, 1).blocks[0]
+        k = data.draw(st.integers(1, 17))
+        x_valid = np.asarray(
+            data.draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+        ).reshape(k, n)
+        x_values = np.asarray(
+            data.draw(st.lists(_LANE_VALUES, min_size=k * n, max_size=k * n)),
+            dtype=np.float64,
+        ).reshape(k, n)
+        x_values[~x_valid] = np.inf  # the MultiFrontier fill contract
+        props = np.zeros((k, n))
+        for crossover in (1e9, 1e-9):  # pull / gather any partial frontier
+            thresholds = KernelThresholds(dense_crossover=crossover)
+            for program in _keyed_programs(n):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = run_block_batch(
+                        0, block, x_valid, x_values, program, props,
+                        thresholds=thresholds,
+                    )
+                    with numpy_fold():
+                        want = run_block_batch(
+                            0, block, x_valid, x_values, program, props,
+                            thresholds=thresholds,
+                        )
+                if want.unique_dst is None:
+                    assert got.unique_dst is None
+                    continue
+                assert got.kernel == want.kernel
+                assert np.array_equal(got.unique_dst, want.unique_dst)
+                assert_min_bits_equal(got.reduced, want.reduced)
+                if want.received is None:
+                    assert got.received is None
+                else:
+                    assert np.array_equal(got.received, want.received)
+
+
+def _roots(graph, k):
+    """``k`` of the highest out-degree vertices (they reach far)."""
+    degree = np.bincount(graph.edges.rows, minlength=graph.n_vertices)
+    return [int(v) for v in np.argsort(-degree, kind="stable")[:k]]
+
+
+def _semiring_run(semiring):
+    def run(weighted, sym):
+        graph = weighted
+        graph.init_properties(FLOAT64)
+        graph.vertex_properties.data[:] = np.arange(graph.n_vertices, dtype=float)
+        graph.set_all_active()
+        run_graph_program(
+            graph, SemiringProgram(semiring), EngineOptions(max_iterations=4)
+        )
+        return [graph.vertex_properties.data.copy()]
+
+    return run
+
+
+#: Program class -> a run through the public entry points, K=1 and K=16.
+KEYED_PROGRAM_RUNS = {
+    "SSSPProgram": lambda weighted, sym: [
+        run_sssp(weighted, _roots(weighted, 1)[0]).distances,
+        sssp_landmarks(weighted, _roots(weighted, 16)).table(),
+    ],
+    "BFSProgram": lambda weighted, sym: [
+        run_bfs(sym, _roots(sym, 1)[0]).distances,
+        bfs_multi_source(sym, _roots(sym, 16)).table(),
+    ],
+    "MinLabelProgram": lambda weighted, sym: [
+        run_connected_components(sym).labels
+    ],
+    "NearestSeedProgram": lambda weighted, sym: [
+        run_label_propagation(
+            sym, {v: i for i, v in enumerate(_roots(sym, 5))}
+        ).labels
+    ],
+    "SemiringProgram(min-plus)": _semiring_run(MIN_PLUS),
+    "SemiringProgram(min-first)": _semiring_run(MIN_FIRST),
+}
+
+
+@needs_ckernels
+@pytest.mark.parametrize("name", sorted(KEYED_PROGRAM_RUNS))
+def test_lane_kernel_program_parity(name, rmat_weighted, rmat_sym):
+    """Each program declaring a ``lane_kernel`` gets the same bits from
+    the C sweep as from its own ``process_message_lanes`` + NumPy fold,
+    and the C sweep really ran."""
+    run = KEYED_PROGRAM_RUNS[name]
+    swept = []
+    sweep = ckernels.lane_sweep
+
+    def counting(*args):
+        out = sweep(*args)
+        swept.append(out is not None)
+        return out
+
+    with mock.patch.object(ckernels, "lane_sweep", counting):
+        got = run(rmat_weighted, rmat_sym)
+    assert any(swept)
+    with numpy_fold():
+        want = run(rmat_weighted, rmat_sym)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_every_lane_kernel_program_has_a_parity_case():
+    """A program (or subclass) carrying a key must be in the table above."""
+    import repro.algorithms  # noqa: F401  (registers the built-ins)
+    import repro.dynamic  # noqa: F401
+
+    seen, stack = set(), [GraphProgram]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+    keyed = {
+        cls.__name__
+        for cls in seen
+        if cls.__module__.startswith("repro.") and cls.lane_kernel is not None
+    }
+    covered = {name.split("(")[0] for name in KEYED_PROGRAM_RUNS}
+    assert keyed == covered
+
+
+def test_redefining_a_hook_drops_the_inherited_key():
+    class Capped(SSSPProgram):
+        def process_message_batch(self, messages, edge_values, dst_props):
+            return np.minimum(messages + edge_values, 8.0)
+
+    class Renamed(SSSPProgram):
+        pass
+
+    assert Capped.lane_kernel is None
+    assert Renamed.lane_kernel == SSSPProgram.lane_kernel
+    assert SaturatingMinProgram().lane_kernel is None
+    assert SemiringProgram(MIN_PLUS).lane_kernel == SSSPProgram.lane_kernel
+
+
+def test_destination_props_and_other_dtypes_take_the_numpy_fold():
+    x = np.zeros((2, 3))
+    cols = np.array([0, 1, 2], dtype=np.int64)
+    vals = np.ones(3)
+    starts = np.array([0, 2], dtype=np.int64)
+    program = SSSPProgram()
+    with mock.patch.object(ckernels, "lane_sweep") as sweep:
+        _tiled_process_reduce(
+            program, x, cols, vals, starts, 3, None, np.zeros((2, 3)), cols
+        )
+    sweep.assert_not_called()
+    assert ckernels.lane_sweep(
+        program.lane_kernel, x.astype(np.float32), cols, vals, starts, 3
+    ) is None
+    assert ckernels.lane_sweep(
+        program.lane_kernel, x, cols.astype(np.int32), vals, starts, 3
+    ) is None
