@@ -1,4 +1,4 @@
-"""Backend comparison: serial vs threaded vs process SpMV execution.
+"""Backend comparison: serial vs threaded SpMV execution.
 
 Emits ``BENCH_backends.json`` (repo root by default) recording PageRank
 time-per-iteration and BFS wall-clock for every execution backend on a
@@ -35,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="PageRank supersteps per run")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for threaded/process backends")
+                        help="worker count for the threaded backend")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -58,9 +58,9 @@ def test_backend_bench_smoke(tmp_path):
     out = write_backend_record(record, tmp_path / "BENCH_backends.json")
     assert out.exists()
     for workload in ("pagerank", "bfs"):
-        for config in ("serial", "serial+workspace", "threaded", "process"):
+        for config in ("serial", "serial+workspace", "threaded"):
             assert record[workload][config]["edges_processed"] > 0
-    assert record["winner"]["pagerank_parallel_backend"] in ("threaded", "process")
+    assert record["winner"]["pagerank_parallel_backend"] == "threaded"
     sweep = record["crossover_sweep"]
     for lanes in ("k1", "k16"):
         assert len(sweep[lanes]["seconds"]) == len(sweep["grid"])

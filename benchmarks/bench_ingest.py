@@ -2,8 +2,8 @@
 
 Emits ``BENCH_ingest.json`` (repo root by default) recording cold
 parse+build, streaming-ingest (single-process and at each worker count,
-with a byte-identity parity flag), and snapshot-mmap-load times plus the
-process-backend startup hand-off sizes on a Graph500 R-MAT graph.
+with a byte-identity parity flag), and snapshot-mmap-load times on a
+Graph500 R-MAT graph.
 
 Run standalone::
 
@@ -40,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--strategy", choices=("rows", "nnz"), default="rows")
     parser.add_argument("--chunk-edges", type=int, default=1 << 18)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="process-backend workers for the startup probe")
     parser.add_argument("--worker-counts", type=int, nargs="+",
                         default=(1, 2, 4),
                         help="ingest worker counts for the parallel section")
@@ -55,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         strategy=args.strategy,
         chunk_edges=args.chunk_edges,
         repeats=args.repeats,
-        n_workers=args.workers,
         worker_counts=tuple(args.worker_counts),
     )
     path = write_ingest_record(record, args.out)
@@ -69,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def test_ingest_bench_smoke(tmp_path):
     """Small-scale smoke run asserting the machine-independent invariants:
-    mmap load beats cold parse by >= 5x, snapshot-backed process hand-offs
-    ship references instead of arrays, both paths compute identical
+    mmap load beats cold parse by >= 5x, both paths compute identical
     PageRank vectors, and every worker count produces the same snapshot
     bytes and counters."""
     record = bench_ingest(
@@ -80,8 +76,6 @@ def test_ingest_bench_smoke(tmp_path):
     out = write_ingest_record(record, tmp_path / "BENCH_ingest.json")
     assert out.exists()
     assert record["speedup"]["snapshot_vs_cold"] >= 5.0
-    startup = record["process_startup"]
-    assert startup["snapshot"]["ship_bytes"] < startup["in_memory"]["ship_bytes"]
     assert record["parity"]["max_abs_diff"] == 0.0
     assert record["parity"]["pagerank_bitwise"] == 1.0
     assert record["parity"]["parallel_bytes_identical"] == 1.0

@@ -1,4 +1,4 @@
-"""Backend comparison benchmark: serial vs threaded vs process SpMV.
+"""Backend comparison benchmark: serial vs threaded SpMV.
 
 Measures what the ``repro.exec`` subsystem buys on the engine's hottest
 path, with the wins attributed separately:
@@ -11,7 +11,6 @@ path, with the wins attributed separately:
   once outside the timed region and reused across runs.
 - ``threaded``         — workspace plus a thread pool over the
   GIL-releasing block kernels.
-- ``process``          — workspace plus the shared-memory process pool.
 
 Workloads follow the paper's evaluation: PageRank (fixed iterations,
 reported per-iteration) and BFS (run to quiescence) on a Graph500 R-MAT
@@ -67,7 +66,6 @@ def backend_configs(n_workers: int) -> list[tuple[str, EngineOptions, bool]]:
         ("serial", EngineOptions(), False),
         ("serial+workspace", EngineOptions(), True),
         ("threaded", EngineOptions(backend="threaded", n_workers=n_workers), True),
-        ("process", EngineOptions(backend="process", n_workers=n_workers), True),
     ]
 
 
@@ -295,16 +293,11 @@ def bench_backends(
         )
         for name, cell in record["pagerank"].items()
     }
-    parallel = {
-        name: s
-        for name, s in record["pagerank_speedup_vs_serial"].items()
-        if name in ("threaded", "process")
-    }
-    winner = max(parallel, key=parallel.get)
+    speedup = record["pagerank_speedup_vs_serial"]["threaded"]
     record["winner"] = {
-        "pagerank_parallel_backend": winner,
-        "pagerank_speedup": parallel[winner],
-        "beats_serial_fused": parallel[winner] > 1.0,
+        "pagerank_parallel_backend": "threaded",
+        "pagerank_speedup": speedup,
+        "beats_serial_fused": speedup > 1.0,
     }
     return record
 

@@ -11,10 +11,6 @@ out as dominating end-to-end time:
   per-partition edge count).
 - ``snapshot_load``   — ``load_snapshot``: mmap the container and hand
   the engine zero-copy views; this is what every warm start pays.
-- ``process_startup`` — ``ProcessExecutor.prepare`` on in-memory vs
-  snapshot-backed views: pool spin-up time plus the estimated bytes the
-  static hand-off moves (snapshot blocks ship as file references).
-
 - ``parallel``        — the same conversion at each worker count in
   ``worker_counts``: per-pass seconds, edges/s, aggregated counters, and
   a byte-level ``filecmp`` of every snapshot against the single-process
@@ -43,7 +39,6 @@ from repro.algorithms.pagerank import PageRankProgram, init_pagerank
 from repro.bench.calibrate import machine_calibration
 from repro.core.engine import run_graph_program
 from repro.core.options import EngineOptions
-from repro.exec.process import ProcessExecutor
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.store import close_snapshots, ingest_edge_list, load_snapshot
@@ -58,16 +53,6 @@ def _pagerank_vector(graph, iterations: int) -> np.ndarray:
     return graph.vertex_properties.data.copy()
 
 
-def _time_process_prepare(views, n_workers: int) -> dict:
-    executor = ProcessExecutor(n_workers)
-    t0 = time.perf_counter()
-    executor.prepare(views, PageRankProgram())
-    seconds = time.perf_counter() - t0
-    ship_bytes = executor.ship_bytes
-    executor.close()
-    return {"prepare_seconds": seconds, "ship_bytes": int(ship_bytes)}
-
-
 def bench_ingest(
     scale: int = 16,
     edge_factor: int = 16,
@@ -76,7 +61,6 @@ def bench_ingest(
     chunk_edges: int = 1 << 18,
     repeats: int = 3,
     pr_iterations: int = 3,
-    n_workers: int = 2,
     seed: int = 0,
     work_dir: str | Path | None = None,
     worker_counts: tuple[int, ...] = (1, 2, 4),
@@ -102,7 +86,6 @@ def bench_ingest(
             chunk_edges=chunk_edges,
             repeats=repeats,
             pr_iterations=pr_iterations,
-            n_workers=n_workers,
             seed=seed,
             worker_counts=worker_counts,
         )
@@ -122,7 +105,6 @@ def _bench_ingest_in(
     chunk_edges: int,
     repeats: int,
     pr_iterations: int,
-    n_workers: int,
     seed: int,
     worker_counts: tuple[int, ...],
 ) -> dict:
@@ -142,7 +124,6 @@ def _bench_ingest_in(
             "strategy": strategy,
             "chunk_edges": chunk_edges,
             "repeats": repeats,
-            "n_workers": n_workers,
             "worker_counts": [int(w) for w in worker_counts],
             "cpu_count": os.cpu_count(),
             "edge_list_bytes": edge_path.stat().st_size,
@@ -230,17 +211,6 @@ def _bench_ingest_in(
         "snapshot_vs_cold": (
             record["cold"]["total_seconds"] / best_load if best_load else 0.0
         )
-    }
-
-    # -- process-backend startup: in-memory vs snapshot-backed views ----
-    record["process_startup"] = {
-        "in_memory": _time_process_prepare(
-            [cold_graph.out_partitions(n_partitions, strategy)], n_workers
-        ),
-        "snapshot": _time_process_prepare(
-            [snap_graph.peek_partitions("out", n_partitions, strategy)],
-            n_workers,
-        ),
     }
 
     # -- parity: identical PageRank through both loading paths ----------
@@ -359,14 +329,8 @@ def summarize_ingest(record: dict) -> str:
             f"{parallel['best_workers']} workers; snapshots byte-identical: "
             f"{record['parity']['parallel_bytes_identical'] == 1.0}"
         )
-    startup = record["process_startup"]
     lines += [
         "",
-        "process-backend static hand-off: "
-        f"{startup['in_memory']['ship_bytes']} B in-memory -> "
-        f"{startup['snapshot']['ship_bytes']} B snapshot-backed "
-        f"(prepare {startup['in_memory']['prepare_seconds']:.3f}s -> "
-        f"{startup['snapshot']['prepare_seconds']:.3f}s)",
         f"pagerank parity max|diff| = {record['parity']['max_abs_diff']}",
     ]
     return "\n".join(lines)

@@ -51,15 +51,12 @@ Execution backends & workspace reuse
 
 The sweep is dispatched through a pluggable executor
 (:mod:`repro.exec`), selected by ``options.backend``: ``"serial"``
-(calling thread, the reference schedule), ``"threaded"`` (thread pool
-over GIL-releasing NumPy kernels) and ``"process"`` (process pool; blocks
-shipped once, frontier/properties broadcast through shared memory).
-Partitions own disjoint output row ranges (section 4.4.1), so block
-results merge without locks and every backend produces
-bitwise-identical algorithm outputs.  An executor that cannot run a
-program (the process backend with object-valued properties) is
-transparently replaced by the serial schedule for that run;
-``RunStats.backend`` records the schedule actually used.
+(calling thread, the reference schedule) or ``"threaded"`` (thread
+pool over the GIL-releasing NumPy and C kernels).  Partitions own
+disjoint output row ranges (section 4.4.1), so block results merge
+without locks and both backends produce bitwise-identical algorithm
+outputs.  ``RunStats.backend`` records the schedule that ran the
+sweeps (``"serial"`` for Algorithm 1, which no backend accelerates).
 
 Every run sweeps through a
 :class:`~repro.exec.workspace.SuperstepWorkspace`: the ``x``/``y``
@@ -89,7 +86,7 @@ from repro.core.spmv import (
     spmv_scalar,
 )
 from repro.errors import ConvergenceError, ProgramError
-from repro.exec import SerialExecutor, SuperstepWorkspace, create_executor
+from repro.exec import SuperstepWorkspace, create_executor
 from repro.graph.graph import Graph
 from repro.vector.dense import PropertyArray
 
@@ -153,9 +150,8 @@ class RunStats:
     total_seconds: float = 0.0
     converged: bool = False
     used_fused_path: bool = False
-    #: Execution backend that actually ran the SpMV blocks (may differ
-    #: from ``options.backend`` when the program forced a serial
-    #: fallback, e.g. object-valued properties on the process backend).
+    #: Execution backend that ran the SpMV blocks (``"serial"`` for the
+    #: unfused Algorithm 1 sweep, whatever ``options.backend`` says).
     backend: str = "serial"
     #: The run was cooperatively cancelled (token deadline, explicit
     #: cancel, or superstep budget) at a superstep boundary; mutually
@@ -333,11 +329,11 @@ class Workspace:
             graph.n_vertices,
             program,
             self.views,
-            **_superstep_shape(program, options, 1, self.executor.name),
+            **_superstep_shape(program, options, 1),
         )
 
     def close(self) -> None:
-        """Release executor resources (pools, shared memory)."""
+        """Release the executor's worker pool."""
         self.executor.close()
 
     def __enter__(self) -> "Workspace":
@@ -353,22 +349,19 @@ def _uses_fused(program: GraphProgram, options: EngineOptions) -> bool:
 
 
 def _superstep_shape(
-    program: GraphProgram, options: EngineOptions, n_lanes: int,
-    executor_name: str,
+    program: GraphProgram, options: EngineOptions, n_lanes: int
 ) -> dict:
     """The ``SuperstepWorkspace`` shape a run of ``program`` needs.
 
     This is where the kernel family is chosen: ``n_lanes`` stays an
-    integer only for lane-capable programs on the fused path.  Process
-    workers hold their own scratch and warm their own caches; building
-    them parent-side too would only double the memory footprint.
+    integer only for lane-capable programs on the fused path.
     """
     fused = _uses_fused(program, options)
     lanes = fused and program.supports_batched()
     return {
         "n_lanes": n_lanes if lanes else None,
         "use_bitvector": options.use_bitvector,
-        "scratch": fused and executor_name != "process",
+        "scratch": fused,
     }
 
 
@@ -755,18 +748,13 @@ def _run_supersteps(
         else:
             executor = create_executor(options)
             owns_executor = True
-        if not executor.supports(program0):
-            if owns_executor:
-                executor.close()
-            executor = SerialExecutor(executor.n_workers)
-            owns_executor = True
     backend = executor.name if executor is not None else "serial"
 
     # -- Superstep workspace: reuse the caller's when its shape fits
     # (specs, family, view set — per-block scratch is sized for specific
-    # blocks — and the scratch this run's executor consumes), else build
-    # one for this run (still amortized over all supersteps).
-    shape = _superstep_shape(program0, options, n_lanes, backend)
+    # blocks — and whether the sweep consumes scratch), else build one
+    # for this run (still amortized over all supersteps).
+    shape = _superstep_shape(program0, options, n_lanes)
     superstep = workspace.superstep if workspace is not None else None
     if superstep is None or not superstep.matches(n, program0, views, **shape):
         superstep = SuperstepWorkspace(n, program0, views, **shape)
@@ -803,8 +791,6 @@ def _run_supersteps(
     start = time.perf_counter()
     iteration = 0
     try:
-        if executor is not None:
-            executor.prepare(views, program0)
         while True:
             # One precedence rule (EngineOptions.iteration_bound): an
             # explicit max_iterations stops the run normally; the

@@ -20,9 +20,8 @@ Beyond the paper's knobs, the engine's SpMV can be scheduled onto real
 parallel backends (:mod:`repro.exec`):
 
 5. ``backend`` / ``n_workers`` — which executor runs the per-block SpMV
-   kernels: ``"serial"`` (calling thread), ``"threaded"`` (thread pool
-   over GIL-releasing NumPy kernels) or ``"process"`` (shared-memory
-   process pool).  Orthogonal to ``n_threads``, which drives the paper's
+   kernels: ``"serial"`` (calling thread) or ``"threaded"`` (thread pool
+   over the GIL-releasing NumPy and C kernels).  Orthogonal to ``n_threads``, which drives the paper's
    *simulated* multicore model.
 6. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
    kernel selector's crossovers, both in edges
@@ -47,7 +46,7 @@ from repro.errors import ProgramError
 #: here (not imported from ``repro.exec``) so option validation stays
 #: dependency-free and fails at construction time, not deep inside the
 #: engine.  ``repro.exec.BACKENDS`` asserts the same set.
-KNOWN_BACKENDS: tuple[str, ...] = ("serial", "threaded", "process")
+KNOWN_BACKENDS: tuple[str, ...] = ("serial", "threaded")
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,9 @@ class EngineOptions:
     #: and Figure 5/7; cheap, but off by default for micro-benchmarks).
     record_partition_stats: bool = False
     #: Execution backend for the fused SpMV blocks (see ``repro.exec``):
-    #: ``"serial"``, ``"threaded"`` or ``"process"``.
+    #: ``"serial"`` or ``"threaded"``.
     backend: str = "serial"
-    #: Worker count for the threaded/process backends (ignored by serial).
+    #: Worker count for the threaded backend (ignored by serial).
     n_workers: int = 1
     #: Kernel-selection threshold: frontiers holding at most this many
     #: edges run the per-edge scalar kernel (below it, numpy's fixed

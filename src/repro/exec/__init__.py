@@ -10,14 +10,12 @@ executor choice as a backend concern the API hides.
 backend       schedule
 ============= ===========================================================
 serial        all blocks in the calling thread (reference)
-threaded      thread pool; NumPy kernels release the GIL and overlap
-process       process pool; blocks shipped once per workspace, frontier
-              and properties broadcast via shared memory each superstep
+threaded      thread pool; NumPy and C kernels release the GIL and overlap
 ============= ===========================================================
 
-All backends run the identical per-block NumPy kernels, so algorithm
+Both backends run the identical per-block kernels, so algorithm
 outputs are bitwise identical across them.  See ``docs/EXECUTION.md``
-for when each backend wins and ``docs/KERNELS.md`` for the kernel
+for when ``threaded`` wins and ``docs/KERNELS.md`` for the kernel
 taxonomy.
 """
 
@@ -26,7 +24,6 @@ from __future__ import annotations
 from repro.core.options import KNOWN_BACKENDS
 from repro.errors import ProgramError
 from repro.exec.base import Executor, SerialExecutor, finish_view
-from repro.exec.process import ProcessExecutor
 from repro.exec.threaded import ThreadedExecutor
 from repro.exec.workspace import (
     BatchBlockScratch,
@@ -40,7 +37,6 @@ from repro.exec.workspace import (
 BACKENDS: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
     ThreadedExecutor.name: ThreadedExecutor,
-    ProcessExecutor.name: ProcessExecutor,
 }
 
 assert set(BACKENDS) == set(KNOWN_BACKENDS), (
@@ -70,7 +66,6 @@ __all__ = [
     "BatchBlockScratch",
     "BlockScratch",
     "Executor",
-    "ProcessExecutor",
     "SerialExecutor",
     "SuperstepWorkspace",
     "ThreadedExecutor",

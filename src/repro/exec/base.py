@@ -8,11 +8,9 @@ frontier, and it returns with the result vector ``y`` updated:
 
 - :class:`SerialExecutor` — run blocks in the calling thread (the
   reference schedule),
-- :class:`~repro.exec.threaded.ThreadedExecutor` — a thread pool;
-  NumPy's kernels release the GIL, so block kernels overlap,
-- :class:`~repro.exec.process.ProcessExecutor` — a process pool with
-  the DCSC blocks shipped to workers once per workspace and the
-  per-superstep frontier/properties broadcast through shared memory.
+- :class:`~repro.exec.threaded.ThreadedExecutor` — a thread pool over
+  the same address space; the NumPy and C kernels release the GIL, so
+  block kernels overlap.
 
 An executor schedules *the kernel it is given*
 (:func:`repro.core.spmv.run_block` or
@@ -38,14 +36,6 @@ class Executor:
 
     #: Registry name (matches ``EngineOptions.backend``).
     name: str = "?"
-
-    def prepare(self, views, program) -> None:
-        """One-time per-run/per-workspace setup (pools, shared segments)."""
-
-    def supports(self, program) -> bool:
-        """True if this executor can run ``program`` (else the engine
-        runs it on :class:`SerialExecutor` for the run)."""
-        return True
 
     def sweep(
         self,
@@ -74,7 +64,7 @@ class Executor:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pools/shared memory.  Idempotent."""
+        """Release the worker pool.  Idempotent."""
 
     def __enter__(self) -> "Executor":
         return self

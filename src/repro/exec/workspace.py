@@ -34,11 +34,8 @@ from repro.vector.sparse_vector import make_sparse_vector
 class BlockScratch:
     """Preallocated edge-capacity buffers for one DCSC block.
 
-    Each buffer has capacity for the block's full nnz (or an explicit
-    ``capacity``, letting one scratch serve every block of a view —
-    process workers do this so their footprint stays bounded no matter
-    which blocks the pool hands them); kernels use the ``[:edges]``
-    prefix.  A buffer is ``None`` when its value spec is not a
+    Each buffer has capacity for the block's full nnz; kernels use the
+    ``[:edges]`` prefix.  A buffer is ``None`` when its value spec is not a
     fixed-width numeric type (the kernels then allocate as before).
     """
 
@@ -54,8 +51,8 @@ class BlockScratch:
         "sorted_results",
     )
 
-    def __init__(self, block, program, capacity: int | None = None) -> None:
-        n = int(capacity) if capacity is not None else block.nnz
+    def __init__(self, block, program) -> None:
+        n = block.nnz
         self.take = np.empty(n, dtype=np.int64)
         self.src_cols = np.empty(n, dtype=np.int64)
         self.edge_dst = np.empty(n, dtype=np.int64)
@@ -120,12 +117,10 @@ class BatchBlockScratch:
         "_n_lanes",
     )
 
-    def __init__(
-        self, block, program, n_lanes: int, capacity: int | None = None
-    ) -> None:
+    def __init__(self, block, program, n_lanes: int) -> None:
         from repro.core.spmv import _batch_tile_edges
 
-        n = int(capacity) if capacity is not None else block.nnz
+        n = block.nnz
         k = int(n_lanes)
         self.take = np.empty(n, dtype=np.int64)
         self.src_cols = np.empty(n, dtype=np.int64)
@@ -176,25 +171,19 @@ class BatchBlockScratch:
         )
 
 
-def warm_block_caches(block, n_lanes: int | None) -> None:
-    """Materialize the lazy groupings one kernel family reads.
+def make_block_scratch(block, program, n_lanes: int | None):
+    """Warm ``block`` and build its scratch for one kernel family.
 
     ``n_lanes is None`` selects the generic kernel's family
     (:func:`repro.core.spmv.run_block`), an integer the K-lane kernel's
-    (:func:`repro.core.spmv.run_block_batch`).
+    (:func:`repro.core.spmv.run_block_batch`); each warms the lazy
+    groupings its kernel reads.
     """
     if n_lanes is None:
         block.warm_caches()
-    else:
-        block.warm_batch_caches()
-
-
-def make_block_scratch(block, program, n_lanes: int | None, capacity=None):
-    """Warm ``block`` and build its scratch for one kernel family."""
-    warm_block_caches(block, n_lanes)
-    if n_lanes is None:
-        return BlockScratch(block, program, capacity)
-    return BatchBlockScratch(block, program, n_lanes, capacity)
+        return BlockScratch(block, program)
+    block.warm_batch_caches()
+    return BatchBlockScratch(block, program, n_lanes)
 
 
 class SuperstepWorkspace:
@@ -211,8 +200,7 @@ class SuperstepWorkspace:
     (:meth:`matches`); the engine builds a fresh one when they do not
     (e.g. the two phases of triangle counting flow different value types
     through the same graph).  ``scratch=False`` skips the per-block
-    buffers: the scalar sweep uses none, and process workers hold their
-    own (building them parent-side too would double the footprint).
+    buffers: the scalar sweep uses none.
     """
 
     def __init__(
@@ -284,8 +272,8 @@ class SuperstepWorkspace:
         and a different view set (e.g. after an edge-direction mismatch
         rebuilt the views) can have bigger blocks at the same partition
         index — an overrun waiting to happen.  ``scratch`` marks a
-        run whose executor consumes parent-side scratch; a workspace
-        built without it (process backend) must not satisfy such a run,
+        run whose sweep consumes per-block scratch; a workspace built
+        without it (for the scalar sweep) must not satisfy such a run,
         or the zero-allocation path silently degrades.
         """
         return (

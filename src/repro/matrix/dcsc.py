@@ -55,10 +55,6 @@ class DCSCMatrix:
         self._col_expanded: np.ndarray | None = None
         self._dst_sorted_cols: np.ndarray | None = None
         self._dst_sorted_vals: np.ndarray | None = None
-        #: Set by ``repro.store`` on snapshot-backed blocks:
-        #: ``(snapshot_path, view_index, block_index)``.  Lets pickling
-        #: ship a file reference instead of the arrays (see __getstate__).
-        self._snapshot_ref: tuple[str, int, int] | None = None
         if validate:
             # Trusted sources (checksummed snapshot loads) skip this
             # O(nnz) scan so a freshly mmapped block stays O(1) to open.
@@ -277,8 +273,8 @@ class DCSCMatrix:
 
         Superset of :meth:`warm_caches`: the dense SpMM path gathers
         through the destination-sorted column/value arrays, so batched
-        workspaces (parent-side) and process-pool workers (worker-side)
-        both call this up front — no superstep pays cache construction.
+        workspaces call this up front — no superstep pays cache
+        construction.
         """
         self.warm_caches()
         self.dst_sorted_cols()
@@ -292,51 +288,6 @@ class DCSCMatrix:
         """Adopt precomputed derived caches (snapshot loads, zero-copy)."""
         self._col_expanded = col_expanded
         self._dst_groups = dst_groups
-
-    def payload_nbytes(self) -> int:
-        """Approximate pickled-payload size of this block.
-
-        Snapshot-backed blocks ship as a ``(path, view, block)`` reference
-        (O(100) bytes) rather than their arrays; everything else pays for
-        the four raw arrays.  Executors use this to report how much data a
-        worker hand-off actually moves.
-        """
-        if self._snapshot_ref is not None:
-            return 64 + len(str(self._snapshot_ref[0]))
-        return int(
-            self.jc.nbytes + self.cp.nbytes + self.ir.nbytes + self.num.nbytes
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling: worker processes receive blocks once per workspace; the
-    # lazy caches are derived data and can be bigger than the block
-    # itself (dst_groups holds an nnz-sized permutation), so they are
-    # dropped from the payload and rebuilt on first use in the worker.
-    # Snapshot-backed blocks go further: the payload is just the file
-    # reference, and the receiving process re-attaches the mmap (blocks
-    # from one snapshot share a single mapping per process).
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        if self._snapshot_ref is not None:
-            return {"_snapshot_ref": self._snapshot_ref}
-        state = self.__dict__.copy()
-        state["_dst_groups"] = None
-        state["_col_expanded"] = None
-        state["_dst_sorted_cols"] = None
-        state["_dst_sorted_vals"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        ref = state.get("_snapshot_ref")
-        if ref is not None and "jc" not in state:
-            from repro.store.snapshot import materialize_block
-
-            self.__dict__.update(materialize_block(ref).__dict__)
-            return
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_snapshot_ref", None)
-        self.__dict__.setdefault("_dst_sorted_cols", None)
-        self.__dict__.setdefault("_dst_sorted_vals", None)
 
     def restrict_columns(self, wanted_mask: np.ndarray) -> "DCSCMatrix":
         """Drop the non-empty columns where ``wanted_mask[j]`` is False.

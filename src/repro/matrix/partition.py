@@ -144,34 +144,6 @@ class PartitionedMatrix:
         """The contiguous ``[lo, hi)`` row range of each partition."""
         return [block.row_range for block in self.blocks]
 
-    def payload_nbytes(self) -> int:
-        """Approximate pickled-payload size of all blocks (see
-        :meth:`DCSCMatrix.payload_nbytes`); snapshot-backed views cost
-        O(n_partitions) path references instead of O(nnz) array bytes."""
-        return sum(block.payload_nbytes() for block in self.blocks)
-
-    def schedule_chunks(self, n_chunks: int) -> list[list[int]]:
-        """Assign block indices to ``n_chunks`` workers, balanced by nnz.
-
-        Greedy longest-processing-time scheduling: blocks are handed out
-        heaviest-first to the currently lightest chunk.  Blocks own
-        disjoint output row ranges, so any assignment is race-free; this
-        one keeps per-worker edge counts even when the nnz split is
-        skewed (power-law graphs under the ``"rows"`` strategy).  Empty
-        chunks are dropped.
-        """
-        if n_chunks <= 0:
-            raise ShapeError(f"n_chunks must be positive, got {n_chunks}")
-        counts = self.block_nnz()
-        order = np.argsort(counts, kind="stable")[::-1]
-        chunks: list[list[int]] = [[] for _ in range(n_chunks)]
-        loads = np.zeros(n_chunks, dtype=np.int64)
-        for idx in order:
-            lightest = int(np.argmin(loads))
-            chunks[lightest].append(int(idx))
-            loads[lightest] += int(counts[idx])
-        return [chunk for chunk in chunks if chunk]
-
     def imbalance(self) -> float:
         """Max/mean nnz ratio across partitions (1.0 = perfectly balanced)."""
         counts = self.block_nnz()

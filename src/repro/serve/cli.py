@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--n-workers", type=int, default=1,
-        help="workers for the threaded/process backends (default 1)",
+        help="workers for the threaded backend (default 1)",
     )
     parser.add_argument(
         "--delta-log-dir", default=None, metavar="DIR",

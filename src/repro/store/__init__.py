@@ -48,7 +48,6 @@ from repro.store.snapshot import (
     SNAPSHOT_SUFFIX,
     close_snapshots,
     load_snapshot,
-    materialize_block,
     open_snapshot,
     save_snapshot,
     snapshot_info,
@@ -73,7 +72,6 @@ __all__ = [
     "ingest_file",
     "ingest_mtx",
     "load_snapshot",
-    "materialize_block",
     "open_snapshot",
     "read_document",
     "save_snapshot",

@@ -43,6 +43,7 @@ the mmapped COO on first use.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
 import tempfile
@@ -57,7 +58,6 @@ import numpy as np
 
 from repro import faults
 from repro.errors import IOFormatError
-from repro.exec.process import pool_context
 from repro.graph.io import (
     is_gzipped,
     mtx_data_offset,
@@ -513,6 +513,22 @@ def _run_task(task):
     if kind == "route":
         return _route_task(*task[1:])
     return _finalize_task(*task[1:])
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context the ingest pool runs on.
+
+    fork is the cheap path (workers inherit everything copy-on-write,
+    and stdin-driven parents survive — forkserver/spawn re-import
+    __main__, which hangs heredoc/REPL parents).  The usual
+    fork-with-threads caveat applies: start an ingest before heavy
+    threading, or close any threaded Workspace first (idle
+    ThreadPoolExecutor workers block in Condition.wait with the lock
+    released, so the common case of an idle threaded pool is safe to
+    fork past).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _run_tasks(pool, tasks, window: int):

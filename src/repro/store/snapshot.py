@@ -8,12 +8,8 @@ raw buffers in a ``.gmsnap`` container (:mod:`repro.store.format`), and
 :func:`load_snapshot` rebuilds a ready-to-run :class:`Graph` from mmap
 views in O(header + n_vertices) time with zero edge-array copies.
 
-Loaded blocks carry a ``(path, view, block)`` snapshot reference, so:
-
-- pickling a block (process-backend worker hand-off) ships the reference,
-  not the arrays, and the receiving process re-attaches the shared mmap;
-- every block of one snapshot shares a single file mapping per process
-  (:func:`open_snapshot` caches readers by resolved path).
+Every block of one snapshot shares a single file mapping per process
+(:func:`open_snapshot` caches readers by resolved path).
 
 Snapshots optionally embed each block's derived kernel caches
 (``col_expanded`` / ``dst_groups``) so even the fused dense-pull path
@@ -24,8 +20,6 @@ costs ~2x file size).
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import IOFormatError
 from repro.graph.graph import Graph
@@ -40,8 +34,7 @@ SNAPSHOT_SUFFIX = ".gmsnap"
 _VALID_DIRECTIONS = ("out", "in")
 
 # One reader per resolved path per process: all blocks of a snapshot
-# share a single mmap, and process-pool workers attaching by reference
-# (DCSCMatrix.__setstate__) reuse it across every block they receive.
+# share a single mmap.
 # Keyed by (size, mtime) too: writers replace files atomically, so a
 # re-saved snapshot must not serve views of the unlinked old mapping.
 _OPEN_READERS: dict[str, tuple[tuple[int, int], SnapshotReader]] = {}
@@ -191,10 +184,7 @@ def save_snapshot(
 # Loading
 # ----------------------------------------------------------------------
 def _load_block(
-    reader: SnapshotReader,
-    entry: dict,
-    shape: tuple[int, int],
-    ref: tuple[str, int, int] | None,
+    reader: SnapshotReader, entry: dict, shape: tuple[int, int]
 ) -> DCSCMatrix:
     block = DCSCMatrix(
         shape,
@@ -215,24 +205,12 @@ def _load_block(
                 reader.array(caches["unique_rows"]),
             ),
         )
-    block._snapshot_ref = ref
     return block
 
 
-def _load_view(
-    reader: SnapshotReader, view_index: int, view_doc: dict
-) -> PartitionedMatrix:
+def _load_view(reader: SnapshotReader, view_doc: dict) -> PartitionedMatrix:
     shape = tuple(view_doc["shape"])
-    ref_path = str(reader.path) if reader.mmap else None
-    blocks = [
-        _load_block(
-            reader,
-            entry,
-            shape,
-            (ref_path, view_index, p) if ref_path is not None else None,
-        )
-        for p, entry in enumerate(view_doc["blocks"])
-    ]
+    blocks = [_load_block(reader, entry, shape) for entry in view_doc["blocks"]]
     partitions = PartitionedMatrix(shape, blocks)
     partitions.snapshot_path = str(reader.path)
     return partitions
@@ -273,32 +251,14 @@ def load_snapshot(
     )
     graph = Graph(coo)
     graph.snapshot_path = str(reader.path)
-    for view_index, view_doc in enumerate(document["views"]):
+    for view_doc in document["views"]:
         graph.adopt_partitions(
             view_doc["direction"],
             int(view_doc["n_partitions"]),
             view_doc["strategy"],
-            _load_view(reader, view_index, view_doc),
+            _load_view(reader, view_doc),
         )
     return graph
-
-
-def materialize_block(ref: tuple[str, int, int]) -> DCSCMatrix:
-    """Re-attach one snapshot block from its pickle reference.
-
-    Called by ``DCSCMatrix.__setstate__`` in receiving processes; the
-    per-process reader cache makes this O(1) after the first block of a
-    snapshot.
-    """
-    path, view_index, block_index = ref
-    reader = open_snapshot(path)
-    view_doc = reader.document["views"][view_index]
-    return _load_block(
-        reader,
-        view_doc["blocks"][block_index],
-        tuple(view_doc["shape"]),
-        (str(reader.path), int(view_index), int(block_index)),
-    )
 
 
 def snapshot_info(path: str | Path) -> dict:

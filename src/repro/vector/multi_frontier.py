@@ -161,17 +161,6 @@ class MultiFrontier:
         if self.fill is not None:
             self._values[...] = self.fill
 
-    def copy_into(self, valid_out: np.ndarray, values_out: np.ndarray) -> None:
-        """Copy validity and values into caller-owned buffers, in place.
-
-        The shared-memory process executor broadcasts the K-lane frontier
-        to its workers this way each superstep — two ``memcpy``\\ s into
-        mapped segments, no pickling (the same contract as
-        :meth:`repro.vector.sparse_vector.BitvectorVector.copy_into`).
-        """
-        np.copyto(valid_out, self._valid)
-        np.copyto(values_out, self._values)
-
     def __len__(self) -> int:
         return self.length
 

@@ -206,16 +206,6 @@ class BitvectorVector(SparseVector):
         """Boolean validity mask of shape ``(length,)`` (do not mutate)."""
         return self._valid
 
-    def copy_into(self, valid_out: np.ndarray, values_out: np.ndarray) -> None:
-        """Copy validity and values into caller-owned buffers, in place.
-
-        The shared-memory process executor broadcasts the frontier to its
-        workers this way each superstep: one ``memcpy`` into a mapped
-        segment instead of pickling the vector.
-        """
-        np.copyto(valid_out, self._valid)
-        np.copyto(values_out, self._values)
-
     def to_packed_bitvector(self) -> Bitvector:
         """The paper's packed representation of the validity set."""
         return Bitvector.from_bool_array(self._valid)

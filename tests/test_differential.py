@@ -52,7 +52,7 @@ from repro.dynamic import (
 from repro.graph.graph import Graph
 from repro.graph.preprocess import symmetrize, to_dag
 
-ALL_BACKENDS = ("serial", "threaded", "process")
+ALL_BACKENDS = ("serial", "threaded")
 
 HYPOTHESIS_SETTINGS = settings(
     max_examples=30,

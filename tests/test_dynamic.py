@@ -282,16 +282,16 @@ class TestViewParity:
         lo, hi = view.blocks[0].row_range
         dg = DeltaGraph(loaded).apply_delta(inserts=([hi - 1], [lo], [3.0]))
         merged = dg.out_partitions(8, "rows")
-        # Untouched partitions still carry their snapshot references
-        # (process workers would attach them by path, not by value).
-        assert merged.blocks[1]._snapshot_ref is not None
-        assert merged.blocks[0]._snapshot_ref is None
+        # Untouched partitions keep the snapshot's mapped arrays (no
+        # resident copy); only the touched partition is rebuilt.
+        assert np.shares_memory(merged.blocks[1].ir, view.blocks[1].ir)
+        assert not np.shares_memory(merged.blocks[0].ir, view.blocks[0].ir)
 
 
 # ----------------------------------------------------------------------
 # Engine runs over the overlay
 # ----------------------------------------------------------------------
-ALL_BACKENDS = ["serial", "threaded", "process"]
+ALL_BACKENDS = ["serial", "threaded"]
 
 
 class TestEngineOverOverlay:

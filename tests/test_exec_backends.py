@@ -33,7 +33,6 @@ from repro.core.options import KNOWN_BACKENDS, EngineOptions
 from repro.errors import ProgramError
 from repro.exec import (
     BACKENDS,
-    ProcessExecutor,
     SerialExecutor,
     available_backends,
     create_executor,
@@ -41,7 +40,6 @@ from repro.exec import (
 from repro.graph.generators.bipartite import BipartiteSpec, bipartite_rating_graph
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.preprocess import symmetrize, to_dag
-from repro.matrix.partition import PartitionedMatrix
 from repro.perf.counters import EventCounters
 
 from tests.generic_reference import (
@@ -150,23 +148,6 @@ class TestBackendParity:
         ref = in_degrees_via_spmv(rmat)
         got = in_degrees_via_spmv(rmat, _options(backend))
         assert np.array_equal(ref, got)
-
-
-class TestObjectProgramFallback:
-    def test_process_backend_falls_back_for_object_properties(self, rmat_sym):
-        """Object-valued programs cannot cross the process boundary; the
-        engine must transparently run them on the serial schedule."""
-        dag = to_dag(rmat_sym)
-        result = run_triangle_count(dag, options=_options("process"))
-        # Phase 1 gathers object neighbor lists -> must have fallen back.
-        assert result.gather_stats.backend == "serial"
-
-    def test_supports_rejects_object_specs(self):
-        from repro.algorithms.triangle_count import NeighborGatherProgram
-
-        executor = ProcessExecutor(2)
-        assert not executor.supports(NeighborGatherProgram())
-        executor.close()
 
 
 class TestWorkspaceReuse:
@@ -293,27 +274,26 @@ class TestWorkspaceReuse:
         assert stats.kernel_totals() == {"sparse-gather": 3}
         assert graph.vertex_properties.data[3] == 2.0
 
-    def test_process_built_workspace_does_not_disable_scratch_for_serial(self, rmat):
-        """Regression: a workspace built under the process backend holds
-        no parent-side scratch; a serial run reusing it must rebuild a
-        scratch-enabled workspace, not silently lose the zero-allocation
-        path."""
-        program = PageRankProgram()
+    def test_scratchless_workspace_does_not_disable_scratch(self, rmat):
+        """A workspace built for the unfused sweep holds no per-block
+        scratch; a fused run reusing it must build a scratch-enabled
+        workspace, not silently lose the zero-allocation path."""
+
+        class GenericPageRank(PageRankProgram):
+            reduce_identity = None  # the generic family, as unfused runs use
+
+        program = GenericPageRank()
         run_opts = EngineOptions(max_iterations=3)
         baseline = EventCounters()
         init_pagerank(rmat, program)
         run_graph_program(rmat, program, run_opts, counters=baseline)
 
-        proc_ws = graph_program_init(
-            rmat, program, EngineOptions(backend="process", n_workers=2)
-        )
-        with proc_ws:
-            assert proc_ws.superstep is not None
-            assert not proc_ws.superstep.scratch_built
+        with graph_program_init(rmat, program, EngineOptions(fused=False)) as ws:
+            assert not ws.superstep.scratch_built
             via_ws = EventCounters()
             init_pagerank(rmat, program)
             run_graph_program(
-                rmat, program, run_opts, workspace=proc_ws, counters=via_ws
+                rmat, program, run_opts, workspace=ws, counters=via_ws
             )
         assert via_ws.allocations == baseline.allocations
 
@@ -341,7 +321,7 @@ class TestKernelSelectorStats:
         # selector should have used more than one kernel along the way.
         assert len(totals) >= 2
 
-    @pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_partition_work_sums_to_edges_processed(self, rmat_sym, backend):
         """The stats ``run_graph_program`` returns are one lane's, and
         one lane's stats are complete: the shared sweep's per-partition
@@ -378,11 +358,11 @@ class TestOptionsValidation:
         with pytest.raises(ProgramError):
             EngineOptions(backend="gpu")
 
-    @pytest.mark.parametrize("backend", ["jit", "jit-threaded"])
-    def test_compiled_tier_backends_are_unknown(self, backend):
+    @pytest.mark.parametrize("backend", ["jit", "jit-threaded", "process"])
+    def test_removed_backends_are_unknown(self, backend):
         with pytest.raises(ProgramError) as err:
             EngineOptions(backend=backend)
-        assert "available: serial, threaded, process" in str(err.value)
+        assert "available: serial, threaded" in str(err.value)
 
     def test_bad_worker_count_raises(self):
         with pytest.raises(ProgramError):
@@ -400,61 +380,3 @@ class TestOptionsValidation:
     def test_serial_executor_is_default(self):
         executor = create_executor(EngineOptions())
         assert isinstance(executor, SerialExecutor)
-
-
-class TestScheduleChunks:
-    def test_chunks_cover_all_blocks(self, rmat):
-        view = rmat.out_partitions(8, "nnz")
-        chunks = view.schedule_chunks(3)
-        flat = sorted(i for chunk in chunks for i in chunk)
-        assert flat == list(range(view.n_partitions))
-
-    def test_chunks_balanced_by_nnz(self):
-        # Skewed blocks: LPT should not put the two heaviest together.
-        src = np.concatenate(
-            [np.zeros(60, dtype=np.int64), np.array([5, 6, 7], dtype=np.int64)]
-        )
-        dst = np.concatenate(
-            [np.arange(60, dtype=np.int64) % 4, np.array([1, 2, 3], dtype=np.int64)]
-        )
-        from repro.graph.graph import Graph
-
-        graph = Graph.from_edges(8, src, dst, dedup=False)
-        view = graph.out_partitions(4, "rows")
-        chunks = view.schedule_chunks(2)
-        nnz = view.block_nnz()
-        loads = sorted(sum(int(nnz[i]) for i in chunk) for chunk in chunks)
-        assert loads[-1] <= int(nnz.max()) + int(nnz.sum() - nnz.max())
-
-    def test_invalid_chunk_count(self, rmat):
-        view = rmat.out_partitions(4, "rows")
-        from repro.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            view.schedule_chunks(0)
-
-
-class TestBlockPickling:
-    def test_dcsc_pickle_drops_caches(self, rmat):
-        import pickle
-
-        view = rmat.out_partitions(4, "nnz")
-        block = view.blocks[0]
-        block.warm_caches()
-        clone = pickle.loads(pickle.dumps(block))
-        assert clone._dst_groups is None and clone._col_expanded is None
-        assert np.array_equal(clone.ir, block.ir)
-        # Rebuilt caches must agree with the originals.
-        order, starts, rows = clone.dst_groups()
-        o2, s2, r2 = block.dst_groups()
-        assert np.array_equal(order, o2)
-        assert np.array_equal(starts, s2)
-        assert np.array_equal(rows, r2)
-
-    def test_partitioned_matrix_roundtrip(self, rmat):
-        import pickle
-
-        view = rmat.out_partitions(4, "nnz")
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone.nnz == view.nnz
-        assert clone.to_coo().to_scipy().nnz == view.to_coo().to_scipy().nnz

@@ -6,7 +6,6 @@ from __future__ import annotations
 import gzip
 import importlib.util
 import json
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -167,19 +166,6 @@ class TestSnapshotRoundTrip:
         assert np.array_equal(starts, ref_starts)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(block.col_expanded(), reference.col_expanded())
-
-    def test_blocks_pickle_by_reference(self, tmp_path, rmat_small):
-        path = tmp_path / "g.gmsnap"
-        save_snapshot(rmat_small, path)
-        view = load_snapshot(path).peek_partitions("out", 8, "rows")
-        in_memory = rmat_small.out_partitions(8, "rows")
-        for block, reference in zip(view.blocks, in_memory.blocks):
-            payload = pickle.dumps(block)
-            assert len(payload) < 512  # a path reference, not the arrays
-            restored = pickle.loads(payload)
-            assert matrices_equal(restored.to_coo(), reference.to_coo())
-            assert restored.row_range == reference.row_range
-        assert view.payload_nbytes() < in_memory.payload_nbytes()
 
     def test_views_snapshot_kind_guard(self, tmp_path):
         path = tmp_path / "v.gmsnap"
@@ -480,18 +466,6 @@ class TestEngineIntegration:
         expected = _pagerank(rmat_small)
         loaded = load_snapshot(path)
         assert np.array_equal(_pagerank(loaded), expected)
-
-    def test_process_backend_attaches_by_path(self, tmp_path, rmat_small):
-        path = tmp_path / "g.gmsnap"
-        save_snapshot(rmat_small, path)
-        expected = _pagerank(rmat_small)
-        loaded = load_snapshot(path)
-        program = PageRankProgram()
-        init_pagerank(loaded, program)
-        options = EngineOptions(backend="process", n_workers=2, max_iterations=4)
-        stats = run_graph_program(loaded, program, options)
-        assert stats.backend == "process"
-        assert np.array_equal(loaded.vertex_properties.data, expected)
 
     def test_inverse_degrees_build_no_csr(self, tmp_path, rmat_small):
         """PageRank's degree normalization counts the mmap'd COO; it

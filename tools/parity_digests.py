@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of eight algorithms x three backends.
+"""Print SHA-256 digests of eight algorithms x two backends.
 
 A parity check across commits for engine refactors: results must be
 bitwise equal before and after.  Either run the same script in two
