@@ -63,8 +63,8 @@ Every run sweeps through a
 vectors, per-block edge scratch buffers and the blocks' cached groupings
 are allocated once — in :func:`graph_program_init` when the caller holds
 a :class:`Workspace`, else once per run — and reset in place each
-iteration.  Each superstep's per-block kernel choices (``scalar`` /
-``sparse-gather`` / ``dense-pull``, see
+iteration.  Each superstep's per-block kernel shapes
+(``sparse-gather`` / ``dense-pull``, see
 :func:`repro.core.spmv.select_kernel`) are recorded in
 ``IterationStats.kernel_counts``.
 """
@@ -79,7 +79,6 @@ import numpy as np
 from repro.core.graph_program import EdgeDirection, GraphProgram
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.core.spmv import (
-    KernelThresholds,
     PartitionWork,
     run_block,
     run_block_batch,
@@ -104,7 +103,8 @@ class IterationStats:
     seconds: float
     partition_work: list[PartitionWork] = field(default_factory=list)
     #: How many blocks ran each fused kernel this superstep
-    #: (``{"scalar": 3, "dense-pull": 5, ...}``; empty on the scalar path).
+    #: (``{"sparse-gather": 3, "dense-pull": 5}``; empty on the scalar
+    #: path).
     kernel_counts: dict[str, int] = field(default_factory=dict)
     #: Fraction of vertices that sent a message this superstep
     #: (``messages_sent / n_vertices``) — the global density signal
@@ -432,13 +432,13 @@ def _uniform_lanes(programs) -> bool:
 class _Family:
     """What one run's supersteps call: ``send``, ``sweep``, ``apply``."""
 
-    def __init__(self, program, superstep, executor, thresholds, counters):
+    def __init__(self, program, superstep, executor, crossover, counters):
         #: Lane 0's instance: the one whose process/reduce the sweep runs.
         self.program = program
         self.superstep = superstep
         self.x, self.y = superstep.x, superstep.y
         self.executor = executor
-        self.thresholds = thresholds
+        self.crossover = crossover
         self.counters = counters
 
     def _sweep_blocks(
@@ -456,7 +456,7 @@ class _Family:
             partition_work,
             kernel_counts,
             self.superstep.view_scratch(view_index),
-            self.thresholds,
+            self.crossover,
         )
 
 
@@ -758,9 +758,7 @@ def _run_supersteps(
     superstep = workspace.superstep if workspace is not None else None
     if superstep is None or not superstep.matches(n, program0, views, **shape):
         superstep = SuperstepWorkspace(n, program0, views, **shape)
-    context = (
-        superstep, executor, KernelThresholds.from_options(options), counters
-    )
+    context = (superstep, executor, options.dense_pull_crossover, counters)
     if shape["n_lanes"] is not None:
         family = _LaneFamily(programs, lane_properties, lane_active, *context)
     else:

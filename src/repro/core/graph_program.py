@@ -91,9 +91,10 @@ class GraphProgram:
     #: sentinel, must leave this False.
     batch_received_by_value: bool = False
     #: Optional absorbing identity of ``reduce`` (e.g. ``inf`` for min).
-    #: Declaring it lets the fused engine process *dense* frontiers over the
-    #: whole edge array with silent sources masked to the identity, skipping
-    #: the per-superstep destination sort.  Contract: ``process_message``
+    #: Declaring it makes the program lane-capable: the K-lane kernel
+    #: fills silent sources with the identity, so it can pull *dense*
+    #: frontiers over the whole edge array, skipping the per-superstep
+    #: destination sort.  Contract: ``process_message``
     #: must map an identity message to an identity result (min-plus and
     #: min-first do: inf + w == inf).
     reduce_identity = None
@@ -415,8 +416,8 @@ class SemiringProgram(GraphProgram):
         self.semiring = semiring
         self.direction = direction
         self.reduce_ufunc = semiring.add_ufunc
-        # An absorbing additive identity unlocks the masked dense-pull
-        # kernel and the batched SpMM path (identity message == silence).
+        # An absorbing additive identity unlocks the batched SpMM path
+        # and its dense pull (identity message == silence).
         if semiring.identity_absorbs:
             self.reduce_identity = semiring.add_identity
 

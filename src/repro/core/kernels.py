@@ -2,12 +2,12 @@
 
 Every per-block kernel the engine can run is named and selected here, in
 one place: :func:`select_kernel` decides *which shape* of kernel a
-(block, frontier) pair wants — scalar loop, sparse-gather or dense-pull
-— and :mod:`repro.core.spmv` implements each shape for one lane
-(:func:`~repro.core.spmv.run_block`) and for K lanes
-(:func:`~repro.core.spmv.run_block_batch`).  Every executor runs those
-same kernels, so a given (block, frontier) runs the same kernel whatever
-the backend.
+(block, frontier) pair wants — sparse-gather or dense-pull — for the
+K-lane kernel (:func:`~repro.core.spmv.run_block_batch`); the generic
+one-lane kernel (:func:`~repro.core.spmv.run_block`) has one packed
+path and is tagged by column coverage.  Every executor runs those same
+kernels, so a given (block, frontier) runs the same kernel whatever the
+backend.
 
 See ``docs/KERNELS.md`` for the taxonomy and the selection heuristics in
 prose, with a worked ``kernel_counts`` example.
@@ -15,14 +15,12 @@ prose, with a worked ``kernel_counts`` example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 #: Kernel names recorded into PartitionWork / IterationStats.
-KERNEL_SCALAR = "scalar"
 KERNEL_SPARSE = "sparse-gather"
 KERNEL_DENSE = "dense-pull"
-KERNEL_NAMES = (KERNEL_SCALAR, KERNEL_SPARSE, KERNEL_DENSE)
+KERNEL_NAMES = (KERNEL_SPARSE, KERNEL_DENSE)
 
 #: The (reduce, process) pairs with a compiled lane sweep
 #: (:mod:`repro.core.ckernels`); both kernel shapes run them.
@@ -40,11 +38,6 @@ class LaneKernel(NamedTuple):
     constant: float = 0.0
 
 
-#: Frontiers holding at most this many edges run the per-edge scalar
-#: kernel: below it, numpy's fixed per-call setup cost exceeds the
-#: per-edge Python dispatch it saves.
-SCALAR_KERNEL_MAX_EDGES = 32
-
 #: Default dense-pull crossover, in edges: pull every stored edge when
 #: the frontier's columns hold more than ``1 / DENSE_PULL_CROSSOVER`` of
 #: them (``crossover * frontier_edges > nnz``).  It stands for what a
@@ -60,46 +53,6 @@ SCALAR_KERNEL_MAX_EDGES = 32
 DENSE_PULL_CROSSOVER = 6.0
 
 
-@dataclass(frozen=True)
-class KernelThresholds:
-    """The kernel selector's crossovers, in edges, as one value object.
-
-    Built from ``EngineOptions`` by the engine (``scalar_kernel_max_edges``
-    / ``dense_pull_crossover``) and threaded through the executors to
-    every :func:`select_kernel` call, so ``repro.bench.backends`` can
-    sweep the crossover per run instead of patching module constants.
-    """
-
-    scalar_max_edges: int = SCALAR_KERNEL_MAX_EDGES
-    dense_crossover: float = DENSE_PULL_CROSSOVER
-
-    @classmethod
-    def from_options(cls, options) -> "KernelThresholds":
-        """Thresholds carried by an ``EngineOptions`` instance."""
-        return cls(
-            scalar_max_edges=int(options.scalar_kernel_max_edges),
-            dense_crossover=float(options.dense_pull_crossover),
-        )
-
-
-DEFAULT_THRESHOLDS = KernelThresholds()
-
-
-def _has_scalar_hooks(program) -> bool:
-    """True when the program overrides the per-edge scalar hooks.
-
-    ``supports_fused`` only requires the batch surface; a batch-only
-    program must never be routed to the scalar kernel.
-    """
-    from repro.core.graph_program import GraphProgram
-
-    cls = type(program)
-    return (
-        cls.process_message is not GraphProgram.process_message
-        and cls.reduce is not GraphProgram.reduce
-    )
-
-
 def frontier_edge_count(block, active_pos) -> int:
     """Stored edges of ``block`` under the active column positions.
 
@@ -111,38 +64,18 @@ def frontier_edge_count(block, active_pos) -> int:
 
 
 def select_kernel(
-    block,
-    frontier_edges: int,
-    program,
-    message_spec,
-    result_spec,
-    thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
+    block, frontier_edges: int, crossover: float = DENSE_PULL_CROSSOVER
 ) -> str:
-    """Pick the fused kernel for one (block, frontier) pair.
+    """Pick the lane kernel's shape for one (block, frontier) pair.
 
     Work-proportional: the decision compares the edges the frontier
     would gather (``frontier_edges``, see :func:`frontier_edge_count`)
     with the edges a pull touches (``block.nnz``), weighted by what an
-    edge costs in each kernel (``thresholds.dense_crossover``).  A
-    column count says nothing about either on a skewed graph, where a
-    few hub columns hold most of a block's edges.  K-lane callers pass
-    the edges under the *union* of the lanes' active columns.
+    edge costs in each kernel (``crossover``).  A column count says
+    nothing about either on a skewed graph, where a few hub columns hold
+    most of a block's edges.  K-lane callers pass the edges under the
+    *union* of the lanes' active columns.
     """
-    if frontier_edges >= block.nnz:
-        return KERNEL_DENSE  # full coverage: every stored edge fires
-    if (
-        frontier_edges <= thresholds.scalar_max_edges
-        and result_spec.is_scalar
-        and result_spec.dtype != object
-        and message_spec.dtype != object
-        and _has_scalar_hooks(program)
-    ):
-        return KERNEL_SCALAR
-    if (
-        program.reduce_identity is not None
-        and message_spec.is_scalar
-        and message_spec.dtype != object
-        and thresholds.dense_crossover * frontier_edges > block.nnz
-    ):
-        return KERNEL_DENSE  # masked pull over every edge
+    if frontier_edges >= block.nnz or crossover * frontier_edges > block.nnz:
+        return KERNEL_DENSE
     return KERNEL_SPARSE

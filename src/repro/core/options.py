@@ -23,11 +23,10 @@ parallel backends (:mod:`repro.exec`):
    kernels: ``"serial"`` (calling thread) or ``"threaded"`` (thread pool
    over the GIL-releasing NumPy and C kernels).  Orthogonal to ``n_threads``, which drives the paper's
    *simulated* multicore model.
-6. ``scalar_kernel_max_edges`` / ``dense_pull_crossover`` — the fused
-   kernel selector's crossovers, both in edges
-   (:func:`repro.core.kernels.select_kernel`).  The defaults are
-   measured (docs/KERNELS.md); the options are the override
-   ``repro.bench.backends`` sweeps them with.
+6. ``dense_pull_crossover`` — the lane kernel selector's crossover, in
+   edges (:func:`repro.core.kernels.select_kernel`).  The default is
+   measured (docs/KERNELS.md); the option is the override
+   ``repro.bench.backends`` sweeps it with.
 
 The paper notes the only user-visible tunables are the thread count and the
 number of matrix partitions; everything else defaults on.
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.cancellation import CancellationToken
-from repro.core.kernels import DENSE_PULL_CROSSOVER, SCALAR_KERNEL_MAX_EDGES
+from repro.core.kernels import DENSE_PULL_CROSSOVER
 from repro.errors import ProgramError
 
 #: Execution backends the engine can dispatch SpMV work through.  Kept
@@ -77,17 +76,12 @@ class EngineOptions:
     backend: str = "serial"
     #: Worker count for the threaded backend (ignored by serial).
     n_workers: int = 1
-    #: Kernel-selection threshold: frontiers holding at most this many
-    #: edges run the per-edge scalar kernel (below it, numpy's fixed
-    #: per-call setup cost exceeds the per-edge Python dispatch it
-    #: saves).  See ``repro.core.kernels.select_kernel``.
-    scalar_kernel_max_edges: int = SCALAR_KERNEL_MAX_EDGES
-    #: Kernel-selection threshold: the dense-pull kernel is chosen when
-    #: ``dense_pull_crossover * frontier_edges > block.nnz`` (and the
-    #: program declares a reduce identity), ``frontier_edges`` being the
-    #: exact edge count under the frontier's columns.  The value is what
-    #: a gathered edge costs relative to a pulled one; the default is
-    #: the measured ratio.
+    #: Kernel-selection threshold: the lane kernel pulls every stored
+    #: edge of a block when ``dense_pull_crossover * frontier_edges >
+    #: block.nnz``, ``frontier_edges`` being the exact edge count under
+    #: the frontier's columns (``repro.core.kernels.select_kernel``).
+    #: The value is what a gathered edge costs relative to a pulled one;
+    #: the default is the measured ratio.
     dense_pull_crossover: float = DENSE_PULL_CROSSOVER
     #: Hard superstep bound for run-to-quiescence runs
     #: (``max_iterations == -1``): past it the program evidently does
@@ -137,11 +131,6 @@ class EngineOptions:
             )
         if self.n_workers < 1:
             raise ProgramError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.scalar_kernel_max_edges < 0:
-            raise ProgramError(
-                f"scalar_kernel_max_edges must be >= 0, "
-                f"got {self.scalar_kernel_max_edges}"
-            )
         if not self.dense_pull_crossover > 0:
             raise ProgramError(
                 f"dense_pull_crossover must be > 0, "

@@ -46,10 +46,10 @@ class Semiring:
         ufunc must support ``reduceat`` (all numpy binary ufuncs do).
     identity_absorbs:
         True when ``multiply(add_identity, e) == add_identity`` for every
-        edge value ``e`` — the contract that lets the masked dense-pull
-        and batched SpMM kernels treat an identity message as silence.
-        ``max-times`` violates it (``-inf * e`` flips sign for negative
-        ``e``), so it opts out and runs only the unmasked kernels.
+        edge value ``e`` — the contract that lets the batched SpMM
+        kernel treat an identity message as silence.  ``max-times``
+        violates it (``-inf * e`` flips sign for negative ``e``), so it
+        opts out and runs the generic kernel.
     """
 
     name: str

@@ -18,7 +18,8 @@ from what the program and options declare, never per call site:
   lane block cannot carry: vector messages (collaborative filtering),
   object results (triangle counting), programs without a reduce ufunc
   or identity.  Per-edge work runs through the program's batch hooks on
-  aligned numpy arrays; one frontier per sweep.
+  aligned numpy arrays over the active columns' edges; one frontier per
+  sweep.
 
 - :func:`spmv_scalar` — a literal transcription of Algorithm 1 through
   the scalar ``process_message`` / ``reduce`` hooks (``fused=False``).
@@ -28,29 +29,28 @@ from what the program and options declare, never per call site:
 
 Both block kernels are pure functions of their arguments with one
 signature and one result type (:class:`BlockResult`), so
-:func:`sweep_view` (serial) and the executors in :mod:`repro.exec`
-(threads, processes) schedule either one without knowing which it is.
+:func:`sweep_view` (serial) and the threaded executor in
+:mod:`repro.exec` schedule either one without knowing which it is.
 
-Kernel selection
-----------------
+Kernel shapes
+-------------
 
-Each (block, frontier) pair picks one of three kernel shapes via
-:func:`select_kernel`, driven by the exact number of edges under the
-frontier's columns against the block's nnz:
+Every fused block runs one of two shapes, recorded by name:
 
-- ``"scalar"``       — the frontier holds a handful of edges; a per-edge
-  Python loop beats the fixed setup cost of the vectorized pipeline
-  (generic kernel only: across lanes a per-edge loop is exactly the
-  dispatch overhead the lane block amortizes, so it runs sparse-gather
-  instead),
-- ``"dense-pull"``   — the frontier's columns hold all of the block's
-  edges, or enough of them that gathering costs more than touching
-  every edge through the block's cached row grouping with silent
-  sources masked to the program's reduce identity,
-- ``"sparse-gather"``— the default: expand the active columns' edge
-  spans, gather messages and segment-reduce by destination.
+- ``"dense-pull"``   — every stored edge of the block is touched in the
+  block's cached destination order,
+- ``"sparse-gather"``— only the active columns' edge spans are
+  expanded, gathered and segment-reduced by destination.
 
-The chosen kernel is recorded in each :class:`PartitionWork` entry and
+The lane kernel picks its shape with :func:`select_kernel`, driven by
+the exact number of edges under the frontier's columns against the
+block's nnz: it pulls when the frontier holds all of them, or enough
+that gathering costs more than touching every edge with silent sources
+carrying the program's reduce identity.  The generic kernel has one
+packed path; it is tagged ``"dense-pull"`` when the frontier covers
+every column of the block and ``"sparse-gather"`` otherwise.
+
+The shape is recorded in each :class:`PartitionWork` entry and
 aggregated into ``IterationStats.kernel_counts`` so benchmarks can
 attribute wins to kernel choice.
 
@@ -73,15 +73,10 @@ import numpy as np
 from repro.core import ckernels
 from repro.core.graph_program import GraphProgram
 from repro.core.kernels import (  # noqa: F401  (re-exported: this was
-    DEFAULT_THRESHOLDS,  # the registry's home before repro.core.kernels)
-    DENSE_PULL_CROSSOVER,
+    DENSE_PULL_CROSSOVER,  # the registry's home before repro.core.kernels)
     KERNEL_DENSE,
     KERNEL_NAMES,
-    KERNEL_SCALAR,
     KERNEL_SPARSE,
-    SCALAR_KERNEL_MAX_EDGES,
-    KernelThresholds,
-    _has_scalar_hooks,
     frontier_edge_count,
     select_kernel,
 )
@@ -388,43 +383,6 @@ def _combine_into(
 # ----------------------------------------------------------------------
 # Per-block fused kernels (selection lives in repro.core.kernels)
 # ----------------------------------------------------------------------
-def _scalar_block_kernel(
-    block,
-    active_pos: np.ndarray,
-    x_values: np.ndarray,
-    program: GraphProgram,
-    properties_data: np.ndarray,
-    result_spec,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-edge Python loop over the active columns of a tiny frontier.
-
-    Accumulation order matches the vectorized kernels (ascending column,
-    ascending row within a destination group), so results are bitwise
-    identical to the batch path.
-    """
-    acc: dict[int, object] = {}
-    edges = 0
-    for pos in active_pos:
-        pos = int(pos)
-        xj = x_values[block.jc[pos]]
-        lo, hi = int(block.cp[pos]), int(block.cp[pos + 1])
-        for t in range(lo, hi):
-            k = int(block.ir[t])
-            result = program.process_message(xj, block.num[t], properties_data[k])
-            if k in acc:
-                acc[k] = program.reduce(acc[k], result)
-            else:
-                acc[k] = result
-            edges += 1
-    if not acc:
-        return np.zeros(0, dtype=np.int64), result_spec.allocate(0), 0
-    unique_dst = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
-    reduced = result_spec.allocate(unique_dst.shape[0])
-    for i in range(unique_dst.shape[0]):
-        reduced[i] = acc[int(unique_dst[i])]
-    return unique_dst, reduced, edges
-
-
 def run_block(
     partition: int,
     block,
@@ -433,7 +391,7 @@ def run_block(
     program: GraphProgram,
     properties_data: np.ndarray,
     scratch=None,
-    thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
+    crossover: float = DENSE_PULL_CROSSOVER,
 ) -> BlockResult:
     """Fused generalized SpMV over one DCSC block.
 
@@ -441,7 +399,9 @@ def run_block(
     ``x_values``) and vertex properties, returns the block's
     destination-grouped reduction as a :class:`BlockResult`.  It never
     touches shared output state, which is what lets the executors in
-    :mod:`repro.exec` run blocks on worker threads or processes.
+    :mod:`repro.exec` run blocks on worker threads.  ``crossover`` is
+    unused — there is one packed path — and is accepted so both block
+    kernels share :func:`run_block_batch`'s signature.
     """
     t0 = time.perf_counter()
     if block.nzc == 0:
@@ -454,88 +414,8 @@ def run_block(
         return BlockResult(
             partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
-    kernel = select_kernel(
-        block, frontier_edge_count(block, active_pos), program,
-        program.message_spec, program.result_spec, thresholds,
-    )
     full_coverage = n_active == block.nzc
-
-    if kernel == KERNEL_SCALAR:
-        unique_dst, reduced, edges = _scalar_block_kernel(
-            block, active_pos, x_values, program, properties_data,
-            program.result_spec,
-        )
-        return BlockResult(
-            partition,
-            unique_dst,
-            reduced,
-            edges,
-            n_active,
-            kernel,
-            time.perf_counter() - t0,
-            events=dict(
-                user_calls=2 * edges,
-                element_ops=edges,
-                random_accesses=2 * edges + n_active,
-                sequential_bytes=edges * 16,
-                messages=n_active,
-                allocations=1,
-            ),
-        )
-
-    if kernel == KERNEL_DENSE and not full_coverage:
-        # Masked dense pull: touch every edge, masking silent sources to
-        # the reduce identity; reuse the cached row grouping instead of
-        # sorting the frontier's edges.  Whether a row received a real
-        # message is tracked explicitly (a real reduced value may equal
-        # the identity sentinel, e.g. a saturated min-plus distance), so
-        # rows are kept by received-mask, never by value comparison.
-        src_cols = block.col_expanded()
-        sent = _gather(x_mask, src_cols, scratch.sent if scratch else None)
-        messages = _gather(
-            x_values, src_cols, scratch.messages if scratch else None
-        )
-        # ``messages`` is either a fancy-indexed copy or a scratch view,
-        # never a view of ``x_values`` — masking in place is safe.
-        np.copyto(messages, program.reduce_identity, where=~sent)
-        dst_props = _gather(
-            properties_data, block.ir, scratch.dst_props if scratch else None
-        )
-        results = np.asarray(
-            program.process_message_batch(messages, block.num, dst_props)
-        )
-        order, group_starts, unique_rows = block.dst_groups()
-        sorted_results = _gather(
-            results, order, scratch.sorted_results if scratch else None
-        )
-        reduced_all = _reduce_sorted_groups(
-            program, sorted_results, group_starts, block.nnz
-        )
-        sent_sorted = _gather(
-            sent, order, scratch.sent_sorted if scratch else None
-        )
-        received = np.logical_or.reduceat(sent_sorted, group_starts)
-        edges = block.nnz
-        return BlockResult(
-            partition,
-            unique_rows[received],
-            reduced_all[received],
-            edges,
-            n_active,
-            kernel,
-            time.perf_counter() - t0,
-            events=dict(
-                user_calls=6,
-                element_ops=3 * edges,
-                random_accesses=edges + int(received.sum()),
-                sequential_bytes=edges * 24,
-                messages=n_active,
-                allocations=2 if scratch is not None else 6,
-            ),
-        )
-
-    # Shared packed path: dense-pull with full coverage walks the whole
-    # block; sparse-gather expands only the active columns' spans.
+    kernel = KERNEL_DENSE if full_coverage else KERNEL_SPARSE
     if full_coverage:
         edge_dst = block.ir
         edge_vals = block.num
@@ -819,7 +699,7 @@ def run_block_batch(
     program: GraphProgram,
     properties_lanes: np.ndarray,
     scratch=None,
-    thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
+    crossover: float = DENSE_PULL_CROSSOVER,
 ) -> BlockResult:
     """K-lane generalized SpMM over one DCSC block.
 
@@ -841,15 +721,13 @@ def run_block_batch(
     cached ``dst_sorted_cols`` index on the dense path), so the steady
     state is one ``(K, edges)`` gather plus one ``(K, edges)`` reduceat.
 
-    Kernel selection is :func:`select_kernel` on the edges under the
-    columns active in *any* lane (the shared sweep's work); the scalar
-    kernel never applies — a per-edge Python loop across K lanes is
-    exactly the dispatch overhead batching exists to amortize, so tiny
-    aggregate frontiers run sparse-gather instead.
+    Kernel selection is :func:`select_kernel` with ``crossover`` on the
+    edges under the columns active in *any* lane (the shared sweep's
+    work).
 
     Like :func:`run_block` this is a pure function of its arguments and
     never touches shared output state, which is what lets every executor
-    in :mod:`repro.exec` schedule it across threads or processes.
+    in :mod:`repro.exec` schedule it across threads.
     """
     t0 = time.perf_counter()
     n_lanes = int(x_valid.shape[0])
@@ -864,11 +742,8 @@ def run_block_batch(
             partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
     kernel = select_kernel(
-        block, frontier_edge_count(block, active_pos), program,
-        program.message_spec, program.result_spec, thresholds,
+        block, frontier_edge_count(block, active_pos), crossover
     )
-    if kernel == KERNEL_SCALAR:
-        kernel = KERNEL_SPARSE
     identity = program.batch_reduce_identity()
     full_coverage = n_active == block.nzc
 
@@ -1079,7 +954,7 @@ def sweep_view(
     *,
     scratch=None,
     kernel_counts: dict[str, int] | None = None,
-    thresholds: KernelThresholds = DEFAULT_THRESHOLDS,
+    crossover: float = DENSE_PULL_CROSSOVER,
 ) -> int:
     """One generalized multiply over a view, serially over its partitions.
 
@@ -1103,7 +978,7 @@ def sweep_view(
             program,
             properties,
             scratch.get(p) if scratch is not None else None,
-            thresholds,
+            crossover,
         )
         total_edges += apply_block_result(
             result, y, program, counters, partition_work, kernel_counts

@@ -269,7 +269,7 @@ class DeltaPageRankProgram(GraphProgram):
     property_spec = ValueSpec(np.dtype(np.float64), (3,))
     reduce_ufunc = np.add
     # A silent vertex's zero message contributes exactly nothing to any
-    # sum (finite IEEE addition), certifying the masked dense kernels.
+    # sum (finite IEEE addition), certifying the lane kernel's fill.
     reduce_identity = 0.0
 
     def __init__(self, r: float = 0.15, tolerance: float = 1e-10) -> None:

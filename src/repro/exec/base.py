@@ -24,7 +24,7 @@ ranges are disjoint, and within a block the accumulation order is fixed.
 from __future__ import annotations
 
 from repro.core.spmv import (
-    DEFAULT_THRESHOLDS,
+    DENSE_PULL_CROSSOVER,
     BlockResult,
     apply_block_result,
     sweep_view,
@@ -50,7 +50,7 @@ class Executor:
         partition_work=None,
         kernel_counts=None,
         scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
+        crossover=DENSE_PULL_CROSSOVER,
     ) -> int:
         """Run ``kernel`` over every block of ``view``, merging into ``y``.
 
@@ -116,7 +116,7 @@ class SerialExecutor(Executor):
         partition_work=None,
         kernel_counts=None,
         scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
+        crossover=DENSE_PULL_CROSSOVER,
     ) -> int:
         return sweep_view(
             kernel,
@@ -129,5 +129,5 @@ class SerialExecutor(Executor):
             partition_work,
             scratch=scratch,
             kernel_counts=kernel_counts,
-            thresholds=thresholds,
+            crossover=crossover,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.spmv import DEFAULT_THRESHOLDS
+from repro.core.spmv import DENSE_PULL_CROSSOVER
 from repro.exec.base import Executor, finish_view
 
 
@@ -51,7 +51,7 @@ class ThreadedExecutor(Executor):
         partition_work=None,
         kernel_counts=None,
         scratch=None,
-        thresholds=DEFAULT_THRESHOLDS,
+        crossover=DENSE_PULL_CROSSOVER,
     ) -> int:
         pool = self._ensure_pool()
         x_valid = x.valid_mask()
@@ -66,7 +66,7 @@ class ThreadedExecutor(Executor):
                 program,
                 properties,
                 scratch.get(p) if scratch is not None else None,
-                thresholds,
+                crossover,
             )
             for p, block in enumerate(view)
         ]

@@ -46,8 +46,6 @@ class BlockScratch:
         "edge_vals",
         "messages",
         "dst_props",
-        "sent",
-        "sent_sorted",
         "sorted_results",
     )
 
@@ -56,8 +54,6 @@ class BlockScratch:
         self.take = np.empty(n, dtype=np.int64)
         self.src_cols = np.empty(n, dtype=np.int64)
         self.edge_dst = np.empty(n, dtype=np.int64)
-        self.sent = np.empty(n, dtype=bool)
-        self.sent_sorted = np.empty(n, dtype=bool)
         self.edge_vals = (
             np.empty(n, dtype=block.num.dtype)
             if block.num.dtype != object
@@ -76,8 +72,6 @@ class BlockScratch:
                 self.take,
                 self.src_cols,
                 self.edge_dst,
-                self.sent,
-                self.sent_sorted,
                 self.edge_vals,
                 self.messages,
                 self.dst_props,

@@ -203,7 +203,7 @@ class ServeTelemetry:
         self._engine_kernel_blocks = r.counter(
             "repro_engine_kernel_blocks_total",
             "Per-block kernel selections across serving runs, by kernel "
-            "(scalar, sparse-gather, dense-pull).",
+            "(sparse-gather, dense-pull).",
             labels=("kernel",),
         )
         self._deadline_refused = r.counter(

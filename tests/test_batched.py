@@ -421,10 +421,12 @@ class TestSpMMKernels:
 
         class SaturatingMin(SemiringProgram):
             CAP = 8.0
-            reduce_identity = CAP
 
             def __init__(self):
                 super().__init__(MIN_PLUS)
+                # SemiringProgram sets the semiring's identity (inf) per
+                # instance; silent sources must carry CAP too.
+                self.reduce_identity = self.CAP
 
             def process_message(self, message, edge_value, dst_prop):
                 return min(message + edge_value, self.CAP)
@@ -468,7 +470,7 @@ class TestSpMMKernels:
 
     def test_batch_only_lane_program(self):
         """A program with only the batch surface must run on the SpMM
-        path (the scalar kernel is never selected there)."""
+        path."""
 
         class BatchOnly(GraphProgram):
             message_spec = result_spec = property_spec = FLOAT64

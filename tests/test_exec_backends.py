@@ -316,7 +316,7 @@ class TestKernelSelectorStats:
         result = run_bfs(rmat_sym, 0)
         totals = result.stats.kernel_totals()
         assert totals, "fused runs must record kernel selections"
-        assert set(totals) <= {"scalar", "sparse-gather", "dense-pull"}
+        assert set(totals) <= {"sparse-gather", "dense-pull"}
         # A BFS frontier grows from one vertex to most of the graph: the
         # selector should have used more than one kernel along the way.
         assert len(totals) >= 2

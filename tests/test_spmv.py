@@ -21,7 +21,7 @@ from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.core import ckernels, spmv
 from repro.core.engine import run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram, SemiringProgram
-from repro.core.kernels import KernelThresholds
+from repro.core.kernels import select_kernel
 from repro.core.options import EngineOptions
 from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_TIMES
 from repro.core.spmv import (
@@ -36,6 +36,7 @@ from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
 from repro.matrix.partition import PartitionedMatrix
 from repro.vector.dense import PropertyArray
+from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import (
     FLOAT64,
     BitvectorVector,
@@ -226,10 +227,12 @@ class SaturatingMinProgram(SemiringProgram):
     """
 
     CAP = 8.0
-    reduce_identity = CAP
 
     def __init__(self):
         super().__init__(MIN_PLUS)
+        # Replaces the semiring's identity (inf), which SemiringProgram
+        # sets per instance: silent sources must carry CAP too.
+        self.reduce_identity = self.CAP
 
     def process_message(self, message, edge_value, dst_prop):
         return min(message + edge_value, self.CAP)
@@ -242,9 +245,9 @@ class TestDenseFrontierIdentityHazard:
     """Regression: reduced value == reduce_identity must not be dropped."""
 
     def _saturating_setup(self):
-        # Block layout chosen to force the masked dense-pull kernel:
-        # 3 non-empty columns, 2 active (2*2 > 3), ~80 edges so the
-        # estimated edge count exceeds the scalar-kernel threshold.
+        # Block layout chosen to force the lane kernel's dense pull over a
+        # partial frontier: 3 non-empty columns, 2 active, holding 80 of
+        # the block's 81 edges.
         n = 90
         src = np.concatenate(
             [
@@ -265,45 +268,49 @@ class TestDenseFrontierIdentityHazard:
         coo = COOMatrix((n, n), dst, src, np.ones(src.shape[0]))
         return n, coo
 
-    def test_saturated_distances_survive_dense_kernel(self):
+    def _lane_sweep(self, senders):
+        """One ``run_block_batch`` sweep of ``{vertex: message}`` (K=1)."""
         n, coo = self._saturating_setup()
         blocks = PartitionedMatrix.from_coo(coo, 1)
         program = SaturatingMinProgram()
-        properties = PropertyArray(n, FLOAT64)
-        x = BitvectorVector(n)
-        y = BitvectorVector(n)
+        x = MultiFrontier(n, 1, fill=program.batch_reduce_identity())
+        y = MultiFrontier(n, 1)
+        x.scatter_lane(
+            0, np.array(list(senders)), np.array(list(senders.values()))
+        )
+        work: list[PartitionWork] = []
+        sweep_view(
+            run_block_batch, blocks, x, y, program, np.zeros((1, n)), None,
+            work,
+        )
+        assert work[0].kernel == "dense-pull", (
+            "test setup no longer exercises the dense pull"
+        )
+        return blocks, program, y
+
+    def test_saturated_distances_survive_dense_kernel(self):
         # Senders already at CAP - 0.5: every processed message saturates
         # to exactly CAP == reduce_identity.
-        x.set(0, SaturatingMinProgram.CAP - 0.5)
-        x.set(1, SaturatingMinProgram.CAP - 0.5)
-        work: list[PartitionWork] = []
-        sweep_view(run_block, blocks, x, y, program, properties.data, None, work)
-        assert work[0].kernel == "dense-pull", (
-            "test setup no longer exercises the masked dense kernel"
-        )
-        received = y.indices()
+        cap = SaturatingMinProgram.CAP
+        _, _, y = self._lane_sweep({0: cap - 0.5, 1: cap - 0.5})
+        received = y.lane_indices(0)
         # All 80 destinations of the two active columns received a real
         # (saturated) message and must be present in y.
         assert received.shape[0] == 80
-        assert np.all(y.values[received] == SaturatingMinProgram.CAP)
+        assert np.all(y.values[0, received] == cap)
 
-    def test_unsaturated_dense_kernel_matches_scalar_path(self):
-        n, coo = self._saturating_setup()
-        blocks = PartitionedMatrix.from_coo(coo, 1)
-        program = SaturatingMinProgram()
-        properties = PropertyArray(n, FLOAT64)
-        x_f = BitvectorVector(n)
-        y_f = BitvectorVector(n)
+    def test_unsaturated_dense_pull_matches_algorithm_1(self):
+        blocks, program, y_f = self._lane_sweep({0: 1.0, 1: 2.5})
+        n = y_f.length
         x_s = SortedTuplesVector(n)
         y_s = SortedTuplesVector(n)
-        for vec in (x_f, x_s):
-            vec.set(0, 1.0)
-            vec.set(1, 2.5)
-        sweep_view(run_block, blocks, x_f, y_f, program, properties.data)
-        spmv_scalar(blocks, x_s, y_s, program, properties)
-        assert np.array_equal(y_f.indices(), y_s.indices())
-        assert np.allclose(
-            y_f.values[y_f.indices()], y_s.gather(y_s.indices()).ravel()
+        x_s.set(0, 1.0)
+        x_s.set(1, 2.5)
+        spmv_scalar(blocks, x_s, y_s, program, PropertyArray(n, FLOAT64))
+        received = y_f.lane_indices(0)
+        assert np.array_equal(received, y_s.indices())
+        assert np.array_equal(
+            y_f.values[0, received], y_s.gather(y_s.indices()).ravel()
         )
 
 
@@ -311,141 +318,81 @@ class TestSelectKernelBoundaries:
     """Satellite: the selector's edge cases, exercised directly."""
 
     def _block(self, n=64, cols=3, edges_per_col=20):
-        # 60 edges over 3 columns: a 2-of-3 frontier holds 40 edges,
-        # above the default scalar budget (32), so the scalar-vs-dense
-        # boundaries are both reachable.
+        # 60 edges over 3 columns: a 2-of-3 frontier holds 40 edges.
         src = np.repeat(np.arange(cols, dtype=np.int64), edges_per_col)
         dst = np.arange(cols * edges_per_col, dtype=np.int64) % n
         coo = COOMatrix((n, n), dst, src, np.ones(src.shape[0]))
         return PartitionedMatrix.from_coo(coo, 1).blocks[0]
 
-    def test_empty_frontier_prefers_scalar_when_hooks_exist(self):
-        from repro.core.spmv import select_kernel
-
-        block = self._block()
-        program = SemiringProgram(PLUS_TIMES)
-        spec = program.message_spec
-        # A frontier holding zero edges: scalar kernel territory
-        # (run_block never calls the selector for an empty frontier, but
-        # the selector itself must stay total).
-        kernel = select_kernel(block, 0, program, spec, program.result_spec)
-        assert kernel == "scalar"
+    def test_empty_frontier_gathers(self):
+        # run_block_batch never calls the selector for an empty frontier,
+        # but the selector itself must stay total.
+        assert select_kernel(self._block(), 0) == "sparse-gather"
 
     def test_exact_full_coverage_is_dense(self):
-        from repro.core.spmv import select_kernel
-
         block = self._block()
-        program = SemiringProgram(PLUS_TIMES)
-        kernel = select_kernel(
-            block, block.nnz, program, program.message_spec,
-            program.result_spec,
-        )
-        assert kernel == "dense-pull"
+        assert select_kernel(block, block.nnz) == "dense-pull"
+        # Full coverage pulls whatever the crossover.
+        assert select_kernel(block, block.nnz, 1e-9) == "dense-pull"
 
-    def test_object_specs_never_scalar_or_dense(self):
-        from repro.core.spmv import select_kernel
-        from repro.vector.sparse_vector import OBJECT
-
+    def test_thresholds_from_options_change_selection(self, rmat_sym):
         block = self._block()
-
-        class ObjectProgram(SemiringProgram):
-            message_spec = OBJECT
-            result_spec = OBJECT
-
-            def __init__(self):
-                super().__init__(PLUS_TIMES)
-
-        program = ObjectProgram()
-        # Tiny frontier would be scalar for numeric specs; object specs
-        # must take sparse-gather (no scalar fast path, no masked pull).
-        kernel = select_kernel(block, 1, program, OBJECT, OBJECT)
-        assert kernel == "sparse-gather"
-
-    def test_batch_only_program_never_scalar(self):
-        from repro.core.graph_program import GraphProgram
-        from repro.core.spmv import select_kernel
-        from repro.vector.sparse_vector import FLOAT64
-
-        class BatchOnly(GraphProgram):
-            message_spec = result_spec = property_spec = FLOAT64
-            reduce_ufunc = np.add
-
-            def send_message_batch(self, props, vertices):
-                return props
-
-            def process_message_batch(self, messages, edge_values, dst_props):
-                return messages
-
-            def apply_batch(self, reduced, props):
-                return reduced
-
-        block = self._block()
-        program = BatchOnly()
-        kernel = select_kernel(block, 1, program, FLOAT64, FLOAT64)
-        assert kernel == "sparse-gather"
-
-    def test_thresholds_from_options_change_selection(self):
-        from repro.core.spmv import KernelThresholds, select_kernel
-
-        block = self._block()
-        program = SemiringProgram(MIN_PLUS)  # has a reduce identity
-        spec = program.message_spec
         # Default crossover: 40 of 60 edges -> dense-pull.
-        assert (
-            select_kernel(block, 40, program, spec, spec) == "dense-pull"
-        )
+        assert select_kernel(block, 40) == "dense-pull"
         # Crossover 1.0 demands full coverage: 40 of 60 stays sparse.
-        tight = KernelThresholds(scalar_max_edges=0, dense_crossover=1.0)
-        assert (
-            select_kernel(block, 40, program, spec, spec, tight)
-            == "sparse-gather"
-        )
-        # A huge scalar budget routes everything with scalar hooks there.
-        lavish = KernelThresholds(scalar_max_edges=10_000)
-        assert (
-            select_kernel(block, 40, program, spec, spec, lavish) == "scalar"
-        )
+        assert select_kernel(block, 40, 1.0) == "sparse-gather"
+        # Through the engine: the option reaches every block's selector,
+        # and the shape never changes the result.
+        root = _roots(rmat_sym, 1)[0]
+        totals, distances = [], []
+        for crossover in (1e-9, 1e9):
+            result = run_bfs(
+                rmat_sym, root,
+                options=EngineOptions(dense_pull_crossover=crossover),
+            )
+            totals.append(result.stats.kernel_totals())
+            distances.append(result.distances)
+        assert totals[0] != totals[1]
+        assert totals[0].get("dense-pull", 0) < totals[1]["dense-pull"]
+        assert np.array_equal(distances[0], distances[1])
 
     def test_options_expose_thresholds(self):
-        from repro.core.spmv import KernelThresholds
-
-        options = EngineOptions(
-            scalar_kernel_max_edges=7, dense_pull_crossover=3.5
-        )
-        thresholds = KernelThresholds.from_options(options)
-        assert thresholds.scalar_max_edges == 7
-        assert thresholds.dense_crossover == 3.5
-        with pytest.raises(Exception):
-            EngineOptions(scalar_kernel_max_edges=-1)
+        options = EngineOptions(dense_pull_crossover=3.5)
+        assert options.dense_pull_crossover == 3.5
         with pytest.raises(Exception):
             EngineOptions(dense_pull_crossover=0.0)
 
-    def test_custom_thresholds_drive_engine_runs(self):
-        """An engine run with a zero scalar budget must never pick the
-        scalar kernel, and results must be unchanged.  (Only the generic
-        kernel has a scalar shape, so the program under test is BFS
-        without its lane certification.)"""
-        from repro.algorithms.bfs import BFSProgram, init_bfs
-        from repro.core.engine import run_graph_program
+    def test_generic_bfs_tags_shapes_by_coverage(self):
+        """The generic kernel runs one packed path: it records only the
+        two shapes, ``dense-pull`` exactly on blocks whose every column
+        is active, and its distances equal the lane BFS's."""
+        from repro.algorithms.bfs import init_bfs
         from repro.graph.generators.rmat import rmat_graph
         from repro.graph.preprocess import symmetrize
 
         from tests.generic_reference import generic
 
-        graph = symmetrize(rmat_graph(scale=7, edge_factor=8, seed=2))
-        program = generic(BFSProgram)()
-        totals, distances = [], []
-        for options in (
-            EngineOptions(),
-            EngineOptions(scalar_kernel_max_edges=0),
-        ):
-            init_bfs(graph, 0)
-            stats = run_graph_program(graph, program, options)
-            totals.append(stats.kernel_totals())
-            distances.append(graph.vertex_properties.data.copy())
-        assert np.array_equal(distances[0], distances[1])
-        assert "scalar" in totals[0]
-        assert "scalar" not in totals[1]
+        # 32 vertices in 32 one-row blocks: a frontier often holds every
+        # in-neighbour of a row, so both shapes occur.
+        graph = symmetrize(rmat_graph(scale=5, edge_factor=8, seed=3))
+        root = _roots(graph, 1)[0]
+        options = EngineOptions(
+            record_partition_stats=True, partitions_per_thread=32
+        )
+        init_bfs(graph, root)
+        stats = run_graph_program(graph, generic(BFSProgram)(), options)
+        distances = graph.vertex_properties.data.copy()
+        assert set(stats.kernel_totals()) == {"sparse-gather", "dense-pull"}
+        blocks = graph.out_partitions(
+            options.n_partitions, options.partition_strategy
+        ).blocks
+        for it in stats.iterations:
+            for work in it.partition_work:
+                if work.active_columns == 0:
+                    continue  # nothing ran, nothing tagged
+                full = work.active_columns == blocks[work.partition].nzc
+                assert work.kernel == ("dense-pull" if full else "sparse-gather")
+        assert np.array_equal(distances, run_bfs(graph, root).distances)
 
     def test_frontier_density_recorded(self):
         from repro.algorithms.bfs import run_bfs
@@ -477,9 +424,7 @@ class TestEdgeProportionalSelection:
         coo = COOMatrix((self.N, self.N), dst, src, vals)
         return PartitionedMatrix.from_coo(coo, 1).blocks[0]
 
-    def _lane_run(self, block, frontier, thresholds=None):
-        from repro.core.spmv import DEFAULT_THRESHOLDS, run_block_batch
-
+    def _lane_run(self, block, frontier, crossover=spmv.DENSE_PULL_CROSSOVER):
         program = SemiringProgram(MIN_PLUS)
         x_valid = np.zeros((1, self.N), dtype=bool)
         x_values = np.full((1, self.N), program.batch_reduce_identity())
@@ -487,7 +432,7 @@ class TestEdgeProportionalSelection:
         x_values[0, frontier] = 0.5 * np.asarray(frontier)
         return run_block_batch(
             0, block, x_valid, x_values, program,
-            np.zeros((1, self.N)), None, thresholds or DEFAULT_THRESHOLDS,
+            np.zeros((1, self.N)), None, crossover,
         )
 
     def test_few_columns_most_edges_pull(self):
@@ -506,17 +451,10 @@ class TestEdgeProportionalSelection:
 
     @pytest.mark.parametrize("frontier", [[0], list(range(1, 61)), [0, 5, 9]])
     def test_either_kernel_gives_the_same_bits(self, frontier):
-        from repro.core.spmv import KernelThresholds
-
         block = self._block()
         runs = {
             r.kernel: r
-            for r in (
-                self._lane_run(
-                    block, frontier, KernelThresholds(dense_crossover=c)
-                )
-                for c in (1e-9, 1e9)
-            )
+            for r in (self._lane_run(block, frontier, c) for c in (1e-9, 1e9))
         }
         assert set(runs) == {"sparse-gather", "dense-pull"}
         sparse, dense = runs["sparse-gather"], runs["dense-pull"]
@@ -524,9 +462,9 @@ class TestEdgeProportionalSelection:
         assert np.array_equal(sparse.reduced, dense.reduced)
 
     def test_no_identity_never_pulls_a_partial_frontier(self):
-        """Without a reduce identity silent sources cannot be masked:
-        the hub frontier stays sparse-gather whatever its edge share,
-        and only true full coverage pulls."""
+        """The generic kernel (no reduce identity) has one packed path:
+        the hub frontier is gathered whatever its edge share, and only
+        true full coverage walks the whole block."""
         from repro.algorithms.sssp import SSSPProgram
 
         from tests.generic_reference import generic
@@ -756,17 +694,16 @@ class TestLaneKernelBits:
         x_values[~x_valid] = np.inf  # the MultiFrontier fill contract
         props = np.zeros((k, n))
         for crossover in (1e9, 1e-9):  # pull / gather any partial frontier
-            thresholds = KernelThresholds(dense_crossover=crossover)
             for program in _keyed_programs(n):
                 with np.errstate(invalid="ignore", over="ignore"):
                     got = run_block_batch(
                         0, block, x_valid, x_values, program, props,
-                        thresholds=thresholds,
+                        crossover=crossover,
                     )
                     with numpy_fold():
                         want = run_block_batch(
                             0, block, x_valid, x_values, program, props,
-                            thresholds=thresholds,
+                            crossover=crossover,
                         )
                 if want.unique_dst is None:
                     assert got.unique_dst is None
