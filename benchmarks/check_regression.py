@@ -22,7 +22,8 @@ Metric kinds:
   parse") that fails regardless of the baseline.
 - ``floor`` — higher is better, checked ONLY against its absolute
   floor in ``RATIO_FLOORS``, never against the baseline.  Used for
-  ratios derived from very short smoke timings (the batch speedups):
+  ratios derived from very short smoke timings (the incremental and
+  parallel-ingest speedups):
   a baseline-relative bound on a ratio of ~10 ms measurements would
   re-impose the full baseline value as a hard bar with no noise floor.
 
@@ -61,18 +62,12 @@ CONFIG_KEYS = (
     "edge_factor",
     "pr_iterations",
     "n_partitions",
-    "n_lanes",
     "strategy",
     "worker_counts",
-    "per_kind",
-    "n_clients",
     "delta_fraction",
     "serve_iterations",
     "batches",
     "batch_edges",
-    "cancel_iterations",
-    "good_requests",
-    "flood_requests",
 )
 #: Calibration ratios are clamped here: beyond this the hosts are too
 #: different for time scaling to mean anything, and a corrupt probe
@@ -80,21 +75,8 @@ CONFIG_KEYS = (
 CALIBRATION_CLAMP = (0.25, 4.0)
 
 #: Absolute floors on ratio metrics (acceptance criteria, not baselines).
-#: The batch-speedup floors assert "batching never loses": K lanes in
-#: one run are never slower than the same K queries as K one-lane runs
-#: of the same engine (the sequential side of ``bench_batch``).
 RATIO_FLOORS = {
     "speedup.snapshot_vs_cold": 5.0,
-    "speedup.bfs_batch_vs_sequential": 1.0,
-    "speedup.ppr_batch_vs_sequential": 1.0,
-    # Serving gate: micro-batching must clearly beat the K=1-per-request
-    # baseline even on small CI smoke runs (the 3x acceptance bar is
-    # asserted by the committed full-scale BENCH_serve.json), the
-    # scheduler must actually form multi-lane batches under concurrent
-    # load, and the repeat-heavy workload must hit the result cache.
-    "speedup.batched_vs_unbatched": 1.5,
-    "batched.mean_batch_k": 2.0,
-    "cached.hit_rate": 0.25,
     # Dynamic-graph gate: the delta overlay must beat full recompute
     # even at CI smoke scales (the >= 5x BFS acceptance bar applies to
     # the committed full-scale record, asserted by bench_dynamic's own
@@ -111,21 +93,6 @@ RATIO_FLOORS = {
     # crash-recovered service must match too — any divergence fails
     # regardless of timing.
     "parity.follower_bitwise": 1.0,
-    # Governance gate: cancellation must be deterministic and contained
-    # — a budget-B token run bitwise equals a plain max_iterations=B
-    # run, lanes that survive a cancelled co-batched neighbor stay
-    # bitwise identical to sequential runs, and every engine-cancelled
-    # runaway stops within ~2 of its own superstep durations past the
-    # deadline.  The fairness floors assert the flood is actually shed
-    # while well-behaved tenants all complete; the overhead floor
-    # asserts an un-expiring token is perf-neutral (>= 0.75 tolerates
-    # smoke-run timing noise on a ~1.0 ratio).
-    "budget.budget_exact": 1.0,
-    "parity.survivor_bitwise": 1.0,
-    "cancel.within_two_supersteps": 1.0,
-    "fairness.good_success_rate": 0.95,
-    "fairness.flood_rejected_fraction": 0.05,
-    "overhead.plain_vs_token": 0.75,
     # Parallel-ingest gate: every worker count must write the identical
     # snapshot bytes with identical aggregated counters, and the
     # snapshot must compute bitwise-identical PageRank to the in-memory
@@ -136,15 +103,6 @@ RATIO_FLOORS = {
     "parallel.speedup_best_vs_single": 0.3,
     "parallel.counters_equal": 1.0,
     "parity.parallel_bytes_identical": 1.0,
-    # Observability gate: the instrumented serving phase (metrics +
-    # traces + profile hook live) must hold most of plain batched
-    # throughput even on short CI smoke runs.  The 0.95 acceptance bar
-    # applies to the committed full-scale BENCH_serve.json (asserted by
-    # bench_serve's own acceptance block); 0.75 here tolerates the
-    # timing noise of ~0.1 s smoke phases (observed spread 0.81-1.02
-    # across repeated runs) while still catching a hot-path regression
-    # such as lock contention, which costs far more than 25%.
-    "overhead.instrumented_throughput_ratio": 0.75,
 }
 
 
@@ -201,31 +159,6 @@ def extract_metrics(record: dict) -> dict[str, tuple[float, str]]:
             value = _dig(record, name)
             if value is not None:
                 metrics[name] = (float(value), "floor")
-    elif benchmark == "bench_batch":
-        for workload in ("bfs", "ppr"):
-            for side in ("sequential", "batched"):
-                value = _dig(record, f"{workload}.{side}.seconds")
-                if value is not None:
-                    metrics[f"{workload}.{side}.seconds"] = (
-                        float(value),
-                        "time",
-                    )
-            speedup = _dig(record, f"speedup.{workload}_batch_vs_sequential")
-            if speedup is not None:
-                # Floor-only: a timing-derived ratio of ~10 ms smoke
-                # runs is too noisy for baseline-relative bounds (the
-                # component times above are themselves gated, with the
-                # additive noise floor applied).
-                metrics[f"speedup.{workload}_batch_vs_sequential"] = (
-                    float(speedup),
-                    "floor",
-                )
-            amortization = _dig(record, f"{workload}.sweep_amortization")
-            if amortization is not None:
-                metrics[f"{workload}.sweep_amortization"] = (
-                    float(amortization),
-                    "ratio",
-                )
     elif benchmark == "bench_dynamic":
         for name in (
             "bfs.full.seconds",
@@ -237,9 +170,10 @@ def extract_metrics(record: dict) -> dict[str, tuple[float, str]]:
             value = _dig(record, name)
             if value is not None:
                 metrics[name] = (float(value), "time")
-        # Short-timing-derived ratios are floor-only (see bench_batch);
-        # the parity booleans are hard floors at 1.0 — any drift from
-        # bitwise parity or the warm-start error budget fails the gate.
+        # Short-timing-derived ratios are floor-only (see the module
+        # docstring); the parity booleans are hard floors at 1.0 — any
+        # drift from bitwise parity or the warm-start error budget fails
+        # the gate.
         for name in (
             "speedup.bfs_incremental_vs_full",
             "speedup.pagerank_incremental_vs_full",
@@ -264,57 +198,6 @@ def extract_metrics(record: dict) -> dict[str, tuple[float, str]]:
         value = _dig(record, "parity.follower_bitwise")
         if value is not None:
             metrics["parity.follower_bitwise"] = (float(value), "floor")
-    elif benchmark == "bench_serve":
-        # The instrumented phase is deliberately absent from the wall-time
-        # checks: its regression signal is the throughput ratio against the
-        # batched phase (floor below), and a separate time bound would
-        # double-count the same noise batched.seconds already gates.
-        for phase in (
-            "unbatched", "unbatched_service", "batched", "cached",
-        ):
-            value = _dig(record, f"{phase}.seconds")
-            if value is not None:
-                metrics[f"{phase}.seconds"] = (float(value), "time")
-        # Throughput-derived ratios of short concurrent smoke runs are
-        # floor-only, like the batch speedups (see the module docstring);
-        # the phase wall-times above get the baseline-relative treatment.
-        for name in (
-            "speedup.batched_vs_unbatched",
-            "batched.mean_batch_k",
-            "cached.hit_rate",
-            "overhead.instrumented_throughput_ratio",
-        ):
-            value = _dig(record, name)
-            if value is not None:
-                metrics[name] = (float(value), "floor")
-    elif benchmark == "bench_governance":
-        for name in (
-            "cancel.seconds",
-            "budget.seconds",
-            "overhead.plain_seconds",
-            "overhead.token_seconds",
-            "fairness.seconds",
-        ):
-            value = _dig(record, name)
-            if value is not None:
-                metrics[name] = (float(value), "time")
-        # The governance invariants are machine-independent hard floors
-        # (see RATIO_FLOORS): cancellation exactness and survivor parity
-        # at 1.0, flood shedding and well-behaved success rates, and the
-        # token perf-neutrality ratio — all floor-only because every one
-        # is either a boolean-like parity or a ratio of short smoke
-        # timings.
-        for name in (
-            "budget.budget_exact",
-            "parity.survivor_bitwise",
-            "cancel.within_two_supersteps",
-            "fairness.good_success_rate",
-            "fairness.flood_rejected_fraction",
-            "overhead.plain_vs_token",
-        ):
-            value = _dig(record, name)
-            if value is not None:
-                metrics[name] = (float(value), "floor")
     else:
         raise ValueError(f"unknown benchmark kind {benchmark!r}")
     return metrics
@@ -435,16 +318,19 @@ def check_pair(
     factor = calibration_factor(current, baseline)
     findings = compare(current, baseline, tolerance)
     failed = [f for f in findings if f["status"] in ("fail", "missing")]
+    # A pair that yields no metric checked nothing: that is a broken
+    # record or benchmark script, never a pass.
+    passed = bool(findings) and not failed
     lines = [
         f"{current_path} vs {baseline_path} "
         f"(tolerance {tolerance:.0%}, calibration x{factor:.2f}):"
     ]
     lines += [_format_finding(f, factor) for f in findings]
     lines.append(
-        f"  => {'REGRESSION' if failed else 'PASS'} "
+        f"  => {'PASS' if passed else 'REGRESSION'} "
         f"({len(findings) - len(failed)}/{len(findings)} metrics within bounds)"
     )
-    return not failed, "\n".join(lines)
+    return passed, "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:

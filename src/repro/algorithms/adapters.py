@@ -16,10 +16,7 @@ one query kind:
   (damping factor, iteration budget) go in, which is how "mixed program
   types are never co-batched" is enforced structurally,
 - lane construction (``make_programs`` / ``init_lanes``) and per-lane
-  result extraction (``extract``),
-- a **sequential reference** (``run_reference``) used by tests and the
-  serving benchmark to certify every batched response bitwise-identical
-  to a standalone run of the same query.
+  result extraction (``extract``).
 
 Adapters are registered in :data:`QUERY_ADAPTERS`; the service resolves
 kinds through :func:`get_adapter`.
@@ -31,16 +28,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.algorithms.bfs import UNREACHED, BFSProgram, run_bfs
+from repro.algorithms.bfs import UNREACHED, BFSProgram
 from repro.algorithms.pagerank import (
     _PPR_INV_DEG,
     _PPR_RANK,
     _PPR_TELEPORT,
     PersonalizedPageRankProgram,
     inverse_out_degrees,
-    run_personalized_pagerank,
 )
-from repro.algorithms.sssp import SSSPProgram, run_sssp
+from repro.algorithms.sssp import SSSPProgram
 from repro.core.engine import BatchRun
 from repro.core.options import EngineOptions
 from repro.errors import BadQueryError
@@ -112,12 +108,6 @@ class QueryAdapter:
         """Lane ``lane``'s user-facing result vector, shape ``(n,)``."""
         raise NotImplementedError
 
-    def run_reference(
-        self, graph: Graph, canonical: dict, options: EngineOptions
-    ) -> np.ndarray:
-        """The sequential single-query run batched lanes must match."""
-        raise NotImplementedError
-
 
 class _SourcedTraversalAdapter(QueryAdapter):
     """Shared shape of BFS/SSSP: one source vertex, distances out."""
@@ -152,9 +142,6 @@ class BFSAdapter(_SourcedTraversalAdapter):
     def make_programs(self, canonicals):
         return [BFSProgram() for _ in canonicals]
 
-    def run_reference(self, graph, canonical, options):
-        return run_bfs(graph, canonical["root"], options=options).distances
-
 
 class SSSPAdapter(_SourcedTraversalAdapter):
     """``{"source": v}`` -> shortest-path distances from ``v``."""
@@ -164,9 +151,6 @@ class SSSPAdapter(_SourcedTraversalAdapter):
 
     def make_programs(self, canonicals):
         return [SSSPProgram() for _ in canonicals]
-
-    def run_reference(self, graph, canonical, options):
-        return run_sssp(graph, canonical["source"], options=options).distances
 
 
 class PPRAdapter(QueryAdapter):
@@ -226,15 +210,6 @@ class PPRAdapter(QueryAdapter):
 
     def extract(self, run, lane):
         return run.properties[lane, :, _PPR_RANK]
-
-    def run_reference(self, graph, canonical, options):
-        return run_personalized_pagerank(
-            graph,
-            canonical["source"],
-            r=canonical["r"],
-            max_iterations=canonical["iterations"],
-            options=options,
-        ).ranks
 
 
 #: Kind -> adapter instance (adapters are stateless; one shared instance).

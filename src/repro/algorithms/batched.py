@@ -11,8 +11,8 @@ for the edge data movement once, reusing it K times.
 
 Every lane's result is bitwise identical to the corresponding sequential
 single-query run, on every execution backend (enforced by
-``tests/test_batched.py``); ``benchmarks/bench_batch.py`` measures the
-amortization win.
+``tests/test_batched.py``); the ``batch_analytics`` workload of the
+end-to-end benchmark measures the amortization win.
 """
 
 from __future__ import annotations

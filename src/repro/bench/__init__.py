@@ -1,62 +1,14 @@
 """Benchmark harness library used by the benchmarks/ pytest suite."""
 
-from repro.bench.backends import (
-    backend_configs,
-    bench_backends,
-    summarize,
-    write_backend_record,
-)
-from repro.bench.batch import (
-    bench_batch,
-    summarize as summarize_batch,
-    write_batch_record,
-)
-from repro.bench.calibrate import machine_calibration
-from repro.bench.ingest import (
-    bench_ingest,
-    summarize_ingest,
-    write_ingest_record,
-)
-from repro.bench.cases import (
-    DEFAULT_PARAMS,
-    PER_ITERATION_ALGORITHMS,
-    PreparedCase,
-    clear_cache,
-    prepare_case,
-    run_params,
-)
-from repro.bench.harness import CellResult, GridResult, run_cell, run_grid
-from repro.bench.tables import (
-    RESULTS_DIR,
-    format_table,
-    grid_table,
-    write_result,
-)
+from repro.bench.cases import prepare_case, run_params
+from repro.bench.harness import run_grid
+from repro.bench.tables import format_table, grid_table, write_result
 
 __all__ = [
-    "backend_configs",
-    "bench_backends",
-    "bench_batch",
-    "bench_ingest",
-    "summarize_batch",
-    "write_batch_record",
-    "machine_calibration",
-    "summarize",
-    "summarize_ingest",
-    "write_backend_record",
-    "write_ingest_record",
-    "DEFAULT_PARAMS",
-    "PER_ITERATION_ALGORITHMS",
-    "PreparedCase",
     "prepare_case",
     "run_params",
-    "clear_cache",
-    "CellResult",
-    "GridResult",
-    "run_cell",
     "run_grid",
     "format_table",
     "grid_table",
     "write_result",
-    "RESULTS_DIR",
 ]

@@ -17,8 +17,9 @@ All instruments are labelled: a metric is declared once with its label
 *names* and each observation supplies the label *values*, creating child
 series on first use.  One registry-wide lock guards every mutation and
 the render pass — observations are a dict lookup plus a float add under
-a lock, cheap enough for the serving hot path (see ``BENCH_serve.json``
-``overhead.instrumented_throughput_ratio``).
+a lock, cheap enough for the serving hot path (``repro-serve`` always
+records them, so their cost is inside the ``serve_*`` benchmark
+workloads).
 
 Rendering (:meth:`MetricsRegistry.render`) produces the Prometheus text
 exposition format (version 0.0.4): ``# HELP`` / ``# TYPE`` headers, one

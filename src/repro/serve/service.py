@@ -1,7 +1,7 @@
 """The graph-query service: cache -> micro-batcher -> K-lane engine.
 
-:class:`GraphService` is the embeddable core the HTTP layer (and the
-serving benchmark) drive.  A query's life:
+:class:`GraphService` is the embeddable core the HTTP layer drives.  A
+query's life:
 
 1. **Canonicalize** — the query kind's adapter
    (:mod:`repro.algorithms.adapters`) validates parameters and produces

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gzip
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -628,17 +629,54 @@ class TestRegressionGate:
         )
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_pair_with_no_metrics_fails(self, gate, tmp_path, capsys):
+        # Neither record yields a metric: the gate checked nothing, so
+        # it must not report a pass.
+        empty = {"meta": {"benchmark": "bench_backends"}}
+        assert gate.compare(empty, empty) == []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(empty))
+        passed, report = gate.check_pair(path, path)
+        assert not passed
+        assert "REGRESSION (0/0 metrics" in report
+        assert (
+            gate.main(["--current", str(path), "--baseline", str(path)])
+            == 1
+        )
+        capsys.readouterr()
+
+    # Record kinds whose benchmark scripts were deleted: the gate must refuse them
+    # instead of passing a pair it has no metrics for.
+    @pytest.mark.parametrize(
+        "kind", [f"bench_{name}" for name in ("serve", "batch", "governance")]
+    )
+    def test_deleted_record_kinds_are_unknown(
+        self, gate, tmp_path, capsys, kind
+    ):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"meta": {"benchmark": kind}}))
+        assert (
+            gate.main(["--current", str(path), "--baseline", str(path)])
+            == 2
+        )
+        assert "unknown benchmark kind" in capsys.readouterr().err
+
     def test_committed_baselines_parse(self, gate):
-        for name in (
-            "BENCH_backends.json",
-            "BENCH_ingest.json",
-            "BENCH_batch.json",
-            "BENCH_serve.json",
-            "BENCH_governance.json",
-        ):
-            record = json.loads(
-                (BENCHMARKS_DIR / "baselines" / name).read_text()
-            )
+        paths = sorted((BENCHMARKS_DIR / "baselines").iterdir())
+        assert paths
+        for path in paths:
+            record = json.loads(path.read_text())
             metrics = gate.extract_metrics(record)
-            assert metrics, name
+            assert metrics, path.name
             assert record["meta"]["calibration_seconds"] > 0
+
+    def test_every_baseline_is_gated_in_ci(self):
+        workflow = (
+            BENCHMARKS_DIR.parent / ".github" / "workflows" / "ci.yml"
+        ).read_text()
+        gated = set(re.findall(r"--baseline\s+(\S+)", workflow))
+        committed = {
+            f"benchmarks/baselines/{path.name}"
+            for path in (BENCHMARKS_DIR / "baselines").glob("BENCH_*.json")
+        }
+        assert gated == committed
