@@ -127,9 +127,11 @@ def _bench_dynamic_in(
     repeats: int,
     seed: int,
 ) -> dict:
+    # ``n_threads * partitions_per_thread`` blocks: the engine asks for
+    # the same view the snapshots store.
     options = EngineOptions(
-        n_threads=1,
-        partitions_per_thread=n_partitions,
+        n_threads=n_partitions,
+        partitions_per_thread=1,
         partition_strategy=strategy,
     )
     rng = np.random.default_rng(seed)

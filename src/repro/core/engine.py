@@ -372,7 +372,7 @@ def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions
     views are already there, so an engine start on it is O(header)
     instead of O(edges).
     """
-    key = (options.n_partitions, options.partition_strategy)
+    key = (options.block_count(graph.n_vertices), options.partition_strategy)
     if direction is EdgeDirection.OUT_EDGES:
         return [graph.out_partitions(*key)]
     if direction is EdgeDirection.IN_EDGES:

@@ -10,11 +10,13 @@ Each knob corresponds to one bar of the Figure 7 ablation:
 3. ``n_threads`` — number of *simulated* cores the partitioned SpMV is
    scheduled onto (see :mod:`repro.perf.parallel_model` and the
    substitution table in DESIGN.md).
-4. ``partitions_per_thread`` / ``dynamic_schedule`` — load balancing:
-   "partition the matrix into many more partitions than threads along with
-   dynamic scheduling" (section 4.5 item 4).  Without load balancing the
-   number of partitions equals the number of threads and assignment is
-   static.
+4. ``partitions_per_thread`` / ``dynamic_schedule`` — load balancing of
+   the simulated cores: "partition the matrix into many more partitions
+   than threads along with dynamic scheduling" (section 4.5 item 4).
+   Without load balancing the number of partitions equals the number of
+   threads and assignment is static.  Both apply only when
+   ``n_threads > 1``; a real run's block count is derived from the
+   backend and the graph (:meth:`EngineOptions.block_count`).
 
 Beyond the paper's knobs, the engine's SpMV can be scheduled onto real
 parallel backends (:mod:`repro.exec`):
@@ -39,6 +41,7 @@ from typing import Callable
 
 from repro.core.cancellation import CancellationToken
 from repro.core.kernels import DENSE_PULL_CROSSOVER
+from repro.core.spmv import RADIX_KEY_MAX_ROWS
 from repro.errors import ProgramError
 
 #: Execution backends the engine can dispatch SpMV work through.  Kept
@@ -58,8 +61,9 @@ class EngineOptions:
     fused: bool = True
     #: Simulated core count for the parallel model (1 = serial semantics).
     n_threads: int = 1
-    #: Over-partitioning factor; the paper's SSSP example uses
-    #: ``nthreads * 8`` partitions (appendix source code).
+    #: Over-partitioning factor of the simulated cores (``n_threads > 1``
+    #: only); the paper's SSSP example uses ``nthreads * 8`` partitions
+    #: (appendix source code).
     partitions_per_thread: int = 8
     #: Dynamic (work-stealing style) scheduling of partitions onto threads.
     dynamic_schedule: bool = True
@@ -180,12 +184,26 @@ class EngineOptions:
             return self.max_iterations, "max_iterations"
         return self.safety_cap, "safety_cap"
 
-    @property
-    def n_partitions(self) -> int:
-        """Number of matrix partitions implied by the load-balance knobs."""
-        if self.dynamic_schedule:
-            return self.n_threads * self.partitions_per_thread
-        return self.n_threads
+    def block_count(self, n_vertices: int) -> int:
+        """Row blocks the matrix views of an ``n_vertices`` graph are cut into.
+
+        With ``n_threads > 1`` the blocks are the paper's partitions on
+        simulated cores: ``n_threads * partitions_per_thread``, or
+        ``n_threads`` without ``dynamic_schedule``.  Otherwise a block is
+        a unit of real execution that costs a Python round per superstep
+        and balances nothing on its own, so the count is the fewest
+        that give each worker one block (``n_workers`` under
+        ``"threaded"``, one under ``"serial"``) and, cut by ``"rows"``,
+        keep every block within ``RADIX_KEY_MAX_ROWS`` rows, where the
+        sparse-gather sort keeps its 16-bit key.  Results do not depend
+        on the count: a destination row lives in exactly one block.
+        """
+        if self.n_threads > 1:
+            if self.dynamic_schedule:
+                return self.n_threads * self.partitions_per_thread
+            return self.n_threads
+        workers = self.n_workers if self.backend == "threaded" else 1
+        return max(workers, -(-int(n_vertices) // RADIX_KEY_MAX_ROWS))
 
     def with_(self, **changes) -> "EngineOptions":
         """Functional update (frozen dataclass convenience)."""

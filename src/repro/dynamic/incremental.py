@@ -351,7 +351,7 @@ def _initial_residuals(
     if touched.size:
         scale = previous[touched] * (inv_new[touched] - inv_old[touched])
         view = graph.out_partitions(
-            options.n_partitions, options.partition_strategy
+            options.block_count(n), options.partition_strategy
         )
         for block in view.blocks:
             pos = np.searchsorted(block.jc, touched)

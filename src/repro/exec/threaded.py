@@ -6,12 +6,17 @@ overlap on multicore machines even from Python threads.  The per-block
 Python orchestration serializes, but it is a few dozen interpreter
 operations per block against millions of edge operations.
 
-Blocks are submitted individually — the pool's work queue gives the
-dynamic schedule of paper section 4.5 item 4 (over-partitioning pairs
-with it: ``n_partitions = n_threads * partitions_per_thread``).  Each
-block's kernel is a pure function (no shared writes); results merge into
-``y`` afterwards in partition order, which is safe because partitions
-own disjoint output rows.
+Blocks are submitted individually to the pool's work queue.  The
+default view has one row block per worker
+(:meth:`~repro.core.options.EngineOptions.block_count`): paper section
+4.5 item 4 over-partitions so that a dynamic schedule can balance its
+cores, but here every extra block is one more Python round per
+superstep, and with two workers two row blocks beat eight
+(docs/EXECUTION.md).  The simulated-core knobs
+(``n_threads``, ``partitions_per_thread``) still over-partition when
+set.  Each block's kernel is a pure function (no shared writes); results
+merge into ``y`` afterwards in partition order, which is safe because
+partitions own disjoint output rows.
 """
 
 from __future__ import annotations

@@ -539,7 +539,9 @@ class GraphService:
                         new_graph,
                         snapshot,
                         log=log,
-                        n_partitions=self.options.n_partitions,
+                        n_partitions=self.options.block_count(
+                            new_graph.n_vertices
+                        ),
                         strategy=self.options.partition_strategy,
                     )
                     source = str(snapshot)
@@ -924,7 +926,6 @@ class GraphService:
                 "options": {
                     "backend": self.options.backend,
                     "n_workers": self.options.n_workers,
-                    "n_partitions": self.options.n_partitions,
                 },
                 "governance": {
                     "default_deadline_s": self.default_deadline,
@@ -939,7 +940,10 @@ class GraphService:
         )
         service["scheduler"] = self._batcher.stats()
         service["cache"] = self.cache.stats()
-        service["graphs"] = self.registry.describe()
+        graphs = self.registry.describe()
+        for graph in graphs:
+            graph["blocks"] = self.options.block_count(graph["n_vertices"])
+        service["graphs"] = graphs
         return service
 
     @property

@@ -58,8 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument(
         "--partitions",
         type=int,
-        default=8,
-        help="DCSC row partitions for the stored out view (default 8)",
+        default=None,
+        help="DCSC row partitions for the stored out view (default: the "
+        "block count the default engine asks for, one per 65,536 "
+        "vertices)",
     )
     convert.add_argument(
         "--strategy",

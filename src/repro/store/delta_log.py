@@ -346,7 +346,7 @@ def compact_delta_graph(
     snapshot_path: str | Path,
     *,
     log: DeltaLog | None = None,
-    n_partitions: int = 8,
+    n_partitions: int | None = None,
     strategy: str = "rows",
     directions: tuple[str, ...] = ("out",),
 ) -> Graph:

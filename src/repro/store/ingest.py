@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
+from repro.core.options import DEFAULT_OPTIONS
 from repro.errors import IOFormatError
 from repro.graph.io import (
     is_gzipped,
@@ -573,7 +574,7 @@ def _run_pipeline(
     out_path: Path,
     chunk_plan,  # ("offset", data_offset) | ("stream", text_handle)
     *,
-    n_partitions: int,
+    n_partitions: int | None,
     strategy: str,
     chunk_edges: int,
     workers: int,
@@ -642,6 +643,8 @@ def _run_pipeline(
         report.parse_seconds = time.perf_counter() - t0
 
         # ---- Partition ranges over the destination (output-row) space --
+        if n_partitions is None:
+            n_partitions = DEFAULT_OPTIONS.block_count(n_vertices)
         n_partitions = max(1, min(int(n_partitions), max(1, n_vertices)))
         if strategy == "rows":
             ranges = row_ranges_equal_rows(n_vertices, n_partitions)
@@ -799,7 +802,7 @@ def ingest_edge_list(
     weighted: bool = False,
     comment: str = "#",
     n_vertices: int | None = None,
-    n_partitions: int = 8,
+    n_partitions: int | None = None,
     strategy: str = "rows",
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     include_caches: bool = False,
@@ -807,6 +810,10 @@ def ingest_edge_list(
     temp_dir: str | Path | None = None,
 ) -> IngestReport:
     """Stream a (possibly gzipped) edge list into a snapshot.
+
+    ``n_partitions`` defaults to the block count the default engine
+    asks for (``DEFAULT_OPTIONS.block_count(n_vertices)``), so a
+    default run on the loaded snapshot uses the stored view.
 
     ``workers`` fans all three passes across a process pool (default:
     CPU count); the snapshot bytes do not depend on it.  Scratch spill
@@ -864,7 +871,7 @@ def ingest_mtx(
     source: str | Path,
     snapshot: str | Path,
     *,
-    n_partitions: int = 8,
+    n_partitions: int | None = None,
     strategy: str = "rows",
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     include_caches: bool = False,

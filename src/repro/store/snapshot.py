@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.options import DEFAULT_OPTIONS
 from repro.errors import IOFormatError
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
@@ -123,7 +124,7 @@ def save_snapshot(
     graph: Graph,
     path: str | Path,
     *,
-    n_partitions: int = 8,
+    n_partitions: int | None = None,
     strategy: str = "rows",
     directions: tuple[str, ...] = ("out",),
     include_caches: bool = False,
@@ -132,11 +133,13 @@ def save_snapshot(
     """Snapshot ``graph`` (edges + requested partitioned views) to ``path``.
 
     ``n_partitions``/``strategy`` should match the engine options the
-    graph will run under (the defaults mirror ``DEFAULT_OPTIONS``:
-    ``n_threads * partitions_per_thread = 8``, ``"rows"``) so
-    :func:`load_snapshot` pre-seeds exactly the view cache entry
-    ``run_graph_program`` asks for.
+    graph will run under so :func:`load_snapshot` pre-seeds exactly the
+    view cache entry ``run_graph_program`` asks for.  The defaults
+    mirror ``DEFAULT_OPTIONS``: its ``block_count(graph.n_vertices)``
+    (one block up to 65,536 vertices) and ``"rows"``.
     """
+    if n_partitions is None:
+        n_partitions = DEFAULT_OPTIONS.block_count(graph.n_vertices)
     for direction in directions:
         if direction not in _VALID_DIRECTIONS:
             raise IOFormatError(

@@ -520,7 +520,7 @@ class TestSnapshotCacheWarm:
         save_snapshot(
             rmat_sym,
             path,
-            n_partitions=options.n_partitions,
+            n_partitions=options.block_count(rmat_sym.n_vertices),
             strategy=options.partition_strategy,
         )
         expected = bfs_multi_source(rmat_sym, ROOTS[:4], options=options)
@@ -533,7 +533,9 @@ class TestSnapshotCacheWarm:
         warm = bfs_multi_source(loaded, ROOTS[:4], options=options)
         assert np.array_equal(expected.values, warm.values)
         view = loaded.peek_partitions(
-            "out", options.n_partitions, options.partition_strategy
+            "out",
+            options.block_count(rmat_sym.n_vertices),
+            options.partition_strategy,
         )
         assert view is not None and view.snapshot_path is not None
 

@@ -45,14 +45,26 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-def _stub(script):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    server.script = list(script)
-    server.requests = []
-    server.lock = threading.Lock()
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = "http://%s:%s" % server.server_address[:2]
-    return server, url
+@pytest.fixture()
+def stub():
+    """Start scripted servers; each is stopped and its socket closed after
+    the test, whether it passed or not."""
+    servers = []
+
+    def start(script):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        servers.append(server)
+        server.script = list(script)
+        server.requests = []
+        server.lock = threading.Lock()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = "http://%s:%s" % server.server_address[:2]
+        return server, url
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture()
@@ -61,14 +73,13 @@ def rng():
 
 
 class TestRetries:
-    def test_plain_success(self, rng):
-        server, url = _stub([(200, {}, b'{"top": [[0, 0.0]]}')])
+    def test_plain_success(self, rng, stub):
+        server, url = stub([(200, {}, b'{"top": [[0, 0.0]]}')])
         client = ServeClient(url, rng=rng)
         assert client.query("g", "bfs", {"root": 0})["top"] == [[0, 0.0]]
-        server.shutdown()
 
-    def test_503_retries_and_honors_retry_after(self, rng):
-        server, url = _stub(
+    def test_503_retries_and_honors_retry_after(self, rng, stub):
+        server, url = stub(
             [
                 (503, {"Retry-After": "0.05"}, b'{"error": "draining"}'),
                 (503, {"Retry-After": "0.05"}, b'{"error": "draining"}'),
@@ -83,28 +94,25 @@ class TestRetries:
         elapsed = time.monotonic() - t0
         assert len(server.requests) == 3
         assert elapsed >= 0.1  # two Retry-After pauses were respected
-        server.shutdown()
 
-    def test_4xx_raises_immediately_without_retry(self, rng):
-        server, url = _stub([(400, {}, b'{"error": "bad root"}')])
+    def test_4xx_raises_immediately_without_retry(self, rng, stub):
+        server, url = stub([(400, {}, b'{"error": "bad root"}')])
         client = ServeClient(url, retries=5, rng=rng)
         with pytest.raises(ClientError, match="bad root"):
             client.query("g", "bfs", {"root": -1})
         assert len(server.requests) == 1
-        server.shutdown()
 
-    def test_retry_budget_exhausts(self, rng):
-        server, url = _stub(
+    def test_retry_budget_exhausts(self, rng, stub):
+        server, url = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "full"}')] * 4
         )
         client = ServeClient(url, retries=2, rng=rng)
         with pytest.raises(ClientError, match="after 3 attempt"):
             client.query("g", "bfs", {"root": 0})
         assert len(server.requests) == 3  # 1 + retries
-        server.shutdown()
 
-    def test_deadline_bounds_the_whole_call(self, rng):
-        server, url = _stub(
+    def test_deadline_bounds_the_whole_call(self, rng, stub):
+        server, url = stub(
             [(503, {"Retry-After": "30"}, b'{"error": "draining"}')] * 3
         )
         client = ServeClient(url, retries=5, rng=rng)
@@ -112,12 +120,11 @@ class TestRetries:
         with pytest.raises(ClientError):
             client.query("g", "bfs", {"root": 0}, deadline=0.3)
         assert time.monotonic() - t0 < 5.0  # did not sleep the full 30 s
-        server.shutdown()
 
 
 class TestFailover:
-    def test_read_fails_over_to_follower(self, rng):
-        follower, furl = _stub([(200, {}, b'{"from": "follower"}')])
+    def test_read_fails_over_to_follower(self, rng, stub):
+        follower, furl = stub([(200, {}, b'{"from": "follower"}')])
         # Leader URL points at a port nothing listens on.
         client = ServeClient(
             "http://127.0.0.1:9", [furl], timeout=2.0, retries=2, rng=rng
@@ -126,34 +133,29 @@ class TestFailover:
         result.pop("request_id")
         assert result == {"from": "follower"}
         assert len(follower.requests) == 1
-        follower.shutdown()
 
-    def test_draining_leader_fails_over(self, rng):
-        leader, lurl = _stub(
+    def test_draining_leader_fails_over(self, rng, stub):
+        leader, lurl = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "draining"}')]
         )
-        follower, furl = _stub([(200, {}, b'{"from": "follower"}')])
+        follower, furl = stub([(200, {}, b'{"from": "follower"}')])
         client = ServeClient(lurl, [furl], retries=2, rng=rng)
         result = client.query("g", "bfs", {"root": 0})
         result.pop("request_id")
         assert result == {"from": "follower"}
-        leader.shutdown()
-        follower.shutdown()
 
-    def test_mutations_never_go_to_followers(self, rng):
-        leader, lurl = _stub(
+    def test_mutations_never_go_to_followers(self, rng, stub):
+        leader, lurl = stub(
             [
                 (503, {"Retry-After": "0"}, b'{"error": "overloaded"}'),
                 (200, {}, b'{"epoch": 1}'),
             ]
         )
-        follower, furl = _stub([])
+        follower, furl = stub([])
         client = ServeClient(lurl, [furl], retries=3, rng=rng)
         assert client.mutate("g", insert=[[0, 1]])["epoch"] == 1
         assert len(leader.requests) == 2
         assert follower.requests == []  # writes are leader-only
-        leader.shutdown()
-        follower.shutdown()
 
     def test_mutation_transport_failure_is_not_resent(self, rng):
         client = ServeClient(
@@ -162,12 +164,11 @@ class TestFailover:
         with pytest.raises(ClientError, match="may have been applied"):
             client.mutate("g", insert=[[0, 1]])
 
-    def test_ready_probe(self, rng):
-        server, url = _stub([(200, {}, b'{"status": "ready"}')])
+    def test_ready_probe(self, rng, stub):
+        server, url = stub([(200, {}, b'{"status": "ready"}')])
         client = ServeClient(url, rng=rng)
         assert client.ready() is True
         assert client.ready("http://127.0.0.1:9") is False
-        server.shutdown()
 
 
 class TestBackoff:
@@ -179,9 +180,9 @@ class TestBackoff:
 
 
 class TestDeadlineFailFast:
-    def test_never_sleeps_into_a_known_miss(self, rng):
+    def test_never_sleeps_into_a_known_miss(self, rng, stub):
         """Retry-After far beyond the deadline: fail now, don't nap."""
-        server, url = _stub(
+        server, url = stub(
             [(503, {"Retry-After": "30"}, b'{"error": "draining"}')] * 3
         )
         client = ServeClient(url, retries=5, rng=rng)
@@ -190,12 +191,11 @@ class TestDeadlineFailFast:
             client.query("g", "bfs", {"root": 0}, deadline=0.3)
         assert time.monotonic() - t0 < 0.3  # raised before the deadline
         assert len(server.requests) == 1
-        server.shutdown()
 
-    def test_504_is_retried_within_budget(self, rng):
+    def test_504_is_retried_within_budget(self, rng, stub):
         """A server-side deadline miss is retriable while the caller
         still has time (another replica may be less loaded)."""
-        server, url = _stub(
+        server, url = stub(
             [
                 (504, {"Retry-After": "0.01"}, b'{"error": "cancelled"}'),
                 (200, {}, b'{"ok": true}'),
@@ -206,24 +206,22 @@ class TestDeadlineFailFast:
         result.pop("request_id")
         assert result == {"ok": True}
         assert len(server.requests) == 2
-        server.shutdown()
 
-    def test_expired_deadline_raises_before_any_request(self, rng):
-        server, url = _stub([])
+    def test_expired_deadline_raises_before_any_request(self, rng, stub):
+        server, url = stub([])
         client = ServeClient(url, retries=2, rng=rng)
         client_deadline = 1e-9  # effectively already expired
         with pytest.raises(ClientError, match="deadline"):
             for _ in range(50):  # one of these lands past the deadline
                 client.query("g", "bfs", {"root": 0}, deadline=client_deadline)
-        server.shutdown()
 
 
 class TestCircuitBreaker:
-    def test_opens_after_threshold_and_skips_the_endpoint(self, rng):
-        leader, lurl = _stub(
+    def test_opens_after_threshold_and_skips_the_endpoint(self, rng, stub):
+        leader, lurl = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "sick"}')] * 10
         )
-        follower, furl = _stub([])  # empty script = always 200
+        follower, furl = stub([])  # empty script = always 200
         client = ServeClient(
             lurl, [furl], retries=2, rng=rng, breaker_threshold=1,
             breaker_cooldown=60.0,
@@ -232,14 +230,12 @@ class TestCircuitBreaker:
         client.query("g", "bfs", {"root": 0})  # leader skipped outright
         assert len(leader.requests) == 1, "open breaker still probed leader"
         assert len(follower.requests) == 2
-        leader.shutdown()
-        follower.shutdown()
 
-    def test_half_open_trial_closes_on_success(self, rng):
-        leader, lurl = _stub(
+    def test_half_open_trial_closes_on_success(self, rng, stub):
+        leader, lurl = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "sick"}')]
         )
-        follower, furl = _stub([])
+        follower, furl = stub([])
         client = ServeClient(
             lurl, [furl], retries=2, rng=rng, breaker_threshold=1,
             breaker_cooldown=0.05,
@@ -249,11 +245,9 @@ class TestCircuitBreaker:
         client.query("g", "bfs", {"root": 0})  # half-open trial succeeds
         client.query("g", "bfs", {"root": 0})  # breaker closed again
         assert len(leader.requests) == 3
-        leader.shutdown()
-        follower.shutdown()
 
-    def test_all_breakers_open_fails_immediately(self, rng):
-        server, url = _stub(
+    def test_all_breakers_open_fails_immediately(self, rng, stub):
+        server, url = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "sick"}')] * 10
         )
         client = ServeClient(
@@ -263,12 +257,11 @@ class TestCircuitBreaker:
         with pytest.raises(ClientError, match="circuit breaker"):
             client.query("g", "bfs", {"root": 0})
         assert len(server.requests) == 1  # opened on the first refusal
-        server.shutdown()
 
-    def test_4xx_counts_as_breaker_success(self, rng):
+    def test_4xx_counts_as_breaker_success(self, rng, stub):
         """A malformed request proves the endpoint is healthy — it must
         not open the breaker for everyone else."""
-        server, url = _stub(
+        server, url = stub(
             [(400, {}, b'{"error": "bad root"}')] * 3
         )
         client = ServeClient(
@@ -278,10 +271,9 @@ class TestCircuitBreaker:
             with pytest.raises(ClientError, match="bad root"):
                 client.query("g", "bfs", {"root": -1})
         assert len(server.requests) == 3  # never skipped
-        server.shutdown()
 
-    def test_ready_bypasses_an_open_breaker(self, rng):
-        server, url = _stub(
+    def test_ready_bypasses_an_open_breaker(self, rng, stub):
+        server, url = stub(
             [(503, {"Retry-After": "0"}, b'{"error": "sick"}')]
         )
         client = ServeClient(
@@ -292,7 +284,6 @@ class TestCircuitBreaker:
             client.query("g", "bfs", {"root": 0})
         # The breaker is open, but probes exist to detect recovery.
         assert client.ready() is True  # script exhausted -> 200
-        server.shutdown()
 
 
 class _HeaderRecordingHandler(_ScriptedHandler):
@@ -305,7 +296,7 @@ class _HeaderRecordingHandler(_ScriptedHandler):
 
 
 class TestGovernanceHeaders:
-    def _stub(self):
+    def stub(self):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _HeaderRecordingHandler)
         server.script = []
         server.requests = []
@@ -314,18 +305,17 @@ class TestGovernanceHeaders:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         return server, "http://%s:%s" % server.server_address[:2]
 
-    def test_tenant_and_deadline_headers_are_sent(self, rng):
-        server, url = self._stub()
+    def test_tenant_and_deadline_headers_are_sent(self, rng, stub):
+        server, url = self.stub()
         client = ServeClient(url, rng=rng, tenant="acme")
         client.query("g", "bfs", {"root": 0}, deadline=5.0)
         (headers,) = server.seen_headers
         assert headers["X-Tenant"] == "acme"
         # Remaining budget, not the original: <= 5000 ms and positive.
         assert 0 < float(headers["X-Deadline-Ms"]) <= 5000
-        server.shutdown()
 
-    def test_per_call_tenant_overrides_client_default(self, rng):
-        server, url = self._stub()
+    def test_per_call_tenant_overrides_client_default(self, rng, stub):
+        server, url = self.stub()
         client = ServeClient(url, rng=rng, tenant="acme")
         client.query("g", "bfs", {"root": 0}, tenant="umbrella")
         client.query("g", "bfs", {"root": 0})
@@ -333,11 +323,10 @@ class TestGovernanceHeaders:
         assert first["X-Tenant"] == "umbrella"
         assert second["X-Tenant"] == "acme"
         assert "X-Deadline-Ms" not in first  # no deadline, no header
-        server.shutdown()
 
 
 class TestRequestIdPropagation:
-    def _stub(self, script):
+    def stub(self, script):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _HeaderRecordingHandler)
         server.script = list(script)
         server.requests = []
@@ -346,8 +335,8 @@ class TestRequestIdPropagation:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         return server, "http://%s:%s" % server.server_address[:2]
 
-    def test_same_id_rides_every_retry_attempt(self, rng):
-        server, url = self._stub(
+    def test_same_id_rides_every_retry_attempt(self, rng, stub):
+        server, url = self.stub(
             [
                 (503, {"Retry-After": "0"}, b'{"error": "draining"}'),
                 (503, {"Retry-After": "0"}, b'{"error": "draining"}'),
@@ -363,10 +352,9 @@ class TestRequestIdPropagation:
         )
         # The id is surfaced on the result for client-side correlation.
         assert result["request_id"] == ids[0]
-        server.shutdown()
 
-    def test_explicit_id_is_forwarded_verbatim(self, rng):
-        server, url = self._stub([(200, {}, b'{"ok": true}')])
+    def test_explicit_id_is_forwarded_verbatim(self, rng, stub):
+        server, url = self.stub([(200, {}, b'{"ok": true}')])
         client = ServeClient(url, rng=rng)
         result = client.query(
             "g", "bfs", {"root": 0}, request_id="caller-chose-this"
@@ -374,38 +362,34 @@ class TestRequestIdPropagation:
         (headers,) = server.seen_headers
         assert headers["X-Request-Id"] == "caller-chose-this"
         assert result["request_id"] == "caller-chose-this"
-        server.shutdown()
 
-    def test_malformed_explicit_id_is_replaced(self, rng):
-        server, url = self._stub([(200, {}, b'{"ok": true}')])
+    def test_malformed_explicit_id_is_replaced(self, rng, stub):
+        server, url = self.stub([(200, {}, b'{"ok": true}')])
         client = ServeClient(url, rng=rng)
         client.query("g", "bfs", {"root": 0}, request_id="bad id !!")
         (headers,) = server.seen_headers
         assert headers["X-Request-Id"] != "bad id !!"
         assert len(headers["X-Request-Id"]) == 32
-        server.shutdown()
 
-    def test_server_supplied_request_id_wins_on_response(self, rng):
+    def test_server_supplied_request_id_wins_on_response(self, rng, stub):
         # When the server echoes (or rewrites) the id in the body, the
         # client must not clobber it — setdefault semantics.
-        server, url = self._stub(
+        server, url = self.stub(
             [(200, {}, b'{"ok": true, "request_id": "server-id"}')]
         )
         client = ServeClient(url, rng=rng)
         result = client.query("g", "bfs", {"root": 0})
         assert result["request_id"] == "server-id"
-        server.shutdown()
 
-    def test_raised_client_error_carries_the_id(self, rng):
-        server, url = self._stub([(400, {}, b'{"error": "bad root"}')])
+    def test_raised_client_error_carries_the_id(self, rng, stub):
+        server, url = self.stub([(400, {}, b'{"error": "bad root"}')])
         client = ServeClient(url, rng=rng)
         with pytest.raises(ClientError) as excinfo:
             client.query("g", "bfs", {"root": -1}, request_id="fail-id-1")
         assert excinfo.value.request_id == "fail-id-1"
-        server.shutdown()
 
-    def test_exhausted_retries_error_carries_the_id(self, rng):
-        server, url = self._stub(
+    def test_exhausted_retries_error_carries_the_id(self, rng, stub):
+        server, url = self.stub(
             [(503, {"Retry-After": "0"}, b'{"error": "full"}')] * 3
         )
         client = ServeClient(url, retries=1, rng=rng)
@@ -414,10 +398,9 @@ class TestRequestIdPropagation:
         assert excinfo.value.request_id is not None
         ids = {h["X-Request-Id"] for h in server.seen_headers}
         assert ids == {excinfo.value.request_id}
-        server.shutdown()
 
-    def test_mutation_carries_the_id_too(self, rng):
-        server, url = self._stub([(200, {}, b'{"applied": 1}')])
+    def test_mutation_carries_the_id_too(self, rng, stub):
+        server, url = self.stub([(200, {}, b'{"applied": 1}')])
         client = ServeClient(url, rng=rng)
         result = client.mutate(
             "g", insert=[[0, 1]], request_id="mut-id-9"
@@ -425,4 +408,3 @@ class TestRequestIdPropagation:
         (headers,) = server.seen_headers
         assert headers["X-Request-Id"] == "mut-id-9"
         assert result["request_id"] == "mut-id-9"
-        server.shutdown()

@@ -223,15 +223,21 @@ class TestPartitionedExecution:
         from repro.algorithms import run_sssp
 
         options = EngineOptions(
-            n_threads=1,
-            partitions_per_thread=n_parts,
+            n_threads=n_parts,
+            partitions_per_thread=1,
             dynamic_schedule=True,
             record_partition_stats=True,
         )
         result = run_sssp(graph, 0, options=options)
         assert result.distances.tolist() == [0.0, 1.0, 2.0, 2.0, 4.0]
-        # Partition work recorded for every superstep.
-        assert all(it.partition_work for it in result.stats.iterations)
+        # The run swept n_parts blocks (at most one per row), and
+        # recorded their work every superstep.
+        view = graph.peek_partitions("out", n_parts, "rows")
+        assert len(view.blocks) == min(n_parts, graph.n_vertices)
+        assert all(
+            len(it.partition_work) == len(view.blocks)
+            for it in result.stats.iterations
+        )
 
     def test_partition_strategies_agree(self):
         from repro.algorithms import run_pagerank
@@ -241,12 +247,15 @@ class TestPartitionedExecution:
         for strategy in ("rows", "nnz"):
             graph = rmat_graph(7, 8, seed=1)
             options = EngineOptions(
-                partitions_per_thread=4, partition_strategy=strategy
+                n_threads=4, partitions_per_thread=1,
+                partition_strategy=strategy,
             )
             ranks[strategy] = run_pagerank(
                 graph, max_iterations=5, options=options
             ).ranks
-        assert np.allclose(ranks["rows"], ranks["nnz"])
+            view = graph.peek_partitions("out", 4, strategy)
+            assert len(view.blocks) == 4
+        assert np.array_equal(ranks["rows"], ranks["nnz"])
 
 
 class TestStatsSerialization:
@@ -260,9 +269,11 @@ class TestStatsSerialization:
 
         graph = rmat_graph(6, 8, seed=2)
         options = EngineOptions(
-            record_partition_stats=True, partitions_per_thread=2
+            record_partition_stats=True, n_threads=2, partitions_per_thread=1
         )
-        return run_pagerank(graph, max_iterations=3, options=options).stats
+        stats = run_pagerank(graph, max_iterations=3, options=options).stats
+        assert len(graph.peek_partitions("out", 2, "rows").blocks) == 2
+        return stats
 
     def test_run_stats_round_trips_through_json(self):
         import json

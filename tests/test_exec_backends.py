@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.collaborative_filtering import run_collaborative_filtering
@@ -39,7 +41,7 @@ from repro.exec import (
 )
 from repro.graph.generators.bipartite import BipartiteSpec, bipartite_rating_graph
 from repro.graph.generators.rmat import rmat_graph
-from repro.graph.preprocess import symmetrize, to_dag
+from repro.graph.preprocess import symmetrize, to_dag, with_random_weights
 from repro.perf.counters import EventCounters
 
 from tests.generic_reference import (
@@ -148,6 +150,81 @@ class TestBackendParity:
         ref = in_degrees_via_spmv(rmat)
         got = in_degrees_via_spmv(rmat, _options(backend))
         assert np.array_equal(ref, got)
+
+
+def _block_results(graph, bipartite, n_users, options) -> dict:
+    """Every algorithm's result arrays on one R-MAT graph under ``options``."""
+    sym = symmetrize(graph)
+    weighted = with_random_weights(sym, seed=3)
+    degrees = sym.out_degrees()
+    root = int(np.argmax(degrees))
+    ranked = np.argsort(degrees, kind="stable")
+    seeds = {int(ranked[-1]): 0, int(ranked[-2]): 1}
+    propagated = run_label_propagation(sym, seeds, options=options)
+    return {
+        "pagerank": run_pagerank(graph, max_iterations=6, options=options).ranks,
+        "ppr": run_personalized_pagerank(
+            graph, root, max_iterations=6, options=options
+        ).ranks,
+        "bfs": run_bfs(sym, root, options=options).distances,
+        "sssp": run_sssp(weighted, root, options=options).distances,
+        "cc": run_connected_components(sym, options=options).labels,
+        "labelprop": propagated.labels,
+        "labelprop_distances": propagated.distances,
+        "cf": run_collaborative_filtering(
+            bipartite, n_users, k=3, iterations=2, track_rmse=False,
+            options=options,
+        ).factors,
+        "triangles": run_triangle_count(to_dag(sym), options=options).per_vertex,
+    }
+
+
+class TestBlockCountParity:
+    """Any block count gives the bits of any other.
+
+    A destination row lives in exactly one block, and its fold order
+    does not depend on where the blocks are cut, so the block count a
+    backend and a graph imply (``EngineOptions.block_count``) is a
+    schedule, not a semantic.  The reference is the default one-block
+    serial run; the other side draws a count from 1 to 9 through the
+    simulated-core knobs, either split strategy and either backend.
+    """
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        scale=st.integers(min_value=3, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+        blocks=st.integers(min_value=1, max_value=9),
+        strategy=st.sampled_from(("rows", "nnz")),
+        backend=st.sampled_from(BACKEND_NAMES),
+    )
+    def test_any_block_count_equals_any_other(
+        self, scale, seed, blocks, strategy, backend
+    ):
+        graph = rmat_graph(scale=scale, edge_factor=6, seed=seed)
+        spec = BipartiteSpec(n_users=24, n_items=9, ratings_per_user=4.0)
+        bipartite = bipartite_rating_graph(spec, seed=seed)
+        reference = EngineOptions()
+        assert reference.block_count(graph.n_vertices) == 1
+        options = EngineOptions(
+            backend=backend,
+            n_workers=min(blocks, 2),
+            n_threads=blocks,
+            partitions_per_thread=1,
+            partition_strategy=strategy,
+        )
+        want = _block_results(graph, bipartite, spec.n_users, reference)
+        got = _block_results(graph, bipartite, spec.n_users, options)
+        view = graph.peek_partitions(
+            "out", options.block_count(graph.n_vertices), strategy
+        )
+        assert len(view.blocks) == min(blocks, graph.n_vertices)
+        for name, array in want.items():
+            assert np.array_equal(array, got[name]), (name, blocks, strategy)
 
 
 class TestWorkspaceReuse:
@@ -332,7 +409,7 @@ class TestKernelSelectorStats:
             options=_options(backend, record_partition_stats=True),
         )
         assert result.stats.n_supersteps > 1
-        n_partitions = _options(backend).n_partitions
+        n_partitions = _options(backend).block_count(rmat_sym.n_vertices)
         for it in result.stats.iterations:
             assert len(it.partition_work) == n_partitions
             assert sum(w.edges for w in it.partition_work) == it.edges_processed

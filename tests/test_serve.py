@@ -22,6 +22,7 @@ from repro.algorithms.adapters import QUERY_ADAPTERS, get_adapter
 from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import run_personalized_pagerank
 from repro.algorithms.sssp import run_sssp
+from repro.core.options import EngineOptions
 from repro.errors import (
     BadQueryError,
     DeadlineExceededError,
@@ -508,6 +509,18 @@ class TestGraphService:
         assert document["queries_by_kind"] == {"bfs": 1}
         assert document["scheduler"]["lanes_dispatched"] == 1
         assert document["cache"]["misses"] == 1
+        assert {g["name"]: g["blocks"] for g in document["graphs"]} == {
+            "dir": 1,
+            "sym": 1,
+        }
+
+    def test_stats_report_each_graphs_block_count(self, registry):
+        """``/stats`` reports the block count the engine sweeps for each
+        hosted graph: one per worker under ``threaded``."""
+        options = EngineOptions(backend="threaded", n_workers=2)
+        with _service(registry, options=options) as service:
+            graphs = service.stats()["graphs"]
+        assert [g["blocks"] for g in graphs] == [2, 2]
 
     def test_result_top_and_vertices_views(self, registry, rmat_sym):
         with _service(registry) as service:

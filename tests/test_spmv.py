@@ -25,6 +25,7 @@ from repro.core.kernels import select_kernel
 from repro.core.options import EngineOptions
 from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_TIMES
 from repro.core.spmv import (
+    RADIX_KEY_MAX_ROWS,
     PartitionWork,
     _tiled_process_reduce,
     run_block,
@@ -34,7 +35,7 @@ from repro.core.spmv import (
 )
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
-from repro.matrix.partition import PartitionedMatrix
+from repro.matrix.partition import PartitionedMatrix, row_ranges_equal_rows
 from repro.vector.dense import PropertyArray
 from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import (
@@ -205,11 +206,29 @@ class TestEngineOptionValidation:
         with pytest.raises(Exception):
             EngineOptions(max_iterations=-2)
 
-    def test_n_partitions_math(self):
-        assert EngineOptions(n_threads=4, partitions_per_thread=8).n_partitions == 32
-        assert (
-            EngineOptions(n_threads=4, dynamic_schedule=False).n_partitions == 4
-        )
+    def test_block_count(self):
+        table = [
+            # Simulated cores: the paper's formula, whatever the graph.
+            (EngineOptions(n_threads=4, partitions_per_thread=8), 100, 32),
+            (EngineOptions(n_threads=4, dynamic_schedule=False), 100, 4),
+            # Real execution: the fewest blocks of at most 65,536 rows,
+            # and at least one per worker.
+            (EngineOptions(), 0, 1),
+            (EngineOptions(), 32_768, 1),
+            (EngineOptions(), 65_536, 1),
+            (EngineOptions(), 65_537, 2),
+            (EngineOptions(), 131_072, 2),
+            (EngineOptions(partitions_per_thread=32), 100, 1),
+            (EngineOptions(backend="threaded", n_workers=3), 100, 3),
+            (EngineOptions(backend="threaded", n_workers=2), 200_000, 4),
+        ]
+        for options, n_vertices, blocks in table:
+            assert options.block_count(n_vertices) == blocks, (options, n_vertices)
+        # 65,537 vertices: two "rows" blocks, neither wider than the
+        # 16-bit sort key.
+        ranges = row_ranges_equal_rows(65_537, EngineOptions().block_count(65_537))
+        assert len(ranges) == 2
+        assert max(hi - lo for lo, hi in ranges) <= RADIX_KEY_MAX_ROWS
 
     def test_with_updates(self):
         options = EngineOptions().with_(n_threads=4)
@@ -377,15 +396,14 @@ class TestSelectKernelBoundaries:
         graph = symmetrize(rmat_graph(scale=5, edge_factor=8, seed=3))
         root = _roots(graph, 1)[0]
         options = EngineOptions(
-            record_partition_stats=True, partitions_per_thread=32
+            record_partition_stats=True, n_threads=32, partitions_per_thread=1
         )
         init_bfs(graph, root)
         stats = run_graph_program(graph, generic(BFSProgram)(), options)
         distances = graph.vertex_properties.data.copy()
         assert set(stats.kernel_totals()) == {"sparse-gather", "dense-pull"}
-        blocks = graph.out_partitions(
-            options.n_partitions, options.partition_strategy
-        ).blocks
+        blocks = graph.peek_partitions("out", 32, "rows").blocks
+        assert len(blocks) == 32
         for it in stats.iterations:
             for work in it.partition_work:
                 if work.active_columns == 0:

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bfs import run_bfs
 from repro.algorithms.pagerank import PageRankProgram, init_pagerank
 from repro.core.engine import run_graph_program
-from repro.core.options import EngineOptions
+from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.errors import IOFormatError
 from repro.graph.builder import build_graph
 from repro.graph.io import read_edge_list, read_mtx, write_edge_list
+from repro.matrix.partition import PartitionedMatrix
 from tests.matrix_helpers import matrices_equal
 from repro.store import (
     ALIGNMENT,
@@ -149,18 +151,20 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "g.gmsnap"
         save_snapshot(rmat_small, path, directions=("out", "in"))
         loaded = load_snapshot(path)
-        assert loaded.peek_partitions("out", 8, "rows") is not None
-        assert loaded.peek_partitions("in", 8, "rows") is not None
+        blocks = DEFAULT_OPTIONS.block_count(rmat_small.n_vertices)
+        assert loaded.peek_partitions("out", blocks, "rows") is not None
+        assert loaded.peek_partitions("in", blocks, "rows") is not None
 
     def test_include_caches_preloads_kernel_caches(self, tmp_path, rmat_small):
         path = tmp_path / "g.gmsnap"
         save_snapshot(rmat_small, path, include_caches=True)
         loaded = load_snapshot(path)
-        block = loaded.peek_partitions("out", 8, "rows").blocks[0]
+        blocks = DEFAULT_OPTIONS.block_count(rmat_small.n_vertices)
+        block = loaded.peek_partitions("out", blocks, "rows").blocks[0]
         # Caches were installed from the file, not computed.
         assert block._col_expanded is not None
         assert block._dst_groups is not None
-        reference = rmat_small.out_partitions(8, "rows").blocks[0]
+        reference = rmat_small.out_partitions(blocks, "rows").blocks[0]
         order, starts, rows = block.dst_groups()
         ref_order, ref_starts, ref_rows = reference.dst_groups()
         assert np.array_equal(order, ref_order)
@@ -241,6 +245,38 @@ class TestIngest:
         assert report.n_partitions == 2  # clamped like PartitionedMatrix
         loaded = load_snapshot(tmp_path / "g.gmsnap")
         assert matrices_equal(loaded.edges, read_edge_list(source).edges)
+
+    def test_default_ingest_seeds_the_default_engine_view(
+        self, tmp_path, rmat_small, monkeypatch
+    ):
+        """A default conversion stores the view a default run asks for:
+        the run sweeps the mmap'd blocks and never re-partitions."""
+        source = tmp_path / "rmat.tsv"
+        write_edge_list(rmat_small, source, weighted=False)
+        snap = tmp_path / "g.gmsnap"
+        report = ingest_edge_list(source, snap)
+        blocks = DEFAULT_OPTIONS.block_count(report.n_vertices)
+        assert report.n_partitions == blocks
+        loaded = load_snapshot(snap)
+        stored = loaded.peek_partitions("out", blocks, "rows")
+        assert stored is not None and stored.snapshot_path is not None
+
+        def boom(*args, **kwargs):
+            raise AssertionError("partition rebuild on a loaded snapshot")
+
+        monkeypatch.setattr(PartitionedMatrix, "from_coo", boom)
+        root = int(np.argmax(loaded.out_degrees()))
+        got = run_bfs(loaded, root).distances
+        assert loaded.peek_partitions("out", blocks, "rows") is stored
+        monkeypatch.undo()
+        assert np.array_equal(got, run_bfs(read_edge_list(source), root).distances)
+
+    def test_default_ingest_keeps_blocks_within_the_radix_key(self, tmp_path):
+        source = tmp_path / "edges.tsv"
+        source.write_text("0 1\n1 65536\n")
+        report = ingest_edge_list(source, tmp_path / "g.gmsnap", workers=1)
+        assert report.n_vertices == 65_537
+        assert report.n_partitions == 2
 
     def test_nnz_strategy_matches_in_memory(self, tmp_path, rmat_small):
         source = tmp_path / "rmat.tsv"

@@ -4,7 +4,7 @@ A parity check across commits for engine refactors: results must be
 bitwise equal before and after.  Either run the same script in two
 checkouts and diff the output, or compare against a committed record:
 
-    PYTHONPATH=src python tools/parity_digests.py [scale]
+    PYTHONPATH=src python tools/parity_digests.py [scale] [--blocks N]
     PYTHONPATH=src python tools/parity_digests.py 10 \
         --check tools/parity_digests.expected
 
@@ -13,6 +13,11 @@ is not ``FILE``, which holds the output of a run at the same scale; CI
 runs it so that a kernel or selector change that moves one bit on any
 backend fails the build.  To re-record after an intended change of
 results, redirect the output of a run without ``--check`` into the file.
+
+``--blocks N`` (N >= 2) runs every cell on ``N`` row blocks (``n_threads=N,
+partitions_per_thread=1``) instead of the count the backend and graph
+imply.  The block count is a schedule, so the digests must not change:
+CI checks the same file at the default count and at ``--blocks 8``.
 """
 
 import argparse
@@ -47,8 +52,11 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def digest_lines(scale: int) -> list[str]:
+def digest_lines(scale: int, blocks: int | None = None) -> list[str]:
     """One ``backend algorithm digest`` line per cell, then the ``ALL`` line."""
+    forced = (
+        {} if blocks is None else {"n_threads": blocks, "partitions_per_thread": 1}
+    )
     g = rmat_graph(scale=scale, edge_factor=8, seed=7)
     sym = symmetrize(g)
     weighted = with_random_weights(sym, seed=3)
@@ -61,7 +69,7 @@ def digest_lines(scale: int) -> list[str]:
     total = hashlib.sha256()
     lines = []
     for backend in KNOWN_BACKENDS:
-        opts = EngineOptions(backend=backend, n_workers=2)
+        opts = EngineOptions(backend=backend, n_workers=2, **forced)
         rows = {
             "pagerank10": digest(run_pagerank(g, max_iterations=10, options=opts).ranks),
             "ppr10": digest(
@@ -98,8 +106,14 @@ def main() -> int:
         "--check", metavar="FILE",
         help="compare with FILE (a recorded run at the same scale)",
     )
+    parser.add_argument(
+        "--blocks", type=int, metavar="N",
+        help="run every cell on N row blocks (default: the derived count)",
+    )
     args = parser.parse_args()
-    lines = digest_lines(args.scale)
+    if args.blocks is not None and args.blocks < 2:
+        parser.error("--blocks needs N >= 2 (one block is the serial default)")
+    lines = digest_lines(args.scale, args.blocks)
     if args.check is None:
         print("\n".join(lines))
         return 0
