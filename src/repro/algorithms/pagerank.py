@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
+from repro.core.kernels import PLUS_FIRST_KERNEL, LaneKernel
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.graph.graph import Graph
 from repro.vector.sparse_vector import FLOAT64, ValueSpec
@@ -64,6 +65,7 @@ class PageRankProgram(GraphProgram):
     # so a 0.0 message adds exactly nothing to any sum: identity
     # absorption certified, which makes the program lane-capable.
     reduce_identity = 0.0
+    lane_kernel = LaneKernel(PLUS_FIRST_KERNEL)
 
     def __init__(self, r: float = 0.15, tolerance: float = 0.0) -> None:
         if not 0.0 <= r <= 1.0:
@@ -157,6 +159,7 @@ class PersonalizedPageRankProgram(GraphProgram):
     # process hook forwards messages unchanged, so a 0.0 (silent-lane)
     # message contributes exactly nothing to any sum.
     reduce_identity = 0.0
+    lane_kernel = LaneKernel(PLUS_FIRST_KERNEL)
     reactivate_all = True
 
     def __init__(self, r: float = 0.15) -> None:

@@ -247,7 +247,7 @@ def bench_backends(
             # gate rescale this record's absolute times onto another
             # host before applying its tolerance.
             "calibration_seconds": machine_calibration(),
-            # Whether the min-family sweeps ran compiled, and if not why.
+            # Whether the lane sweeps ran compiled, and if not why.
             "ckernels": {
                 key: ckernels.status()[key] for key in ("loaded", "reason")
             },

@@ -1,4 +1,4 @@
-/* Lane-major, destination-grouped pull kernels for the min family.
+/* Lane-major, destination-grouped pull kernels: the min and `+` families.
  *
  * Each kernel folds the edges of a block that arrive already sorted by
  * destination: group g spans [group_starts[g], group_starts[g + 1])
@@ -8,15 +8,25 @@
  * Groups are non-empty and start at 0 — the shape
  * repro.core.spmv.run_block_batch hands to _tiled_process_reduce.
  *
- * The fold runs left to right in stored order and keeps the
- * accumulator when it is <= the new value or NaN, so the first of
- * equal values and the first NaN win (NaN propagates, as in NumPy).
- * `min` is exactly associative on every other input, so the result
- * equals np.minimum.reduceat bit for bit except, possibly, in the sign
- * of a zero and the payload of a NaN (docs/KERNELS.md).
+ * Every fold runs left to right in stored order.
+ *
+ * min: starts at the first message and keeps the accumulator when it
+ * is <= the new value or NaN, so the first of equal values and the
+ * first NaN win (NaN propagates, as in NumPy).  `min` is exactly
+ * associative on every other input, so the result equals
+ * np.minimum.reduceat bit for bit except, possibly, in the sign of a
+ * zero and the payload of a NaN (docs/KERNELS.md).
+ *
+ * +: starts at +0.0 and adds each message in turn — the loop of
+ * np.bincount(ids, weights=...) and of scipy's csr_matvec, so it equals
+ * both bit for bit, the sign of a zero included (a NaN's payload is not
+ * fixed).  `+` is not associative in floating point; this order is the
+ * engine's one `+` contract (docs/KERNELS.md, "The `+` fold").
  *
  * Build with -O2 -ffp-contract=off; never -ffast-math, which would
- * drop the NaN test, nor -march=native (see repro/core/ckernels.py).
+ * drop the NaN test and reassociate the sums, nor -march=native, whose
+ * FMA contraction would fuse plus_times' multiply into its add (see
+ * repro/core/ckernels.py).
  */
 #include <stdint.h>
 
@@ -25,7 +35,7 @@ static inline double fold_min(double acc, double v)
     return (acc <= v || acc != acc) ? acc : v;
 }
 
-#define LANE_SWEEP(MESSAGE)                                            \
+#define MIN_SWEEP(MESSAGE)                                             \
     for (int64_t lane = 0; lane < k; lane++) {                         \
         const double *xl = x + lane * n;                               \
         double *ol = out + lane * n_groups;                            \
@@ -39,13 +49,26 @@ static inline double fold_min(double acc, double v)
         }                                                              \
     }
 
+#define PLUS_SWEEP(MESSAGE)                                            \
+    for (int64_t lane = 0; lane < k; lane++) {                         \
+        const double *xl = x + lane * n;                               \
+        double *ol = out + lane * n_groups;                            \
+        for (int64_t g = 0; g < n_groups; g++) {                       \
+            int64_t end = g + 1 < n_groups ? group_starts[g + 1] : edges; \
+            double acc = 0.0;                                          \
+            for (int64_t e = group_starts[g]; e < end; e++)            \
+                acc += MESSAGE;                                        \
+            ol[g] = acc;                                               \
+        }                                                              \
+    }
+
 /* SSSP: message + edge value. */
 void min_plus(int64_t k, int64_t n_groups, int64_t n,
               const int64_t *group_starts, int64_t edges,
               const int64_t *cols, const double *vals,
               const double *x, double *out)
 {
-    LANE_SWEEP(xl[cols[e]] + vals[e])
+    MIN_SWEEP(xl[cols[e]] + vals[e])
 }
 
 /* BFS (c = 1.0), label propagation (c = stride): message + constant. */
@@ -54,7 +77,7 @@ void min_plus_c(int64_t k, int64_t n_groups, int64_t n,
                 const int64_t *cols, double c,
                 const double *x, double *out)
 {
-    LANE_SWEEP(xl[cols[e]] + c)
+    MIN_SWEEP(xl[cols[e]] + c)
 }
 
 /* Connected components: the message unchanged. */
@@ -62,5 +85,22 @@ void min_first(int64_t k, int64_t n_groups, int64_t n,
                const int64_t *group_starts, int64_t edges,
                const int64_t *cols, const double *x, double *out)
 {
-    LANE_SWEEP(xl[cols[e]])
+    MIN_SWEEP(xl[cols[e]])
+}
+
+/* SpMV over (+, *): message * edge value. */
+void plus_times(int64_t k, int64_t n_groups, int64_t n,
+                const int64_t *group_starts, int64_t edges,
+                const int64_t *cols, const double *vals,
+                const double *x, double *out)
+{
+    PLUS_SWEEP(xl[cols[e]] * vals[e])
+}
+
+/* PageRank, personalized and delta PageRank: the message unchanged. */
+void plus_first(int64_t k, int64_t n_groups, int64_t n,
+                const int64_t *group_starts, int64_t edges,
+                const int64_t *cols, const double *x, double *out)
+{
+    PLUS_SWEEP(xl[cols[e]])
 }

@@ -1,16 +1,20 @@
-"""Compiled min-family lane kernels: build, cache and load ``_ckernels.c``.
+"""Compiled lane kernels: build, cache and load ``_ckernels.c``.
 
 ``_ckernels.c`` holds one destination-grouped pull sweep per lane
 kernel a program may declare (``GraphProgram.lane_kernel``):
 
-- ``min-plus``   — message + edge value (SSSP),
-- ``min-plus-c`` — message + a constant (BFS, label propagation),
-- ``min-first``  — the message unchanged (connected components).
+- ``min-plus``   — min of message + edge value (SSSP),
+- ``min-plus-c`` — min of message + a constant (BFS, label propagation),
+- ``min-first``  — min of the messages (connected components),
+- ``plus-times`` — sum of message * edge value (SpMV over ``PLUS_TIMES``),
+- ``plus-first`` — sum of the messages (PageRank, PPR, delta PageRank).
 
 :func:`repro.core.spmv._tiled_process_reduce` calls :func:`lane_sweep`
 first; a ``None`` answer sends it down the NumPy fold, which stays the
-fallback and the oracle.  ``min`` is exactly associative, so both give
-the same bits (docs/KERNELS.md, "Compiled kernel shapes").
+fallback and the oracle.  Both give the same bits: ``min`` is exactly
+associative, and both ``+`` folds add each group left to right from
+``+0.0`` (docs/KERNELS.md, "Compiled kernel shapes" and "The ``+``
+fold").
 
 The library is compiled on first use with ``gcc`` and :data:`CFLAGS` —
 ``-ffp-contract=off`` and never ``-ffast-math`` or ``-march=native``,
@@ -42,7 +46,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernels import MIN_FIRST_KERNEL, MIN_PLUS_C_KERNEL, MIN_PLUS_KERNEL
+from repro.core.kernels import (
+    MIN_FIRST_KERNEL,
+    MIN_PLUS_C_KERNEL,
+    MIN_PLUS_KERNEL,
+    PLUS_FIRST_KERNEL,
+    PLUS_TIMES_KERNEL,
+)
 
 #: Set to ``0`` to run the NumPy fold instead of the compiled kernels.
 ENV_SWITCH = "REPRO_CKERNELS"
@@ -62,7 +72,11 @@ _SIGNATURES = {
     MIN_PLUS_KERNEL: ("min_plus", (_ptr, _ptr, _ptr)),
     MIN_PLUS_C_KERNEL: ("min_plus_c", (ctypes.c_double, _ptr, _ptr)),
     MIN_FIRST_KERNEL: ("min_first", (_ptr, _ptr)),
+    PLUS_TIMES_KERNEL: ("plus_times", (_ptr, _ptr, _ptr)),
+    PLUS_FIRST_KERNEL: ("plus_first", (_ptr, _ptr)),
 }
+#: The kernels that read the edge values (``sorted_vals``).
+_READS_VALUES = frozenset((MIN_PLUS_KERNEL, PLUS_TIMES_KERNEL))
 
 _lock = threading.Lock()
 _resolved = False
@@ -211,7 +225,7 @@ def lane_sweep(
     group_starts: np.ndarray,
     edges: int,
 ) -> np.ndarray | None:
-    """Process and min-reduce every destination group in compiled code.
+    """Process and reduce every destination group in compiled code.
 
     Arguments are those of :func:`repro.core.spmv._tiled_process_reduce`
     (``sorted_cols``/``sorted_vals`` may be longer than ``edges``).
@@ -228,7 +242,7 @@ def lane_sweep(
         and _usable(sorted_cols, np.int64)
         and _usable(group_starts, np.int64)
         and (
-            lane_kernel.name != MIN_PLUS_KERNEL
+            lane_kernel.name not in _READS_VALUES
             or _usable(sorted_vals, np.float64)
         )
     ):
@@ -239,7 +253,7 @@ def lane_sweep(
     head = (n_lanes, n_groups, n, group_starts.ctypes.data, edges,
             sorted_cols.ctypes.data)
     tail = (x_values.ctypes.data, out.ctypes.data)
-    if lane_kernel.name == MIN_PLUS_KERNEL:
+    if lane_kernel.name in _READS_VALUES:
         function(*head, sorted_vals.ctypes.data, *tail)
     elif lane_kernel.name == MIN_PLUS_C_KERNEL:
         function(*head, lane_kernel.constant, *tail)

@@ -25,8 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.kernels import MIN_FIRST_KERNEL, MIN_PLUS_KERNEL, LaneKernel
-from repro.core.semiring import MIN_FIRST, Semiring
+from repro.core.kernels import (
+    MIN_FIRST_KERNEL,
+    MIN_PLUS_KERNEL,
+    PLUS_FIRST_KERNEL,
+    PLUS_TIMES_KERNEL,
+    LaneKernel,
+)
+from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_FIRST, PLUS_TIMES, Semiring
 from repro.errors import ProgramError
 from repro.vector.sparse_vector import FLOAT64, ValueSpec
 
@@ -365,8 +371,8 @@ class GraphProgram:
         ``run_graph_program`` — and everything else with the generic
         one-vector kernel.  Requires the fused batch surface plus: scalar numeric message
         and result specs (the lane block is a dense 2-D array), a numpy
-        reduce ufunc (per-lane segment reduction is one ``reduceat``
-        over the lane axis), a masking identity, and a numeric property
+        reduce ufunc (every lane folds its destination groups with it),
+        a masking identity, and a numeric property
         spec (per-lane properties live in one ``(K, n, ...)`` array).
         """
         return (
@@ -401,6 +407,18 @@ class GraphProgram:
         return f"{type(self).__name__}(direction={self.direction.value})"
 
 
+#: (add, multiply) ufuncs -> the compiled sweep that computes them.
+_SEMIRING_KERNELS = {
+    (s.add_ufunc, s.multiply_ufunc): kernel
+    for s, kernel in (
+        (MIN_PLUS, MIN_PLUS_KERNEL),
+        (MIN_FIRST, MIN_FIRST_KERNEL),
+        (PLUS_TIMES, PLUS_TIMES_KERNEL),
+        (PLUS_FIRST, PLUS_FIRST_KERNEL),
+    )
+}
+
+
 class SemiringProgram(GraphProgram):
     """A vertex program generated from a plain semiring.
 
@@ -423,13 +441,10 @@ class SemiringProgram(GraphProgram):
 
     @property
     def lane_kernel(self):
-        """``min-plus`` / ``min-first`` for those semirings, else None."""
-        if self.semiring.add_ufunc is not np.minimum:
-            return None
-        kernel = {
-            np.add: MIN_PLUS_KERNEL,
-            MIN_FIRST.multiply_ufunc: MIN_FIRST_KERNEL,
-        }.get(self.semiring.multiply_ufunc)
+        """The compiled sweep of a semiring with one, else None."""
+        kernel = _SEMIRING_KERNELS.get(
+            (self.semiring.add_ufunc, self.semiring.multiply_ufunc)
+        )
         return None if kernel is None else LaneKernel(kernel)
 
     def send_message(self, vertex_prop):

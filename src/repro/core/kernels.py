@@ -27,6 +27,8 @@ KERNEL_NAMES = (KERNEL_SPARSE, KERNEL_DENSE)
 MIN_PLUS_KERNEL = "min-plus"  # min over message + edge value
 MIN_PLUS_C_KERNEL = "min-plus-c"  # min over message + a constant
 MIN_FIRST_KERNEL = "min-first"  # min over the message
+PLUS_TIMES_KERNEL = "plus-times"  # sum of message * edge value
+PLUS_FIRST_KERNEL = "plus-first"  # sum of the messages
 
 
 class LaneKernel(NamedTuple):
@@ -34,7 +36,7 @@ class LaneKernel(NamedTuple):
     its ``process_message_lanes`` + ``reduce_ufunc`` exactly."""
 
     name: str
-    #: The ``c`` of ``min-plus-c``; unused by the other two.
+    #: The ``c`` of ``min-plus-c``; unused by the others.
     constant: float = 0.0
 
 

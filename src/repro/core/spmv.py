@@ -9,8 +9,10 @@ from what the program and options declare, never per call site:
   K-lane multi-vector (the GraphBLAS SpMM view; a single query is the
   one-lane case): one gather of each active column's edge span serves
   every lane, the process hook broadcasts over a lane-major
-  ``(K, edges)`` message block, and a single ``reduceat`` over the lane
-  axis segment-reduces all lanes at once.  Silent (edge, lane) slots
+  ``(K, edges)`` message block, and one destination-grouped fold
+  reduces all lanes (a compiled sweep when the program declares a
+  ``lane_kernel``; ``+`` always folds left to right, see
+  :func:`fold_plus`).  Silent (edge, lane) slots
   hold the program's ``batch_reduce_identity()`` and per-lane received
   masks keep every lane bitwise identical to its own one-lane run.
 
@@ -228,6 +230,31 @@ def _gather(source: np.ndarray, idx: np.ndarray, buffer: np.ndarray | None):
     return source[idx]
 
 
+def fold_plus(
+    values: np.ndarray, group_ids: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Sum ``values`` by group along the last axis: the engine's one ``+``.
+
+    Each group folds left to right in the order given, starting from
+    ``+0.0`` — ``np.bincount``'s loop, and that of scipy's
+    ``csr_matvec`` and the C ``plus`` sweeps, so all give the same
+    bits.  ``np.add.reduceat`` does not: it adds a group's first value
+    to the sum of the rest, pairwise once the rest is long, and keeps a
+    ``-0.0`` (docs/KERNELS.md, "The ``+`` fold").  Leading axes (lanes,
+    vector components) fold one at a time; integers are summed in
+    float64 and cast back.
+    """
+    if values.ndim == 1:
+        out = np.bincount(group_ids, weights=values, minlength=n_groups)
+    else:
+        out = np.empty(values.shape[:-1] + (n_groups,))
+        for index in np.ndindex(*values.shape[:-1]):
+            out[index] = np.bincount(
+                group_ids, weights=values[index], minlength=n_groups
+            )
+    return out.astype(values.dtype, copy=False)
+
+
 def _reduce_sorted_groups(
     program: GraphProgram,
     sorted_results: np.ndarray,
@@ -311,18 +338,26 @@ def _reduce_by_destination(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Destination-grouped reduction, choosing the cheapest valid kernel.
 
-    - full-frontier SpMVs reuse the block's cached row grouping (no
-      per-superstep sort, and a ``reduceat`` over one gathered array beats
-      the two ``bincount`` passes it replaces),
-    - partial-frontier additive numeric reductions use ``bincount``
-      (O(edges), no sort),
+    - additive numeric reductions fold with :func:`fold_plus` over the
+      edges in stored order (O(edges), no sort): the canonical ``+``,
+      the same bits as the lane kernels' sweeps,
+    - other full-frontier reductions reuse the block's cached row
+      grouping (no per-superstep sort),
     - everything else falls back to sort + reduceat / scalar reduce.
 
     The choice depends only on the program and the coverage — never on
     scratch availability — so results are bitwise identical with and
-    without workspace reuse (float reductions are order-sensitive).
+    without workspace reuse.
     """
     results = np.asarray(results)
+    if program.reduce_ufunc is np.add and results.dtype != object:
+        lo, hi = block.row_range
+        local = edge_dst - lo
+        received = np.bincount(local, minlength=hi - lo) > 0
+        # Vector results (edges, d) fold one component at a time.
+        reduced = fold_plus(results.T, local, hi - lo)[..., received].T
+        unique_dst = (np.flatnonzero(received) + lo).astype(np.int64)
+        return unique_dst, np.ascontiguousarray(reduced)
     if full_coverage:
         order, group_starts, unique_rows = block.dst_groups()
         sorted_results = _gather(
@@ -331,26 +366,6 @@ def _reduce_by_destination(
         return unique_rows, _reduce_sorted_groups(
             program, sorted_results, group_starts, results.shape[0]
         )
-    if program.reduce_ufunc is np.add and results.dtype != object:
-        lo, hi = block.row_range
-        width = hi - lo
-        local = edge_dst - lo
-        counts = np.bincount(local, minlength=width)
-        received = counts > 0
-        if results.ndim == 1:
-            reduced = np.bincount(local, weights=results, minlength=width)[
-                received
-            ]
-        else:
-            columns = [
-                np.bincount(local, weights=results[:, j], minlength=width)[
-                    received
-                ]
-                for j in range(results.shape[1])
-            ]
-            reduced = np.stack(columns, axis=1)
-        unique_dst = (np.flatnonzero(received) + lo).astype(np.int64)
-        return unique_dst, reduced
     return _segment_reduce(program, results, edge_dst, block.row_range)
 
 
@@ -594,7 +609,7 @@ def _tiled_process_reduce(
     """Segment-reduce the K-lane edge space in cache-sized tiles.
 
     Equivalent to gathering the full ``(K, edges)`` message block,
-    broadcasting the process hook and running one ``reduceat`` — but
+    broadcasting the process hook and segment-reducing it once — but
     performed tile by tile, with tile boundaries aligned to destination
     groups so every group reduces in one piece.  Bitwise identical to
     the monolithic form (same per-group left fold), cheaper by the full
@@ -605,6 +620,8 @@ def _tiled_process_reduce(
     A program declaring a ``lane_kernel`` (and reading no destination
     properties) runs the compiled sweep of :mod:`repro.core.ckernels`
     instead, with the same result bits; this NumPy fold is its fallback.
+    A ``+`` reduction folds each lane with :func:`fold_plus`, the left
+    fold the C sweeps compute, never with ``reduceat``.
     """
     if (
         program.lane_kernel is not None
@@ -622,6 +639,11 @@ def _tiled_process_reduce(
     out = np.empty((n_lanes, n_groups), dtype=program.result_spec.dtype)
     tile = _batch_tile_edges(n_lanes, x_values.dtype.itemsize)
     buffer = scratch.messages if scratch is not None else None
+    plus = program.reduce_ufunc is np.add
+    if plus:
+        group_ids = np.zeros(edges, dtype=np.int64)
+        group_ids[group_starts[1:]] = 1
+        np.cumsum(group_ids, out=group_ids)
     g0, lo = 0, 0
     while lo < edges:
         if lo + tile >= edges:
@@ -650,9 +672,12 @@ def _tiled_process_reduce(
         # Reduce into a fresh contiguous block, then copy the
         # (output-sized) result out — reduceat into a strided slice of
         # ``out`` would put the hot inner loop on strided memory.
-        reduced = program.reduce_ufunc.reduceat(
-            results, group_starts[g0:g1] - lo, axis=1
-        )
+        if plus:
+            reduced = fold_plus(results, group_ids[lo:hi] - g0, g1 - g0)
+        else:
+            reduced = program.reduce_ufunc.reduceat(
+                results, group_starts[g0:g1] - lo, axis=1
+            )
         if g0 == 0 and g1 == n_groups:
             return reduced  # single tile: no copy needed
         out[:, g0:g1] = reduced
@@ -709,8 +734,9 @@ def run_block_batch(
     vertex state.  The kernel gathers each column's edge span **once**
     for the union of the lanes' active columns, broadcasts the program's
     process hook across lanes on the lane-major ``(K, edges)`` message block, and
-    segment-reduces every lane in a single ``reduceat`` over the lane
-    axis — so K concurrent queries pay for the edge data movement once.
+    segment-reduces every lane in one destination-grouped fold
+    (:func:`_tiled_process_reduce`) — so K concurrent queries pay for
+    the edge data movement once.
 
     Contract: ``x_values`` must hold
     :meth:`~repro.core.graph_program.GraphProgram.batch_reduce_identity`
@@ -719,7 +745,7 @@ def run_block_batch(
     identity messages *by construction* — the kernel performs no masking
     pass and gathers its messages already in destination order (the
     cached ``dst_sorted_cols`` index on the dense path), so the steady
-    state is one ``(K, edges)`` gather plus one ``(K, edges)`` reduceat.
+    state is one ``(K, edges)`` gather plus one ``(K, edges)`` fold.
 
     Kernel selection is :func:`select_kernel` with ``crossover`` on the
     edges under the columns active in *any* lane (the shared sweep's

@@ -48,6 +48,7 @@ from repro.algorithms.pagerank import PageRankResult, inverse_out_degrees
 from repro.algorithms.sssp import SSSPProgram, SSSPResult, run_sssp
 from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
+from repro.core.kernels import PLUS_FIRST_KERNEL, LaneKernel
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.errors import GraphError
 from repro.graph.graph import Graph
@@ -271,6 +272,7 @@ class DeltaPageRankProgram(GraphProgram):
     # A silent vertex's zero message contributes exactly nothing to any
     # sum (finite IEEE addition), certifying the lane kernel's fill.
     reduce_identity = 0.0
+    lane_kernel = LaneKernel(PLUS_FIRST_KERNEL)
 
     def __init__(self, r: float = 0.15, tolerance: float = 1e-10) -> None:
         if not 0.0 <= r <= 1.0:

@@ -5,9 +5,10 @@ Every built-in scalar algorithm is lane-capable, so both sides of
 ``run_block_batch``.  The engine picks the kernel family from what the
 program declares; a subclass that withdraws its ``reduce_identity``
 certification is therefore *not* lane-capable and runs the generic
-``run_block`` kernel (sort/bincount/reduceat over one sparse vector,
-per-vertex ``apply_batch``) through the same driver — a second
-implementation of the same algorithm to compare bits against.
+``run_block`` kernel (the ``+`` left fold by ``bincount``, or sort +
+``reduceat`` for ``min``, over one sparse vector; per-vertex
+``apply_batch``) through the same driver — a second implementation of
+the same algorithm to compare bits against.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each fallback must leave results bit for bit unchanged and say why in
 exactly one log line; concurrent first builds must each load a complete
-library and leave no partial file behind.
+library and leave no partial file behind.  The `+` sweeps and their
+NumPy fallback must both be the documented left fold.
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ import signal
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.sssp import run_sssp
 from repro.core import ckernels
+from repro.core.graph_program import SemiringProgram
+from repro.core.semiring import PLUS_TIMES
+from repro.core.spmv import _tiled_process_reduce
 from repro.graph.generators import rmat_graph
 from repro.graph.preprocess import with_random_weights
 
@@ -208,3 +216,100 @@ def test_concurrent_first_builds(private_source, monkeypatch):
     assert statuses[0]["path"] == statuses[1]["path"]
     left = sorted(p.name for p in ckernels.cache_dir().iterdir())
     assert left == [Path(statuses[0]["path"]).name]
+
+
+# ----------------------------------------------------------------------
+# The `+` sweeps: the left fold from +0.0, in C and in NumPy
+# ----------------------------------------------------------------------
+#: ``plus-first`` and ``plus-times``.
+PLUS_PROGRAMS = (PageRankProgram(), SemiringProgram(PLUS_TIMES))
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats()
+)
+
+
+@st.composite
+def plus_groups(draw):
+    """K = 1..17 lanes over destination groups of one edge, a few, and
+    more than 128 (where ``np.add.reduceat`` sums pairwise)."""
+    k = draw(st.integers(1, 17))
+    n = draw(st.integers(1, 12))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(1), st.integers(2, 8), st.integers(129, 260)),
+            min_size=1, max_size=5,
+        )
+    )
+    edges = sum(sizes)
+    starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+    cols = np.asarray(
+        draw(st.lists(st.integers(0, n - 1), min_size=edges, max_size=edges)),
+        dtype=np.int64,
+    )
+    vals = np.asarray(
+        draw(st.lists(_VALUES, min_size=edges, max_size=edges)),
+        dtype=np.float64,
+    )
+    x = np.asarray(
+        draw(st.lists(_VALUES, min_size=k * n, max_size=k * n)),
+        dtype=np.float64,
+    ).reshape(k, n)
+    return x, cols, vals, starts, edges
+
+
+def _left_fold(program, x, cols, vals, starts, edges) -> np.ndarray:
+    """Each lane's groups added left to right, from +0.0, in Python."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        messages = program.process_message_lanes(x[:, cols], vals, None)
+    ends = np.append(starts[1:], edges)
+    out = np.empty((x.shape[0], starts.shape[0]))
+    for lane, row in enumerate(messages.tolist()):
+        for g, (lo, hi) in enumerate(zip(starts, ends)):
+            acc = 0.0
+            for v in row[lo:hi]:
+                acc += v
+            out[lane, g] = acc
+    return out
+
+
+def _assert_same_bits(got, want):
+    """Every bit, the sign of a zero included; a NaN's payload is free."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    same = (got.view(np.int64) == want.view(np.int64)) | (
+        np.isnan(got) & np.isnan(want)
+    )
+    assert same.all(), (got[~same], want[~same])
+
+
+@given(data=plus_groups())
+@settings(max_examples=40, deadline=None)
+def test_numpy_plus_fold_is_the_left_fold(data):
+    x, cols, vals, starts, edges = data
+    with mock.patch.object(ckernels, "_ensure", return_value=None):
+        for program in PLUS_PROGRAMS:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _tiled_process_reduce(
+                    program, x, cols, vals, starts, edges, None, None, None
+                )
+            _assert_same_bits(
+                got, _left_fold(program, x, cols, vals, starts, edges)
+            )
+
+
+@given(data=plus_groups())
+@settings(max_examples=40, deadline=None)
+def test_c_plus_sweeps_are_the_left_fold(data):
+    # Resolved here, not at import: the spawned builders above import
+    # this module and must not load the library first.
+    status = ckernels.status()
+    if not status["loaded"]:
+        pytest.skip(f"C kernels not loaded: {status['reason']}")
+    x, cols, vals, starts, edges = data
+    for program in PLUS_PROGRAMS:
+        got = ckernels.lane_sweep(
+            program.lane_kernel, x, cols, vals, starts, edges
+        )
+        _assert_same_bits(
+            got, _left_fold(program, x, cols, vals, starts, edges)
+        )

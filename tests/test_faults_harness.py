@@ -62,7 +62,15 @@ def state_dir(tmp_path, sym):
 
 
 class _Server:
-    """One repro-serve subprocess with parsed URL and captured output."""
+    """One repro-serve subprocess with parsed URL and captured output.
+
+    Every way a server stops — :meth:`kill`, :meth:`wait_dead`, or the
+    teardown of a test that failed first — waits for the process, drains
+    its output and closes the pipe.
+    """
+
+    #: Servers started by the running test (stopped at its teardown).
+    live: list["_Server"] = []
 
     def __init__(self, state_dir: Path, *, faults_spec=None, extra_args=()):
         env = dict(os.environ)
@@ -85,6 +93,7 @@ class _Server:
             env=env,
             cwd=REPO_ROOT,
         )
+        _Server.live.append(self)
         self.lines: list[str] = []
         self.url: str | None = None
         self._ready = threading.Event()
@@ -104,13 +113,36 @@ class _Server:
                 self._ready.set()
         self._ready.set()  # EOF: unblock a waiter even on startup failure
 
+    def _close(self) -> None:
+        """After the process exited: read its output to EOF, close the pipe."""
+        self._reader.join(timeout=10.0)
+        self.proc.stdout.close()
+
     def kill(self) -> None:
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait(timeout=10.0)
+        self._close()
+
+    def wait_dead(self, timeout: float) -> bool:
+        """Whether the process exits within ``timeout`` (killed if not)."""
+        try:
+            self.proc.wait(timeout=timeout)
+            return True
+        except subprocess.TimeoutExpired:
+            return False
+        finally:
+            self.kill()
 
     def output(self) -> str:
         return "".join(self.lines)
+
+
+@pytest.fixture(autouse=True)
+def _stop_servers():
+    yield
+    while _Server.live:
+        _Server.live.pop().kill()
 
 
 def _post(url, path, body, timeout=10.0):
@@ -243,7 +275,7 @@ class TestKillAndRecover:
         ]
         for thread in threads:
             thread.start()
-        died = _wait_dead(server.proc, timeout=60.0)
+        died = server.wait_dead(timeout=60.0)
         stop.set()
         for thread in threads:
             thread.join(timeout=15.0)
@@ -266,7 +298,7 @@ class TestKillAndRecover:
             acked.append(body["epoch"])
         with pytest.raises((urllib.error.URLError, OSError, ConnectionError)):
             _post(server.url, "/query/bfs", {"graph": "g", "root": 0})
-        assert _wait_dead(server.proc, timeout=30.0)
+        assert server.wait_dead(timeout=30.0)
         assert server.proc.returncode == -signal.SIGKILL
         _verify_recovery(state_dir, sym, acked)
 
@@ -284,21 +316,11 @@ class TestKillAndRecover:
             daemon=True,
         )
         thread.start()
-        died = _wait_dead(server.proc, timeout=60.0)
+        died = server.wait_dead(timeout=60.0)
         stop.set()
         thread.join(timeout=15.0)
         assert died
         _verify_recovery(state_dir, sym, acked)
-
-
-def _wait_dead(proc, timeout: float) -> bool:
-    try:
-        proc.wait(timeout=timeout)
-        return True
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait(timeout=10.0)
-        return False
 
 
 class TestGracefulDrain:
@@ -348,7 +370,7 @@ class TestGracefulDrain:
             time.sleep(0.02)
         assert acked, "no mutation was acknowledged before the drain"
         server.proc.send_signal(signal.SIGTERM)
-        assert _wait_dead(server.proc, timeout=60.0)
+        assert server.wait_dead(timeout=60.0)
         stop.set()
         for thread in threads:
             thread.join(timeout=15.0)
@@ -370,6 +392,6 @@ class TestGracefulDrain:
         )
         assert status == 200 and body["durable"] is True
         server.proc.send_signal(signal.SIGTERM)
-        assert _wait_dead(server.proc, timeout=30.0)
+        assert server.wait_dead(timeout=30.0)
         assert server.proc.returncode == 0
         _verify_recovery(state_dir, sym, [body["epoch"]])

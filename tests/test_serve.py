@@ -41,7 +41,30 @@ from repro.serve import (
     ResultCache,
     Ticket,
 )
+from repro.serve import service as service_module
 from repro.store.snapshot import save_snapshot
+
+class _EngineClock:
+    """A scripted monotonic clock: still until :meth:`starts`' wrapped
+    engine call begins, then 1 ms later at every read (the engine reads
+    a lane's deadline token once per superstep)."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.running = False
+
+    def __call__(self) -> float:
+        if self.running:
+            self.now += 1e-3
+        return self.now
+
+    def starts(self, engine):
+        def run(*args, **kwargs):
+            self.running = True
+            return engine(*args, **kwargs)
+
+        return run
+
 
 # Generous dispatch window for tests asserting coalescing (the batch
 # must form while we enqueue), tiny one for tests asserting timeouts.
@@ -782,9 +805,21 @@ class TestServiceGovernance:
                 assert governance["deadline_refused"] == 1
                 assert queued.result(timeout=30) is not None
 
-    def test_runaway_lane_cancelled_with_run_stats(self, registry, rmat):
+    def test_runaway_lane_cancelled_with_run_stats(
+        self, registry, rmat, monkeypatch
+    ):
+        # The deadline bites in the engine, never in the queue: the
+        # service and its scheduler read a clock that stands still
+        # until the batch reaches the engine.
+        clock = _EngineClock()
+        monkeypatch.setattr(
+            service_module,
+            "run_graph_programs_batched",
+            clock.starts(service_module.run_graph_programs_batched),
+        )
         policy = BatchPolicy(max_batch_k=1, max_wait_ms=0.0)
         with GraphService(registry, policy=policy) as service:
+            service._clock = service._batcher._clock = clock
             with pytest.raises(
                 DeadlineExceededError, match="query cancelled after"
             ) as excinfo:

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.batched import bfs_multi_source, sssp_landmarks
+from repro.algorithms.batched import (
+    bfs_multi_source,
+    pagerank_personalized_batch,
+    sssp_landmarks,
+)
 from repro.algorithms.bfs import BFSProgram, run_bfs
 from repro.algorithms.connected_components import (
     MinLabelProgram,
@@ -17,13 +21,19 @@ from repro.algorithms.label_propagation import (
     NearestSeedProgram,
     run_label_propagation,
 )
+from repro.algorithms.pagerank import (
+    PageRankProgram,
+    PersonalizedPageRankProgram,
+    run_pagerank,
+    run_personalized_pagerank,
+)
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.core import ckernels, spmv
 from repro.core.engine import run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram, SemiringProgram
 from repro.core.kernels import select_kernel
 from repro.core.options import EngineOptions
-from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_TIMES
+from repro.core.semiring import MIN_FIRST, MIN_PLUS, PLUS_FIRST, PLUS_TIMES
 from repro.core.spmv import (
     RADIX_KEY_MAX_ROWS,
     PartitionWork,
@@ -33,6 +43,8 @@ from repro.core.spmv import (
     spmv_scalar,
     sweep_view,
 )
+from repro.dynamic import DeltaGraph, incremental_pagerank
+from repro.dynamic.incremental import DeltaPageRankProgram
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
 from repro.matrix.partition import PartitionedMatrix, row_ranges_equal_rows
@@ -594,13 +606,14 @@ def numpy_fold():
     return mock.patch.object(ckernels, "_ensure", return_value=None)
 
 
-def assert_min_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
-    """Bit for bit, except where ``np.minimum.reduceat`` itself has no
-    fixed order: the sign of a zero minimum and the payload of a NaN
-    (docs/KERNELS.md, "Compiled kernel shapes")."""
+def assert_fold_bits_equal(program, got: np.ndarray, want: np.ndarray) -> None:
+    """Bit for bit, except for a NaN's payload, which no fold fixes, and
+    where ``np.minimum.reduceat`` itself has no fixed order: the sign of
+    a zero minimum (docs/KERNELS.md, "Compiled kernel shapes")."""
     assert got.shape == want.shape and got.dtype == want.dtype
     same = got.view(np.int64) == want.view(np.int64)
-    same |= (got == 0) & (want == 0)
+    if program.reduce_ufunc is np.minimum:
+        same |= (got == 0) & (want == 0)
     same |= np.isnan(got) & np.isnan(want)
     assert same.all(), (got[~same], want[~same])
 
@@ -614,7 +627,27 @@ def _keyed_programs(n_vertices: int):
         NearestSeedProgram(n_vertices),
         SemiringProgram(MIN_PLUS),
         SemiringProgram(MIN_FIRST),
+        PageRankProgram(),
+        PersonalizedPageRankProgram(),
+        DeltaPageRankProgram(),
+        SemiringProgram(PLUS_TIMES),
+        SemiringProgram(PLUS_FIRST),
     ]
+
+
+def documented_fold(program, messages: np.ndarray) -> float:
+    """One group's fold, left to right: ``min`` keeps the first of equal
+    values and the first NaN; ``+`` adds each message to ``+0.0``."""
+    messages = messages.tolist()  # Python floats: IEEE without warnings
+    if program.reduce_ufunc is np.add:
+        acc = 0.0
+        for v in messages:
+            acc += v
+        return acc
+    acc = messages[0]
+    for v in messages[1:]:
+        acc = acc if (acc <= v or acc != acc) else v
+    return acc
 
 
 @st.composite
@@ -667,13 +700,14 @@ class TestLaneKernelBits:
                 got = _tiled(program, x, cols, vals, starts, edges)
                 with numpy_fold():
                     want = _tiled(program, x, cols, vals, starts, edges)
-                assert_min_bits_equal(got, want)
+                assert_fold_bits_equal(program, got, want)
 
     @given(data=lane_blocks())
     @settings(max_examples=100, deadline=None)
     def test_is_the_documented_left_fold(self, data):
-        """First of equal values and first NaN win, in stored order; the
-        zero's sign is exact (only a NaN's payload is unchecked)."""
+        """In stored order, min: first of equal values and first NaN
+        win; +: from +0.0.  The zero's sign is exact (only a NaN's
+        payload is unchecked)."""
         x, cols, vals, starts, edges, _ = data
         ends = np.append(starts[1:], edges)
         for program in _keyed_programs(x.shape[1]):
@@ -684,10 +718,9 @@ class TestLaneKernelBits:
             want = np.empty((x.shape[0], starts.shape[0]))
             for lane in range(x.shape[0]):
                 for g, (lo, hi) in enumerate(zip(starts, ends)):
-                    acc = messages[lane, lo]
-                    for v in messages[lane, lo + 1:hi]:
-                        acc = acc if (acc <= v or acc != acc) else v
-                    want[lane, g] = acc
+                    want[lane, g] = documented_fold(
+                        program, messages[lane, lo:hi]
+                    )
             got = _tiled(program, x, cols, vals, starts, edges)
             same = (got.view(np.int64) == want.view(np.int64)) | (
                 np.isnan(got) & np.isnan(want)
@@ -709,10 +742,11 @@ class TestLaneKernelBits:
             data.draw(st.lists(_LANE_VALUES, min_size=k * n, max_size=k * n)),
             dtype=np.float64,
         ).reshape(k, n)
-        x_values[~x_valid] = np.inf  # the MultiFrontier fill contract
         props = np.zeros((k, n))
         for crossover in (1e9, 1e-9):  # pull / gather any partial frontier
             for program in _keyed_programs(n):
+                # The MultiFrontier fill contract.
+                x_values[~x_valid] = program.batch_reduce_identity()
                 with np.errstate(invalid="ignore", over="ignore"):
                     got = run_block_batch(
                         0, block, x_valid, x_values, program, props,
@@ -728,11 +762,113 @@ class TestLaneKernelBits:
                     continue
                 assert got.kernel == want.kernel
                 assert np.array_equal(got.unique_dst, want.unique_dst)
-                assert_min_bits_equal(got.reduced, want.reduced)
+                assert_fold_bits_equal(program, got.reduced, want.reduced)
                 if want.received is None:
                     assert got.received is None
                 else:
                     assert np.array_equal(got.received, want.received)
+
+
+def _plus_programs():
+    """Every built-in program that reduces with ``+``."""
+    return [
+        program for program in _keyed_programs(1)
+        if program.reduce_ufunc is np.add
+    ]
+
+
+def _as_received(result, n_lanes):
+    """The lane kernel's received mask, ``None`` spelled out."""
+    if result.received is None:
+        return np.ones((n_lanes, result.unique_dst.shape[0]), dtype=bool)
+    return result.received
+
+
+@st.composite
+def plus_frontiers(draw):
+    """A one-block matrix and a K-lane frontier holding the ``+`` fill
+    (0.0) at silent slots; lane values include ±0.0, ±inf and NaN."""
+    coo = draw(coo_matrices(max_dim=15, max_nnz=60))
+    n = max(coo.shape)
+    coo = COOMatrix((n, n), coo.rows, coo.cols, coo.vals)
+    block = PartitionedMatrix.from_coo(coo, 1).blocks[0]
+    k = draw(st.integers(1, 9))
+    x_valid = np.asarray(
+        draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    ).reshape(k, n)
+    x_values = np.asarray(
+        draw(st.lists(_LANE_VALUES, min_size=k * n, max_size=k * n)),
+        dtype=np.float64,
+    ).reshape(k, n)
+    x_values[~x_valid] = 0.0
+    return block, x_valid, x_values
+
+
+class TestPlusFold:
+    """Under the left fold, the ``+`` programs get the same bits from
+    every kernel shape and every lane count (both C-kernel settings)."""
+
+    @staticmethod
+    def _lanes(block, x_valid, x_values, program, crossover):
+        props = np.zeros(x_values.shape + tuple(program.property_spec.shape))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return run_block_batch(
+                0, block, x_valid, x_values, program, props,
+                crossover=crossover,
+            )
+
+    @given(data=plus_frontiers())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_pull_equals_sparse_gather(self, data):
+        block, x_valid, x_values = data
+        k = x_valid.shape[0]
+        for program in _plus_programs():
+            dense = self._lanes(block, x_valid, x_values, program, 1e9)
+            sparse = self._lanes(block, x_valid, x_values, program, 1e-9)
+            if sparse.unique_dst is None:
+                assert dense.unique_dst is None
+                continue
+            assert np.array_equal(dense.unique_dst, sparse.unique_dst)
+            assert np.array_equal(
+                _as_received(dense, k), _as_received(sparse, k)
+            )
+            assert_fold_bits_equal(program, dense.reduced, sparse.reduced)
+
+    @given(data=plus_frontiers(), crossover=st.sampled_from([1e9, 6.0, 1e-9]))
+    @settings(max_examples=80, deadline=None)
+    def test_k_wide_column_equals_one_vector_call(self, data, crossover):
+        """Each lane of a K-wide sweep equals that lane swept alone, by
+        the lane kernel at K = 1 and by the generic one-vector kernel."""
+        block, x_valid, x_values = data
+        k, n = x_valid.shape
+        for program in _plus_programs():
+            wide = self._lanes(block, x_valid, x_values, program, crossover)
+            props = np.zeros((n,) + tuple(program.property_spec.shape))
+            for lane in range(k):
+                one = slice(lane, lane + 1)
+                alone = self._lanes(
+                    block, x_valid[one], x_values[one], program, crossover
+                )
+                with np.errstate(invalid="ignore", over="ignore"):
+                    vector = run_block(
+                        0, block, x_valid[lane], x_values[lane], program, props
+                    )
+                if vector.unique_dst is None:
+                    assert alone.unique_dst is None
+                    assert wide.unique_dst is None or not _as_received(
+                        wide, k
+                    )[lane].any()
+                    continue
+                got = _as_received(wide, k)[lane]
+                assert np.array_equal(wide.unique_dst[got], vector.unique_dst)
+                assert_fold_bits_equal(
+                    program, wide.reduced[lane, got], vector.reduced
+                )
+                mine = _as_received(alone, 1)[0]
+                assert np.array_equal(alone.unique_dst[mine], vector.unique_dst)
+                assert_fold_bits_equal(
+                    program, alone.reduced[0, mine], vector.reduced
+                )
 
 
 def _roots(graph, k):
@@ -755,6 +891,20 @@ def _semiring_run(semiring):
     return run
 
 
+def _delta_pagerank(graph):
+    """Warm-started PageRank after an edge batch (DeltaPageRankProgram)."""
+    base = DeltaGraph(graph)
+    previous = run_pagerank(base, max_iterations=40).ranks
+    rng = np.random.default_rng(3)
+    n = graph.n_vertices
+    after = base.apply_delta(
+        inserts=(rng.integers(0, n, 20), rng.integers(0, n, 20))
+    )
+    run = incremental_pagerank(after, previous, after.last_batch)
+    assert run.incremental
+    return run.result.ranks
+
+
 #: Program class -> a run through the public entry points, K=1 and K=16.
 KEYED_PROGRAM_RUNS = {
     "SSSPProgram": lambda weighted, sym: [
@@ -775,6 +925,20 @@ KEYED_PROGRAM_RUNS = {
     ],
     "SemiringProgram(min-plus)": _semiring_run(MIN_PLUS),
     "SemiringProgram(min-first)": _semiring_run(MIN_FIRST),
+    "PageRankProgram": lambda weighted, sym: [
+        run_pagerank(weighted, max_iterations=12).ranks
+    ],
+    "PersonalizedPageRankProgram": lambda weighted, sym: [
+        run_personalized_pagerank(
+            weighted, _roots(weighted, 1)[0], max_iterations=12
+        ).ranks,
+        pagerank_personalized_batch(
+            weighted, _roots(weighted, 16), max_iterations=12
+        ).table(),
+    ],
+    "DeltaPageRankProgram": lambda weighted, sym: [_delta_pagerank(weighted)],
+    "SemiringProgram(plus-times)": _semiring_run(PLUS_TIMES),
+    "SemiringProgram(plus-first)": _semiring_run(PLUS_FIRST),
 }
 
 
