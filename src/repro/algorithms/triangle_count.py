@@ -30,6 +30,7 @@ from repro.core.engine import RunStats, run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.graph.graph import Graph
+from repro.matrix import expand_spans
 from repro.vector.sparse_vector import INT64, OBJECT, ValueSpec
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -168,7 +169,7 @@ class CountTrianglesProgram(GraphProgram):
             # Wedge ends: every u in L(src) for each edge (src, dst); the
             # intersection test "u in L(dst)" is membership of the key
             # dst*stride + u in the precomputed sorted key set.
-            wedge_u = _take_spans(flat, indptr[src], src_lens)
+            wedge_u = flat[expand_spans(indptr[src], src_lens)]
             if wedge_u.shape[0] == 0:
                 continue
             wedge_w = np.repeat(dst, src_lens)
@@ -257,23 +258,6 @@ class CountTrianglesProgram(GraphProgram):
 
     def properties_equal_batch(self, old, new):
         return np.ones(old.shape[0], dtype=bool)
-
-
-def _take_spans(
-    flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``flat[starts[i] : starts[i]+lengths[i]]`` for all i."""
-    total = int(lengths.sum())
-    if total == 0:
-        return flat[:0]
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    take = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, lengths)
-        + np.repeat(starts, lengths)
-    )
-    return flat[take]
 
 
 def _sorted_intersection_size(a: np.ndarray, b: np.ndarray) -> int:

@@ -1,11 +1,11 @@
 """Backend comparison benchmark: serial vs threaded SpMV.
 
-Measures what the ``repro.exec`` subsystem buys on the engine's hottest
-path, with the wins attributed separately:
+Measures what the execution backends buy on the engine's hottest path,
+with the wins attributed separately:
 
 - ``serial``           — serial schedule, no caller-held workspace:
-  every run builds its own superstep vectors and scratch (inside the
-  timed region).  This is the baseline "serial fused path".
+  every run builds its own superstep vectors (inside the timed region).
+  This is the baseline "serial fused path".
 - ``serial+workspace`` — serial schedule through a
   ``graph_program_init`` :class:`~repro.core.engine.Workspace` built
   once outside the timed region and reused across runs.
@@ -100,11 +100,6 @@ def _time_config(
             seconds = time.perf_counter() - t0
             cell = {
                 "seconds": seconds,
-                "workspace_scratch_bytes": (
-                    workspace.superstep.scratch_nbytes()
-                    if workspace is not None
-                    else 0
-                ),
                 "supersteps": stats.n_supersteps,
                 "seconds_per_iteration": (
                     seconds / stats.n_supersteps if stats.n_supersteps else 0.0

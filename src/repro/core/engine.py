@@ -49,29 +49,31 @@ the multicore simulation and the Figure 5–7 benchmarks are driven by the
 Execution backends & workspace reuse
 ------------------------------------
 
-The sweep is dispatched through a pluggable executor
-(:mod:`repro.exec`), selected by ``options.backend``: ``"serial"``
-(calling thread, the reference schedule) or ``"threaded"`` (thread
-pool over the GIL-releasing NumPy and C kernels).  Partitions own
-disjoint output row ranges (section 4.4.1), so block results merge
-without locks and both backends produce bitwise-identical algorithm
-outputs.  ``RunStats.backend`` records the schedule that ran the
-sweeps (``"serial"`` for Algorithm 1, which no backend accelerates).
+Every block sweep is :func:`repro.core.spmv.sweep_view`.
+``options.backend`` only decides whether it gets a thread pool:
+``"serial"`` runs the blocks in the calling thread (the reference
+schedule), ``"threaded"`` submits one task per block to a
+``ThreadPoolExecutor`` of ``options.n_workers`` threads (the NumPy and
+C kernels release the GIL).  Partitions own disjoint output row ranges
+(section 4.4.1), and results merge in partition order, so both backends
+produce bitwise-identical algorithm outputs.  ``RunStats.backend``
+records the schedule that ran the sweeps (``"serial"`` for Algorithm 1,
+which no backend accelerates).
 
-Every run sweeps through a
-:class:`~repro.exec.workspace.SuperstepWorkspace`: the ``x``/``y``
-vectors, per-block edge scratch buffers and the blocks' cached groupings
-are allocated once — in :func:`graph_program_init` when the caller holds
-a :class:`Workspace`, else once per run — and reset in place each
-iteration.  Each superstep's per-block kernel shapes
-(``sparse-gather`` / ``dense-pull``, see
-:func:`repro.core.spmv.select_kernel`) are recorded in
-``IterationStats.kernel_counts``.
+A run's ``x``/``y`` vectors are allocated once and cleared in place each
+superstep, and the blocks' cached groupings are built before the first
+one: in :func:`graph_program_init` when the caller holds a
+:class:`Workspace` (which also keeps the thread pool across runs), else
+once per run.  The kernels allocate the edge-sized arrays they gather.
+Each superstep's per-block kernel shapes (``sparse-gather`` /
+``dense-pull``, see :func:`repro.core.spmv.select_kernel`) are recorded
+in ``IterationStats.kernel_counts``.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +85,13 @@ from repro.core.spmv import (
     run_block,
     run_block_batch,
     spmv_scalar,
+    sweep_view,
 )
 from repro.errors import ConvergenceError, ProgramError
-from repro.exec import SuperstepWorkspace, create_executor
 from repro.graph.graph import Graph
 from repro.vector.dense import PropertyArray
+from repro.vector.multi_frontier import MultiFrontier
+from repro.vector.sparse_vector import make_sparse_vector
 
 
 @dataclass
@@ -307,14 +311,13 @@ class BatchRun:
 class Workspace:
     """Reusable engine state, the paper's ``graph_program_init`` result.
 
-    Holds the partitioned matrix views a program needs, the persistent
-    :class:`~repro.exec.workspace.SuperstepWorkspace` (message/result
-    vectors + per-block scratch, allocated once and reset in place every
-    superstep) and the execution backend's worker pool, so repeated runs
-    on the same graph (e.g. the two phases of triangle counting,
-    benchmark repetitions) skip partitioning, allocation and pool
-    startup.  Close it (or use it as a context manager) to release
-    executor resources; the serial backend holds none.
+    Holds the partitioned matrix views a program needs (their cached
+    groupings built), the superstep's ``x``/``y`` vectors (cleared in
+    place every superstep) and, under ``backend="threaded"``, the thread
+    ``pool``, so repeated runs on the same graph (e.g. the two phases of
+    triangle counting, benchmark repetitions) skip partitioning,
+    allocation and pool startup.  Close it (or use it as a context
+    manager) to shut the pool down; a serial workspace holds none.
     """
 
     def __init__(
@@ -324,17 +327,20 @@ class Workspace:
         self.program = program
         self.options = options
         self.views = _matrix_views(graph, program.direction, options)
-        self.executor = create_executor(options)
-        self.superstep = SuperstepWorkspace(
-            graph.n_vertices,
-            program,
-            self.views,
-            **_superstep_shape(program, options, 1),
+        lanes = _lane_count(program, options, 1)
+        if _uses_fused(program, options):
+            _warm_views(self.views, lanes)
+        self.vector_key = _vector_key(graph.n_vertices, program, options, lanes)
+        self.x, self.y = _superstep_vectors(
+            graph.n_vertices, program, options, lanes
         )
+        self.pool = _thread_pool(options)
 
     def close(self) -> None:
-        """Release the executor's worker pool."""
-        self.executor.close()
+        """Shut the thread pool down (idempotent)."""
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def __enter__(self) -> "Workspace":
         return self
@@ -348,21 +354,79 @@ def _uses_fused(program: GraphProgram, options: EngineOptions) -> bool:
     return options.fused and options.use_bitvector and program.supports_fused()
 
 
-def _superstep_shape(
+def _lane_count(
     program: GraphProgram, options: EngineOptions, n_lanes: int
-) -> dict:
-    """The ``SuperstepWorkspace`` shape a run of ``program`` needs.
+) -> int | None:
+    """K for the lane family, None for the generic one.
 
-    This is where the kernel family is chosen: ``n_lanes`` stays an
-    integer only for lane-capable programs on the fused path.
+    This is where the kernel family is chosen: only lane-capable
+    programs on the fused path keep their lane count.
     """
-    fused = _uses_fused(program, options)
-    lanes = fused and program.supports_batched()
-    return {
-        "n_lanes": n_lanes if lanes else None,
-        "use_bitvector": options.use_bitvector,
-        "scratch": fused,
-    }
+    if _uses_fused(program, options) and program.supports_batched():
+        return n_lanes
+    return None
+
+
+def _vector_key(n, program, options, lanes: int | None) -> tuple:
+    """What a held workspace's ``x``/``y`` must match to serve a run.
+
+    Graph size, specs, ``use_bitvector`` and the lane count; for the
+    lane family also ``x``'s fill, the program's reduce identity (a
+    PageRank workspace's zero-filled ``x`` would feed an SSSP run
+    ``0.0`` messages from its silent vertices).
+    """
+    return (
+        int(n),
+        program.message_spec,
+        program.result_spec,
+        bool(options.use_bitvector),
+        lanes,
+        program.batch_reduce_identity() if lanes is not None else None,
+    )
+
+
+def _superstep_vectors(n, program, options, lanes: int | None):
+    """A run's message and result vectors ``(x, y)``.
+
+    K-lane :class:`MultiFrontier` blocks for the lane family (``x``
+    holds the reduce identity at invalid slots: the lane kernel's
+    no-masking contract), else one sparse-vector pair.
+    """
+    if lanes is None:
+        return (
+            make_sparse_vector(
+                n, program.message_spec, use_bitvector=options.use_bitvector
+            ),
+            make_sparse_vector(
+                n, program.result_spec, use_bitvector=options.use_bitvector
+            ),
+        )
+    return (
+        MultiFrontier(
+            n, lanes, program.message_spec,
+            fill=program.batch_reduce_identity(),
+        ),
+        MultiFrontier(n, lanes, program.result_spec),
+    )
+
+
+def _warm_views(views, lanes: int | None) -> None:
+    """Build the cached groupings the family's fused kernel reads."""
+    for view in views:
+        for block in view:
+            if not block.nnz:
+                continue
+            if lanes is None:
+                block.warm_caches()
+            else:
+                block.warm_batch_caches()
+
+
+def _thread_pool(options: EngineOptions) -> ThreadPoolExecutor | None:
+    """The pool ``options.backend`` asks for: None under ``serial``."""
+    if options.backend != "threaded":
+        return None
+    return ThreadPoolExecutor(options.n_workers, thread_name_prefix="repro-spmv")
 
 
 def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions):
@@ -383,7 +447,7 @@ def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions
 def graph_program_init(
     graph: Graph, program: GraphProgram, options: EngineOptions = DEFAULT_OPTIONS
 ) -> Workspace:
-    """Pre-build the matrix views and superstep buffers for ``program``."""
+    """Pre-build the matrix views, vectors and pool for ``program``."""
     program.validate()
     return Workspace(graph, program, options)
 
@@ -432,31 +496,22 @@ def _uniform_lanes(programs) -> bool:
 class _Family:
     """What one run's supersteps call: ``send``, ``sweep``, ``apply``."""
 
-    def __init__(self, program, superstep, executor, crossover, counters):
+    def __init__(self, program, vectors, pool, crossover, counters):
         #: Lane 0's instance: the one whose process/reduce the sweep runs.
         self.program = program
-        self.superstep = superstep
-        self.x, self.y = superstep.x, superstep.y
-        self.executor = executor
+        self.x, self.y = vectors
+        self.pool = pool
         self.crossover = crossover
         self.counters = counters
 
     def _sweep_blocks(
-        self, kernel, properties, view_index, view, partition_work, kernel_counts
+        self, kernel, properties, view, partition_work, kernel_counts
     ) -> int:
-        return self.executor.sweep(
-            kernel,
-            view_index,
-            view,
-            self.x,
-            self.y,
-            self.program,
-            properties,
-            self.counters,
-            partition_work,
-            kernel_counts,
-            self.superstep.view_scratch(view_index),
-            self.crossover,
+        return sweep_view(
+            kernel, view, self.x, self.y, self.program, properties,
+            self.counters, partition_work,
+            kernel_counts=kernel_counts, crossover=self.crossover,
+            pool=self.pool,
         )
 
 
@@ -477,11 +532,11 @@ class _LaneFamily(_Family):
         self.active = active
         self.uniform = _uniform_lanes(programs)
 
-    def sweep(self, view_index, view, partition_work, kernel_counts) -> int:
+    def sweep(self, view, partition_work, kernel_counts) -> int:
         """One pass over ``view`` serving every live lane."""
         return self._sweep_blocks(
-            run_block_batch, self.properties,
-            view_index, view, partition_work, kernel_counts,
+            run_block_batch, self.properties, view, partition_work,
+            kernel_counts,
         )
 
     def send(self, live, active_before) -> np.ndarray:
@@ -605,12 +660,12 @@ class _GenericFamily(_Family):
         self.active = active[0]
         self.fused = fused
 
-    def sweep(self, view_index, view, partition_work, kernel_counts) -> int:
+    def sweep(self, view, partition_work, kernel_counts) -> int:
         """One pass over ``view`` for the single frontier."""
         if self.fused:
             return self._sweep_blocks(
-                run_block, self.properties.data,
-                view_index, view, partition_work, kernel_counts,
+                run_block, self.properties.data, view, partition_work,
+                kernel_counts,
             )
         return spmv_scalar(
             view, self.x, self.y, self.program, self.properties,
@@ -731,40 +786,29 @@ def _run_supersteps(
         else _matrix_views(graph, program0.direction, options)
     )
     fused = _uses_fused(program0, options)
-
-    # -- Executor selection (block kernels only; Algorithm 1 is a pure
-    # Python loop that no backend accelerates).  The run's options win:
-    # a workspace built for another backend contributes its views but
-    # not its executor.
-    executor = None
-    owns_executor = False
+    lanes = _lane_count(program0, options, n_lanes)
     if fused:
-        if (
-            workspace is not None
-            and workspace.executor.name == options.backend
-            and workspace.executor.n_workers == options.n_workers
-        ):
-            executor = workspace.executor
-        else:
-            executor = create_executor(options)
-            owns_executor = True
-    backend = executor.name if executor is not None else "serial"
-
-    # -- Superstep workspace: reuse the caller's when its shape fits
-    # (specs, family, view set — per-block scratch is sized for specific
-    # blocks — and whether the sweep consumes scratch), else build one
-    # for this run (still amortized over all supersteps).
-    shape = _superstep_shape(program0, options, n_lanes)
-    superstep = workspace.superstep if workspace is not None else None
-    if superstep is None or not superstep.matches(n, program0, views, **shape):
-        superstep = SuperstepWorkspace(n, program0, views, **shape)
-    context = (superstep, executor, options.dense_pull_crossover, counters)
-    if shape["n_lanes"] is not None:
-        family = _LaneFamily(programs, lane_properties, lane_active, *context)
+        _warm_views(views, lanes)
+    # The held workspace's vectors serve when their shape fits, else the
+    # run builds its own (still amortized over all supersteps).
+    key = _vector_key(n, program0, options, lanes)
+    if workspace is not None and workspace.vector_key == key:
+        x, y = workspace.x, workspace.y
     else:
-        family = _GenericFamily(
-            program0, lane_properties, lane_active, fused, *context
-        )
+        x, y = _superstep_vectors(n, program0, options, lanes)
+    # Block kernels only: Algorithm 1 is a pure Python loop that no
+    # backend accelerates.  The run's options win: a workspace built for
+    # another backend or worker count contributes its views but not its
+    # pool, and the run opens (and closes) its own.
+    backend = options.backend if fused else "serial"
+    pool = None
+    if (
+        backend == "threaded"
+        and workspace is not None
+        and workspace.options.n_workers == options.n_workers
+    ):
+        pool = workspace.pool
+    owns_pool = backend == "threaded" and pool is None
 
     run = BatchRun(
         properties=lane_properties,
@@ -789,6 +833,17 @@ def _run_supersteps(
     start = time.perf_counter()
     iteration = 0
     try:
+        if owns_pool:
+            pool = _thread_pool(options)
+        context = ((x, y), pool, options.dense_pull_crossover, counters)
+        if lanes is not None:
+            family = _LaneFamily(
+                programs, lane_properties, lane_active, *context
+            )
+        else:
+            family = _GenericFamily(
+                program0, lane_properties, lane_active, fused, *context
+            )
         while True:
             # One precedence rule (EngineOptions.iteration_bound): an
             # explicit max_iterations stops the run normally; the
@@ -844,7 +899,8 @@ def _run_supersteps(
             t_iter = time.perf_counter()
 
             # -- Send phase (Algorithm 2 lines 3-5) ----------------------
-            superstep.reset()
+            x.clear()
+            y.clear()
             lane_messages = family.send(live, active_before).tolist()
 
             # -- Sweep phase (Algorithm 2 line 6 / Algorithm 1): one
@@ -854,8 +910,8 @@ def _run_supersteps(
             )
             kernel_counts: dict[str, int] = {}
             edges = sum(
-                family.sweep(view_index, view, partition_work, kernel_counts)
-                for view_index, view in enumerate(views)
+                family.sweep(view, partition_work, kernel_counts)
+                for view in views
             )
             # One shared sweep: every lane's record carries its work list.
             work = partition_work or []
@@ -898,8 +954,8 @@ def _run_supersteps(
                 options.profile_hook(run.iterations[-1])
             iteration += 1
     finally:
-        if owns_executor:
-            executor.close()
+        if owns_pool and pool is not None:
+            pool.shutdown()
 
     run.total_seconds = time.perf_counter() - start
     for k, stats in enumerate(run.lane_stats):
@@ -944,7 +1000,7 @@ def run_graph_program(
         how it ranks against ``max_iterations`` and ``safety_cap``.
     workspace:
         Optional pre-built :class:`Workspace` (avoids re-partitioning,
-        re-allocation and executor pool startup across runs).
+        re-allocation and thread-pool startup across runs).
     counters:
         Optional event counter sink (``repro.perf.counters.EventCounters``).
     safety_cap:
@@ -1045,7 +1101,7 @@ def run_graph_programs_batched(
     taken from lane 0 and broadcast across the shared sweep.
 
     Views resolve through the same per-graph view cache and
-    ``options.backend`` selects the same executors as any other run
+    ``options.backend`` selects the same schedule as any other run
     (partition-disjoint row ranges make the K-lane accumulation
     lock-free on every backend).
 

@@ -5,7 +5,7 @@ one place: :func:`select_kernel` decides *which shape* of kernel a
 (block, frontier) pair wants — sparse-gather or dense-pull — for the
 K-lane kernel (:func:`~repro.core.spmv.run_block_batch`); the generic
 one-lane kernel (:func:`~repro.core.spmv.run_block`) has one packed
-path and is tagged by column coverage.  Every executor runs those same
+path and is tagged by column coverage.  Both backends run those same
 kernels, so a given (block, frontier) runs the same kernel whatever the
 backend.
 

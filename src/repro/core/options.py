@@ -19,12 +19,13 @@ Each knob corresponds to one bar of the Figure 7 ablation:
    backend and the graph (:meth:`EngineOptions.block_count`).
 
 Beyond the paper's knobs, the engine's SpMV can be scheduled onto real
-parallel backends (:mod:`repro.exec`):
+threads (:func:`repro.core.spmv.sweep_view`):
 
-5. ``backend`` / ``n_workers`` — which executor runs the per-block SpMV
-   kernels: ``"serial"`` (calling thread) or ``"threaded"`` (thread pool
-   over the GIL-releasing NumPy and C kernels).  Orthogonal to ``n_threads``, which drives the paper's
-   *simulated* multicore model.
+5. ``backend`` / ``n_workers`` — where the per-block SpMV kernels run:
+   ``"serial"`` (calling thread) or ``"threaded"`` (a thread pool of
+   ``n_workers`` over the GIL-releasing NumPy and C kernels).
+   Orthogonal to ``n_threads``, which drives the paper's *simulated*
+   multicore model.
 6. ``dense_pull_crossover`` — the lane kernel selector's crossover, in
    edges (:func:`repro.core.kernels.select_kernel`).  The default is
    measured (docs/KERNELS.md); the option is the override
@@ -44,10 +45,8 @@ from repro.core.kernels import DENSE_PULL_CROSSOVER
 from repro.core.spmv import RADIX_KEY_MAX_ROWS
 from repro.errors import ProgramError
 
-#: Execution backends the engine can dispatch SpMV work through.  Kept
-#: here (not imported from ``repro.exec``) so option validation stays
-#: dependency-free and fails at construction time, not deep inside the
-#: engine.  ``repro.exec.BACKENDS`` asserts the same set.
+#: Execution backends the engine can schedule SpMV blocks on: the one
+#: list of backend names (option validation, ``repro-serve --backend``).
 KNOWN_BACKENDS: tuple[str, ...] = ("serial", "threaded")
 
 
@@ -75,8 +74,8 @@ class EngineOptions:
     #: Record per-partition work each superstep (feeds the parallel model
     #: and Figure 5/7; cheap, but off by default for micro-benchmarks).
     record_partition_stats: bool = False
-    #: Execution backend for the fused SpMV blocks (see ``repro.exec``):
-    #: ``"serial"`` or ``"threaded"``.
+    #: Execution backend for the fused SpMV blocks: ``"serial"`` or
+    #: ``"threaded"`` (see ``repro.core.spmv.sweep_view``).
     backend: str = "serial"
     #: Worker count for the threaded backend (ignored by serial).
     n_workers: int = 1

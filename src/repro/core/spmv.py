@@ -31,8 +31,10 @@ from what the program and options declare, never per call site:
 
 Both block kernels are pure functions of their arguments with one
 signature and one result type (:class:`BlockResult`), so
-:func:`sweep_view` (serial) and the threaded executor in
-:mod:`repro.exec` schedule either one without knowing which it is.
+:func:`sweep_view` runs either one over a view's blocks without knowing
+which it is: in the calling thread, or one task per block on a thread
+pool (the ``threaded`` backend), merging the results in partition
+order either way.
 
 Kernel shapes
 -------------
@@ -58,11 +60,10 @@ attribute wins to kernel choice.
 
 All kernels accumulate into the same output vector ``y`` so a superstep
 may chain several matrix views (ALL_EDGES programs multiply by both
-``A^T`` and ``A``).  Kernels accept an optional per-block scratch object
-(see :mod:`repro.exec.workspace`) holding preallocated edge-sized
-buffers; with scratch the hot path performs its gathers with
-``np.take(..., out=...)`` and in-place prefix sums instead of allocating
-fresh arrays every superstep.
+``A^T`` and ``A``).  The kernels allocate the edge-sized arrays they
+gather each call; only the blocks' cached groupings
+(:meth:`~repro.matrix.dcsc.DCSCMatrix.warm_caches`) persist across
+supersteps.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from repro.core.kernels import (  # noqa: F401  (re-exported: this was
     frontier_edge_count,
     select_kernel,
 )
+from repro.matrix.dcsc import expand_spans
 from repro.matrix.partition import PartitionedMatrix
 from repro.vector.dense import PropertyArray
 from repro.vector.multi_frontier import MultiFrontier
@@ -134,100 +136,6 @@ class BlockResult:
     seconds: float
     events: dict = field(default_factory=dict)
     received: np.ndarray | None = None
-
-
-def _expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices covering ``[starts[i], starts[i]+lengths[i])`` for all i.
-
-    The standard prefix-sum trick: output is the concatenation of the
-    per-span ``arange``\\ s without a Python loop.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths) + np.repeat(
-        starts, lengths
-    )
-
-
-def _span_heads(lengths: np.ndarray) -> np.ndarray:
-    """Output positions where each span begins (exclusive prefix sum)."""
-    heads = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=heads[1:])
-    return heads
-
-
-def _expand_spans_into(
-    starts: np.ndarray, lengths: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Allocation-light :func:`_expand_spans` writing into ``out[:total]``.
-
-    Builds the concatenated aranges as a cumulative sum of a delta array
-    constructed in place: within a span each step is +1; at a span head
-    the delta jumps to the new start.  Only O(n_spans) temporaries.
-    Falls back to allocation when ``out`` is too small (never truncates).
-
-    Precondition: every length must be >= 1 (zero-length spans collapse
-    the delta writes at span heads and corrupt the output).  DCSC
-    guarantees this — ``validate()`` rejects empty ``jc`` columns — so
-    callers slicing ``cp`` spans of active columns always satisfy it;
-    use :func:`_expand_spans` for inputs that may contain empty spans.
-    """
-    total = int(lengths.sum())
-    if total > out.shape[0]:
-        return _expand_spans(starts, lengths)
-    seg = out[:total]
-    if total == 0:
-        return seg
-    heads = _span_heads(lengths)
-    seg[:] = 1
-    seg[0] = starts[0]
-    if starts.shape[0] > 1:
-        seg[heads[1:]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    np.cumsum(seg, out=seg)
-    return seg
-
-
-def _repeat_into(
-    values: np.ndarray, lengths: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Allocation-light ``np.repeat(values, lengths)`` into ``out[:total]``.
-
-    Same delta/cumsum trick as :func:`_expand_spans_into` with step 0
-    inside each span; falls back to allocation when ``out`` is too small.
-    Same precondition: every length must be >= 1 (DCSC guarantees it).
-    """
-    total = int(lengths.sum())
-    if total > out.shape[0]:
-        return np.repeat(values, lengths)
-    seg = out[:total]
-    if total == 0:
-        return seg
-    heads = _span_heads(lengths)
-    seg[:] = 0
-    seg[0] = values[0]
-    if values.shape[0] > 1:
-        seg[heads[1:]] = np.diff(values)
-    np.cumsum(seg, out=seg)
-    return seg
-
-
-def _gather(source: np.ndarray, idx: np.ndarray, buffer: np.ndarray | None):
-    """``source[idx]`` through a preallocated buffer when one fits.
-
-    Falls back to fancy indexing (fresh allocation) when the buffer is
-    missing or does not match the source's dtype/entry shape.
-    """
-    if (
-        buffer is not None
-        and buffer.dtype == source.dtype
-        and buffer.shape[1:] == source.shape[1:]
-        and idx.shape[0] <= buffer.shape[0]
-    ):
-        return np.take(source, idx, axis=0, out=buffer[: idx.shape[0]])
-    return source[idx]
 
 
 def fold_plus(
@@ -334,7 +242,6 @@ def _reduce_by_destination(
     edge_dst: np.ndarray,
     block,
     full_coverage: bool,
-    scratch=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Destination-grouped reduction, choosing the cheapest valid kernel.
 
@@ -345,9 +252,7 @@ def _reduce_by_destination(
       grouping (no per-superstep sort),
     - everything else falls back to sort + reduceat / scalar reduce.
 
-    The choice depends only on the program and the coverage — never on
-    scratch availability — so results are bitwise identical with and
-    without workspace reuse.
+    The choice depends only on the program and the coverage.
     """
     results = np.asarray(results)
     if program.reduce_ufunc is np.add and results.dtype != object:
@@ -360,11 +265,8 @@ def _reduce_by_destination(
         return unique_dst, np.ascontiguousarray(reduced)
     if full_coverage:
         order, group_starts, unique_rows = block.dst_groups()
-        sorted_results = _gather(
-            results, order, scratch.sorted_results if scratch is not None else None
-        )
         return unique_rows, _reduce_sorted_groups(
-            program, sorted_results, group_starts, results.shape[0]
+            program, results[order], group_starts, results.shape[0]
         )
     return _segment_reduce(program, results, edge_dst, block.row_range)
 
@@ -405,7 +307,6 @@ def run_block(
     x_values: np.ndarray,
     program: GraphProgram,
     properties_data: np.ndarray,
-    scratch=None,
     crossover: float = DENSE_PULL_CROSSOVER,
 ) -> BlockResult:
     """Fused generalized SpMV over one DCSC block.
@@ -413,8 +314,8 @@ def run_block(
     Pure function of its arguments: reads the frontier (``x_mask`` /
     ``x_values``) and vertex properties, returns the block's
     destination-grouped reduction as a :class:`BlockResult`.  It never
-    touches shared output state, which is what lets the executors in
-    :mod:`repro.exec` run blocks on worker threads.  ``crossover`` is
+    touches shared output state, which is what lets :func:`sweep_view`
+    run blocks on pool threads.  ``crossover`` is
     unused — there is one packed path — and is accepted so both block
     kernels share :func:`run_block_batch`'s signature.
     """
@@ -439,20 +340,11 @@ def run_block(
     else:
         starts = block.cp[active_pos]
         lengths = block.cp[active_pos + 1] - starts
-        if scratch is not None:
-            take = _expand_spans_into(starts, lengths, scratch.take)
-            src_cols = _repeat_into(
-                block.jc[active_pos], lengths, scratch.src_cols
-            )
-            edges = int(take.shape[0])
-            edge_dst = _gather(block.ir, take, scratch.edge_dst)
-            edge_vals = _gather(block.num, take, scratch.edge_vals)
-        else:
-            take = _expand_spans(starts, lengths)
-            edges = int(take.shape[0])
-            edge_dst = block.ir[take]
-            edge_vals = block.num[take]
-            src_cols = np.repeat(block.jc[active_pos], lengths)
+        take = expand_spans(starts, lengths)
+        edges = int(take.shape[0])
+        edge_dst = block.ir[take]
+        edge_vals = block.num[take]
+        src_cols = np.repeat(block.jc[active_pos], lengths)
     if edges == 0:
         return BlockResult(
             partition, None, None, 0, n_active, kernel,
@@ -462,20 +354,15 @@ def run_block(
         src_cols, edge_vals, edge_dst, properties_data
     )
     if results is None:
-        messages = _gather(
-            x_values, src_cols, scratch.messages if scratch else None
+        results = program.process_message_batch(
+            x_values[src_cols], edge_vals, properties_data[edge_dst]
         )
-        dst_props = _gather(
-            properties_data, edge_dst, scratch.dst_props if scratch else None
-        )
-        results = program.process_message_batch(messages, edge_vals, dst_props)
     unique_dst, reduced = _reduce_by_destination(
         program,
         np.asarray(results),
         edge_dst,
         block,
         full_coverage=full_coverage,
-        scratch=scratch,
     )
     return BlockResult(
         partition,
@@ -491,7 +378,7 @@ def run_block(
             random_accesses=edges + int(unique_dst.shape[0]),
             sequential_bytes=edges * 16,
             messages=n_active,
-            allocations=2 if scratch is not None else 5,
+            allocations=5,
         ),
     )
 
@@ -569,30 +456,17 @@ def _batch_tile_edges(n_lanes: int, itemsize: int) -> int:
     return max(4096, BATCH_TILE_BYTES // max(1, n_lanes * itemsize))
 
 
-def _gather_lanes(source: np.ndarray, idx: np.ndarray, buffer: np.ndarray | None):
-    """``source[:, idx]`` through a preallocated *flat* buffer.
+def _gather_lanes(source: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``source[:, idx]`` as a fresh contiguous ``(K, len(idx))`` array.
 
-    The lane-major analogue of :func:`_gather` (axis-1 take).  The
-    buffer is 1-D of capacity ``K * cap``; the gather writes a fully
-    contiguous ``(K, len(idx))`` view of it, which keeps the downstream
-    ``reduceat`` inner loops on contiguous memory (a ``buffer[:, :m]``
-    slice of a 2-D buffer would leave every lane row strided).  Falls
-    back to fancy indexing when the buffer is missing or too small.
+    K separate contiguous 1-D takes, one per lane row: numpy's 1-D
+    fancy-take inner loop is its fastest gather path, 1.6-1.9x faster
+    than one axis-1 take at K=16.
     """
-    k = source.shape[0]
-    m = idx.shape[0]
-    if (
-        buffer is not None
-        and buffer.dtype == source.dtype
-        and k * m <= buffer.shape[0]
-    ):
-        out = buffer[: k * m].reshape(k, m)
-        # K separate contiguous 1-D takes beat one axis-1 take: numpy's
-        # 1-D fancy-take inner loop is its fastest gather path.
-        for lane in range(k):
-            np.take(source[lane], idx, out=out[lane])
-        return out
-    return source[:, idx]
+    out = np.empty((source.shape[0], idx.shape[0]), dtype=source.dtype)
+    for lane in range(source.shape[0]):
+        np.take(source[lane], idx, out=out[lane])
+    return out
 
 
 def _tiled_process_reduce(
@@ -602,7 +476,6 @@ def _tiled_process_reduce(
     sorted_vals: np.ndarray,
     group_starts: np.ndarray,
     edges: int,
-    scratch,
     properties_lanes: np.ndarray | None,
     sorted_dst: np.ndarray | None,
 ) -> np.ndarray:
@@ -638,7 +511,6 @@ def _tiled_process_reduce(
     n_groups = int(group_starts.shape[0])
     out = np.empty((n_lanes, n_groups), dtype=program.result_spec.dtype)
     tile = _batch_tile_edges(n_lanes, x_values.dtype.itemsize)
-    buffer = scratch.messages if scratch is not None else None
     plus = program.reduce_ufunc is np.add
     if plus:
         group_ids = np.zeros(edges, dtype=np.int64)
@@ -650,15 +522,14 @@ def _tiled_process_reduce(
             g1, hi = n_groups, edges
         else:
             # Last group starting within the byte budget — the tile ends
-            # *before* the budget so the scratch buffer always fits; a
-            # single hub group larger than the tile advances alone (and
-            # falls back to an allocating gather).
+            # *before* the budget; a single hub group larger than the
+            # tile advances alone.
             g1 = int(
                 np.searchsorted(group_starts, lo + tile, side="right") - 1
             )
             g1 = max(g1, g0 + 1)
             hi = edges if g1 >= n_groups else int(group_starts[g1])
-        messages = _gather_lanes(x_values, sorted_cols[lo:hi], buffer)
+        messages = _gather_lanes(x_values, sorted_cols[lo:hi])
         dst_props = (
             properties_lanes[:, sorted_dst[lo:hi]]
             if properties_lanes is not None
@@ -723,7 +594,6 @@ def run_block_batch(
     x_values: np.ndarray,
     program: GraphProgram,
     properties_lanes: np.ndarray,
-    scratch=None,
     crossover: float = DENSE_PULL_CROSSOVER,
 ) -> BlockResult:
     """K-lane generalized SpMM over one DCSC block.
@@ -752,8 +622,8 @@ def run_block_batch(
     work).
 
     Like :func:`run_block` this is a pure function of its arguments and
-    never touches shared output state, which is what lets every executor
-    in :mod:`repro.exec` schedule it across threads.
+    never touches shared output state, which is what lets
+    :func:`sweep_view` schedule it across pool threads.
     """
     t0 = time.perf_counter()
     n_lanes = int(x_valid.shape[0])
@@ -781,49 +651,30 @@ def run_block_batch(
         sorted_vals = block.dst_sorted_vals()
         _, group_starts, unique_dst = block.dst_groups()
         edges = block.nnz
-        sorted_order = None  # already destination-ordered
     else:
         # Sparse gather: expand only the union-active columns' spans,
         # then compose index arrays (cheap 1-D int ops) so the wide
         # per-lane gathers happen once, directly in destination order.
         span_starts = block.cp[active_pos]
         lengths = block.cp[active_pos + 1] - span_starts
-        if scratch is not None:
-            take = _expand_spans_into(span_starts, lengths, scratch.take)
-            src_cols = _repeat_into(
-                block.jc[active_pos], lengths, scratch.src_cols
-            )
-            edges = int(take.shape[0])
-            edge_dst = _gather(block.ir, take, scratch.edge_dst)
-        else:
-            take = _expand_spans(span_starts, lengths)
-            edges = int(take.shape[0])
-            edge_dst = block.ir[take]
-            src_cols = np.repeat(block.jc[active_pos], lengths)
+        take = expand_spans(span_starts, lengths)
+        edges = int(take.shape[0])
+        edge_dst = block.ir[take]
+        src_cols = np.repeat(block.jc[active_pos], lengths)
         if edges == 0:
             return BlockResult(
                 partition, None, None, 0, n_active, kernel,
                 time.perf_counter() - t0,
             )
         sorted_order = destination_order(edge_dst, block.row_range)
-        sorted_take = _gather(
-            take, sorted_order, scratch.sorted_idx if scratch else None
-        )
-        # ``take`` is free after this point; reuse its buffer.
-        sorted_cols = _gather(
-            src_cols, sorted_order, scratch.take if scratch else None
-        )
-        sorted_vals = _gather(
-            block.num, sorted_take, scratch.edge_vals if scratch else None
-        )
-        sorted_dst = _gather(
-            edge_dst, sorted_order, scratch.src_cols if scratch else None
-        )
+        sorted_cols = src_cols[sorted_order]
+        sorted_vals = block.num[take[sorted_order]]
+        sorted_dst = edge_dst[sorted_order]
         boundary = np.empty(edges, dtype=bool)
         boundary[0] = True
         boundary[1:] = sorted_dst[1:] != sorted_dst[:-1]
         group_starts = np.flatnonzero(boundary)
-        unique_dst = sorted_dst[group_starts].copy()
+        unique_dst = sorted_dst[group_starts]
 
     # The wide work, tiled so the (tile, K) message block stays
     # cache-resident: gather -> process -> segment-reduce per tile.
@@ -834,7 +685,6 @@ def run_block_batch(
         sorted_vals,
         group_starts,
         edges,
-        scratch,
         properties_lanes if program.batch_needs_dst_props else None,
         (
             block.ir[block.dst_groups()[0]]
@@ -857,11 +707,8 @@ def run_block_batch(
     elif program.batch_received_by_value:
         received_all = reduced_all != identity
     else:
-        sent = _gather_lanes(
-            x_valid, sorted_cols, scratch.sent if scratch else None
-        )
         received_all = np.logical_or.reduceat(
-            sent[:, :edges], group_starts, axis=1
+            _gather_lanes(x_valid, sorted_cols), group_starts, axis=1
         )
     if kernel == KERNEL_DENSE and not full_coverage and received_all is not None:
         keep = received_all.any(axis=0)
@@ -885,7 +732,7 @@ def run_block_batch(
             random_accesses=edges + int(unique_dst.shape[0]) * n_lanes,
             sequential_bytes=edges * 8 * (1 + n_lanes),
             messages=n_active,
-            allocations=2 if scratch is not None else 5,
+            allocations=5,
         ),
         received=received_all,
     )
@@ -978,35 +825,35 @@ def sweep_view(
     counters=None,
     partition_work: list[PartitionWork] | None = None,
     *,
-    scratch=None,
     kernel_counts: dict[str, int] | None = None,
     crossover: float = DENSE_PULL_CROSSOVER,
+    pool=None,
 ) -> int:
-    """One generalized multiply over a view, serially over its partitions.
+    """One generalized multiply over a view: the engine's one sweep.
 
     ``kernel`` is :func:`run_block` (``x``/``y`` bitvector-backed sparse
     vectors, ``properties`` the ``(n, ...)`` vertex state) or
     :func:`run_block_batch` (``x``/``y`` :class:`MultiFrontier` blocks,
-    ``properties`` the ``(K, n, ...)`` per-lane state).  ``scratch``
-    optionally maps partition index to that kernel's preallocated
-    buffers.  Returns the number of edges swept.  The parallel executors
-    in :mod:`repro.exec` run the same kernel concurrently.
+    ``properties`` the ``(K, n, ...)`` per-lane state).  Blocks run in
+    the calling thread, or one ``pool.submit`` each when ``pool`` is a
+    :class:`concurrent.futures.ThreadPoolExecutor` (the NumPy and C
+    kernels release the GIL, so blocks overlap).  Either way the results
+    merge into ``y`` in partition order, so the bits and
+    ``partition_work`` do not depend on the schedule.  Returns the
+    number of edges swept.
     """
-    x_valid = x.valid_mask()
-    x_values = x.values
-    total_edges = 0
-    for p, block in enumerate(blocks):
-        result = kernel(
-            p,
-            block,
-            x_valid,
-            x_values,
-            program,
-            properties,
-            scratch.get(p) if scratch is not None else None,
-            crossover,
-        )
-        total_edges += apply_block_result(
+    args = (x.valid_mask(), x.values, program, properties, crossover)
+    if pool is None:
+        results = (kernel(p, block, *args) for p, block in enumerate(blocks))
+    else:
+        futures = [
+            pool.submit(kernel, p, block, *args)
+            for p, block in enumerate(blocks)
+        ]
+        results = (future.result() for future in futures)
+    return sum(
+        apply_block_result(
             result, y, program, counters, partition_work, kernel_counts
         )
-    return total_edges
+        for result in results
+    )

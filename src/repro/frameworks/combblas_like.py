@@ -33,6 +33,7 @@ from repro.core.semiring import Semiring
 from repro.errors import BenchmarkError
 from repro.frameworks.base import Framework, RunRecord, cf_initial_factors
 from repro.graph.graph import Graph
+from repro.matrix import expand_spans
 from repro.perf.counters import EventCounters
 from repro.perf.parallel_model import ScalingProfile
 
@@ -44,19 +45,6 @@ GRID_PROCESSES = 16
 
 def _log2_cost(n: int) -> int:
     return int(n * max(1, math.log2(n))) if n > 1 else n
-
-
-def _expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, lengths)
-        + np.repeat(starts, lengths)
-    )
 
 
 class _GridBlock:
@@ -177,7 +165,7 @@ class CombBLASLikeFramework(Framework):
                 local = seg_idx - block.col_lo
                 starts = block.indptr[local]
                 lengths = block.indptr[local + 1] - starts
-                take = _expand_spans(starts, lengths)
+                take = expand_spans(starts, lengths)
                 edges = int(take.shape[0])
                 work_units.append(float(edges))
                 if edges == 0:

@@ -29,28 +29,12 @@ import numpy as np
 
 from repro.frameworks.base import Framework, RunRecord, cf_initial_factors
 from repro.graph.graph import Graph
+from repro.matrix import expand_spans
 from repro.perf.counters import EventCounters
 from repro.perf.parallel_model import ScalingProfile
 
 UNREACHED = np.inf
 _CHUNK = 64
-
-
-def _take_spans(
-    flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``flat[starts[i] : starts[i]+lengths[i]]`` for all i."""
-    total = int(lengths.sum())
-    if total == 0:
-        return flat[:0]
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    take = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, lengths)
-        + np.repeat(starts, lengths)
-    )
-    return flat[take]
 
 
 def _expand_tasks(
@@ -59,17 +43,7 @@ def _expand_tasks(
     """All out-edges of ``vertices``: (sources-per-edge, dsts, weights)."""
     starts = csr.indptr[vertices]
     lengths = csr.indptr[vertices + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, csr.data[:0]
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    take = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, lengths)
-        + np.repeat(starts, lengths)
-    )
+    take = expand_spans(starts, lengths)
     srcs = np.repeat(vertices, lengths)
     return srcs, csr.indices[take], csr.data[take]
 
@@ -284,8 +258,8 @@ class GaloisLikeFramework(Framework):
             local = np.arange(hi - lo, dtype=np.int64)
             src_lens = indptr[src + 1] - indptr[src]
             dst_lens = indptr[dst + 1] - indptr[dst]
-            src_cat = _take_spans(indices, indptr[src], src_lens)
-            dst_cat = _take_spans(indices, indptr[dst], dst_lens)
+            src_cat = indices[expand_spans(indptr[src], src_lens)]
+            dst_cat = indices[expand_spans(indptr[dst], dst_lens)]
             if src_cat.shape[0] == 0 or dst_cat.shape[0] == 0:
                 work_units.append(float(hi - lo))
                 continue

@@ -2,7 +2,7 @@
 
 from repro.matrix.coo import COOMatrix
 from repro.matrix.csr import CSRMatrix
-from repro.matrix.dcsc import DCSCMatrix
+from repro.matrix.dcsc import DCSCMatrix, expand_spans
 from repro.matrix.delta import (
     BlockDelta,
     dedup_last_by_key,
@@ -25,6 +25,7 @@ __all__ = [
     "PartitionedMatrix",
     "dedup_last_by_key",
     "encode_keys",
+    "expand_spans",
     "merge_block",
     "merge_sorted_unique",
     "row_ranges_equal_rows",

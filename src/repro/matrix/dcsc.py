@@ -29,6 +29,26 @@ from repro.errors import FormatError, ShapeError
 from repro.matrix.coo import COOMatrix
 
 
+def expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices covering ``[starts[i], starts[i] + lengths[i])`` for all i.
+
+    The concatenated per-span ``arange``\\ s, without a Python loop: the
+    output position minus its span's offset, plus its span's start.
+    Zero-length spans contribute nothing.  ``flat[expand_spans(...)]``
+    concatenates slices of a CSR/DCSC value array.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    return (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(offsets, lengths)
+        + np.repeat(starts, lengths)
+    )
+
+
 class DCSCMatrix:
     """Doubly compressed sparse column matrix block."""
 
@@ -259,11 +279,12 @@ class DCSCMatrix:
     def warm_caches(self) -> None:
         """Materialize the lazy per-block caches up front.
 
-        ``graph_program_init`` calls this so the first superstep of a run
-        pays no cache-construction cost (the caches are what the fused
-        dense/full kernels reuse every superstep).  Snapshot loads may
-        have installed mmap-backed caches already (:meth:`install_caches`),
-        in which case this is a no-op.
+        The engine calls this when a fused run (or
+        ``graph_program_init``) prepares its matrix views, so no
+        superstep pays cache construction (the caches are what the
+        fused dense/full kernels reuse every superstep).  Snapshot loads
+        may have installed mmap-backed caches already
+        (:meth:`install_caches`), in which case this is a no-op.
         """
         self.col_expanded()
         self.dst_groups()
@@ -272,8 +293,8 @@ class DCSCMatrix:
         """Materialize the caches the batched SpMM kernels read.
 
         Superset of :meth:`warm_caches`: the dense SpMM path gathers
-        through the destination-sorted column/value arrays, so batched
-        workspaces call this up front — no superstep pays cache
+        through the destination-sorted column/value arrays, so a lane
+        run warms them with its views — no superstep pays cache
         construction.
         """
         self.warm_caches()

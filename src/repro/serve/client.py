@@ -381,7 +381,8 @@ class ServeClient:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read() or b"{}")
         except urllib.error.HTTPError as exc:
-            payload = exc.read()
+            with exc:  # read the error body, then free the reply's socket
+                payload = exc.read()
             try:
                 message = json.loads(payload).get("error", "")
             except (ValueError, AttributeError):

@@ -428,8 +428,9 @@ class ReplicationFollower:
                 return response.status, dict(response.headers), response.read()
         except urllib.error.HTTPError as exc:
             # 4xx/5xx replies are protocol answers (409 = stale cursor),
-            # not transport failures.
-            return exc.code, dict(exc.headers or {}), exc.read()
+            # not transport failures.  Closing the reply frees its socket.
+            with exc:
+                return exc.code, dict(exc.headers or {}), exc.read()
 
     def _note_contact(self, name: str, headers: dict) -> None:
         self._last_contact = time.time()

@@ -290,7 +290,7 @@ def test_numpy_plus_fold_is_the_left_fold(data):
         for program in PLUS_PROGRAMS:
             with np.errstate(invalid="ignore", over="ignore"):
                 got = _tiled_process_reduce(
-                    program, x, cols, vals, starts, edges, None, None, None
+                    program, x, cols, vals, starts, edges, None, None
                 )
             _assert_same_bits(
                 got, _left_fold(program, x, cols, vals, starts, edges)

@@ -117,7 +117,8 @@ class TestDrainOrdering:
                 ) as reply:
                     return reply.status, json.loads(reply.read())
             except urllib.error.HTTPError as error:
-                return error.code, json.loads(error.read())
+                with error:
+                    return error.code, json.loads(error.read())
 
         assert get("/healthz/live")[0] == 200
         assert get("/healthz/ready") == (200, {"status": "ready"})

@@ -12,6 +12,8 @@ implementations, not a tautology.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,16 +35,9 @@ from repro.algorithms.triangle_count import run_triangle_count
 from repro.core.engine import graph_program_init, run_graph_program
 from repro.core.options import KNOWN_BACKENDS, EngineOptions
 from repro.errors import ProgramError
-from repro.exec import (
-    BACKENDS,
-    SerialExecutor,
-    available_backends,
-    create_executor,
-)
 from repro.graph.generators.bipartite import BipartiteSpec, bipartite_rating_graph
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.preprocess import symmetrize, to_dag, with_random_weights
-from repro.perf.counters import EventCounters
 
 from tests.generic_reference import (
     reference_bfs,
@@ -231,7 +226,8 @@ class TestWorkspaceReuse:
     def test_prebuilt_workspace_reused_across_runs(self, rmat):
         program = PageRankProgram()
         with graph_program_init(rmat, program) as ws:
-            assert ws.superstep is not None
+            assert ws.x is not None and ws.y is not None
+            assert ws.pool is None  # serial: no pool to hold
             init_pagerank(rmat, program)
             run_graph_program(
                 rmat,
@@ -260,7 +256,7 @@ class TestWorkspaceReuse:
         from repro.vector.sparse_vector import OBJECT
 
         pagerank_ws = graph_program_init(rmat, PageRankProgram())
-        assert pagerank_ws.superstep is not None
+        assert pagerank_ws.x is not None
 
         def gather_neighbors(workspace):
             gather = NeighborGatherProgram()
@@ -280,18 +276,20 @@ class TestWorkspaceReuse:
             ]
 
         # Same graph + direction, object-valued specs: the PageRank
-        # workspace's superstep buffers must be rejected by matches()
-        # and the run must still produce the reference result.
+        # workspace's vectors must be rejected by its vector key and
+        # the run must still produce the reference result.
         expected = gather_neighbors(None)
         with pagerank_ws:
             got = gather_neighbors(pagerank_ws)
         assert got == expected
 
-    def test_direction_mismatched_workspace_rebuilds_views_and_scratch(self):
+    def test_direction_mismatched_workspace_rebuilds_views_and_matches_a_fresh_run(
+        self,
+    ):
         """Regression: a workspace reused across an edge-direction
-        mismatch must drop both its views *and* its superstep scratch —
-        the asymmetric in/out partitions have different block sizes, and
-        stale scratch overruns (IndexError) or silently truncates."""
+        mismatch must not lend the run its views — the asymmetric in/out
+        partitions hold different edges — and the run must give the
+        bits of a run without a workspace."""
         from repro.core.graph_program import EdgeDirection
         from repro.algorithms.sssp import SSSPProgram, init_sssp
 
@@ -351,28 +349,26 @@ class TestWorkspaceReuse:
         assert stats.kernel_totals() == {"sparse-gather": 3}
         assert graph.vertex_properties.data[3] == 2.0
 
-    def test_scratchless_workspace_does_not_disable_scratch(self, rmat):
-        """A workspace built for the unfused sweep holds no per-block
-        scratch; a fused run reusing it must build a scratch-enabled
-        workspace, not silently lose the zero-allocation path."""
+    def test_workspace_of_another_identity_is_bypassed(self):
+        """Regression: a PageRank workspace's lane ``x`` holds ``0.0`` at
+        silent vertices (its reduce identity); an SSSP run reusing it
+        must build its own ``x`` (identity ``inf``), or silent sources
+        send ``0.0`` and shorten every pulled distance."""
+        from repro.algorithms.sssp import SSSPProgram, init_sssp
 
-        class GenericPageRank(PageRankProgram):
-            reduce_identity = None  # the generic family, as unfused runs use
-
-        program = GenericPageRank()
-        run_opts = EngineOptions(max_iterations=3)
-        baseline = EventCounters()
-        init_pagerank(rmat, program)
-        run_graph_program(rmat, program, run_opts, counters=baseline)
-
-        with graph_program_init(rmat, program, EngineOptions(fused=False)) as ws:
-            assert not ws.superstep.scratch_built
-            via_ws = EventCounters()
-            init_pagerank(rmat, program)
+        graph = with_random_weights(
+            symmetrize(rmat_graph(scale=7, edge_factor=8, seed=11)), seed=3
+        )
+        root = int(np.argmax(graph.out_degrees()))
+        init_sssp(graph, root)
+        run_graph_program(graph, SSSPProgram(), EngineOptions())
+        expected = graph.vertex_properties.data.copy()
+        with graph_program_init(graph, PageRankProgram()) as ws:
+            init_sssp(graph, root)
             run_graph_program(
-                rmat, program, run_opts, workspace=ws, counters=via_ws
+                graph, SSSPProgram(), EngineOptions(), workspace=ws
             )
-        assert via_ws.allocations == baseline.allocations
+        assert np.array_equal(expected, graph.vertex_properties.data)
 
     def test_run_options_backend_overrides_workspace_executor(self, rmat):
         """The run's backend/n_workers win over the workspace's executor."""
@@ -386,6 +382,54 @@ class TestWorkspaceReuse:
                 workspace=ws,
             )
         assert stats.backend == "threaded"
+
+
+def _pool_threads() -> set[threading.Thread]:
+    return {
+        t for t in threading.enumerate() if t.name.startswith("repro-spmv")
+    }
+
+
+class TestPoolLifetime:
+    """No ``repro-spmv`` thread outlives the pool that started it."""
+
+    THREADED = EngineOptions(backend="threaded", n_workers=2, max_iterations=3)
+
+    def test_run_owned_pool_is_shut_down(self, rmat):
+        before = _pool_threads()
+        program = PageRankProgram()
+        init_pagerank(rmat, program)
+        stats = run_graph_program(rmat, program, self.THREADED)
+        assert stats.backend == "threaded"
+        assert _pool_threads() <= before
+
+    def test_workspace_close_shuts_its_pool_down(self, rmat):
+        before = _pool_threads()
+        program = PageRankProgram()
+        ws = graph_program_init(rmat, program, self.THREADED)
+        init_pagerank(rmat, program)
+        run_graph_program(rmat, program, self.THREADED, workspace=ws)
+        assert _pool_threads() - before, "the held pool ran the blocks"
+        ws.close()
+        assert ws.pool is None
+        assert _pool_threads() <= before
+        ws.close()  # idempotent
+
+    def test_failed_run_shuts_its_pool_down(self, rmat):
+        """A run that raises mid-sweep still closes the pool it opened."""
+
+        class Boom(PageRankProgram):
+            lane_kernel = None  # reach the NumPy hook
+
+            def process_message_lanes(self, messages, edge_values, dst_props):
+                raise RuntimeError("boom")
+
+        before = _pool_threads()
+        program = Boom()
+        init_pagerank(rmat, program)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_graph_program(rmat, program, self.THREADED)
+        assert _pool_threads() <= before
 
 
 class TestKernelSelectorStats:
@@ -444,16 +488,3 @@ class TestOptionsValidation:
     def test_bad_worker_count_raises(self):
         with pytest.raises(ProgramError):
             EngineOptions(n_workers=0)
-
-    def test_known_backends_match_registry(self):
-        assert set(KNOWN_BACKENDS) == set(BACKENDS) == set(available_backends())
-
-    def test_create_executor_names(self):
-        for name in KNOWN_BACKENDS:
-            executor = create_executor(EngineOptions(backend=name, n_workers=2))
-            assert executor.name == name
-            executor.close()
-
-    def test_serial_executor_is_default(self):
-        executor = create_executor(EngineOptions())
-        assert isinstance(executor, SerialExecutor)

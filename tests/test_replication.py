@@ -115,7 +115,8 @@ class _FlakyLeader:
                             reply.status, reply.headers, reply.read()
                         )
                 except urllib.error.HTTPError as error:
-                    status, headers, body = error.code, error.headers, error.read()
+                    with error:
+                        status, headers, body = error.code, error.headers, error.read()
                 self.send_response(status)
                 for key, value in headers.items():
                     if key.lower().startswith("x-repro-"):
@@ -303,7 +304,8 @@ class TestReplicationHTTP:
             with urllib.request.urlopen(url + path, timeout=10.0) as reply:
                 return reply.status, dict(reply.headers), reply.read()
         except urllib.error.HTTPError as error:
-            return error.code, dict(error.headers), error.read()
+            with error:
+                return error.code, dict(error.headers), error.read()
 
     def test_status_log_and_snapshot_endpoints(self, leader):
         lsvc, _server, url = leader
@@ -359,6 +361,7 @@ class TestReplicationHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10.0)
         assert err.value.code == 403
+        err.value.close()  # the error reply holds its socket
         fserver.shutdown()
         fserver.server_close()
         follower.stop()

@@ -46,7 +46,8 @@ def _get(server, path):
         with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as reply:
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def _post(server, path, body):
@@ -61,7 +62,8 @@ def _post(server, path, body):
         with urllib.request.urlopen(request) as reply:
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 class TestEndpoints:
@@ -179,6 +181,7 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request)
         assert info.value.code == 400
+        info.value.close()  # the error reply holds its socket
         # Malformed Content-Length header: still a JSON 400, not a
         # dropped connection.
         import http.client
@@ -275,7 +278,8 @@ def _post_raw(server, path, body, headers=None):
         with urllib.request.urlopen(request) as reply:
             return reply.status, dict(reply.headers), json.loads(reply.read())
     except urllib.error.HTTPError as error:
-        return error.code, dict(error.headers), json.loads(error.read())
+        with error:
+            return error.code, dict(error.headers), json.loads(error.read())
 
 
 @pytest.fixture()
@@ -448,7 +452,8 @@ def _get_raw(server, path, headers=None):
         with urllib.request.urlopen(request) as reply:
             return reply.status, dict(reply.headers), reply.read()
     except urllib.error.HTTPError as error:
-        return error.code, dict(error.headers), error.read()
+        with error:
+            return error.code, dict(error.headers), error.read()
 
 
 class TestObservabilityHTTP:

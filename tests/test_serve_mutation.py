@@ -48,7 +48,8 @@ def _post(server, path, body):
         with urllib.request.urlopen(request) as reply:
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def unreached_vertex(values: np.ndarray) -> int:

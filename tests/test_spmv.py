@@ -462,7 +462,7 @@ class TestEdgeProportionalSelection:
         x_values[0, frontier] = 0.5 * np.asarray(frontier)
         return run_block_batch(
             0, block, x_valid, x_values, program,
-            np.zeros((1, self.N)), None, crossover,
+            np.zeros((1, self.N)), crossover,
         )
 
     def test_few_columns_most_edges_pull(self):
@@ -681,7 +681,7 @@ def lane_blocks(draw):
 def _tiled(program, x, cols, vals, starts, edges):
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
         return _tiled_process_reduce(
-            program, x, cols, vals, starts, edges, None, None, None
+            program, x, cols, vals, starts, edges, None, None
         )
 
 
@@ -1008,7 +1008,7 @@ def test_destination_props_and_other_dtypes_take_the_numpy_fold():
     program = SSSPProgram()
     with mock.patch.object(ckernels, "lane_sweep") as sweep:
         _tiled_process_reduce(
-            program, x, cols, vals, starts, 3, None, np.zeros((2, 3)), cols
+            program, x, cols, vals, starts, 3, np.zeros((2, 3)), cols
         )
     sweep.assert_not_called()
     assert ckernels.lane_sweep(
