@@ -70,6 +70,7 @@ class BFSProgram(GraphProgram):
         return messages + 1.0
 
     lane_kernel = LaneKernel(MIN_PLUS_C_KERNEL, 1.0)
+    accumulate = "min"
 
     def apply_batch(self, reduced, props):
         return np.minimum(reduced, props)

@@ -64,6 +64,7 @@ class SSSPProgram(GraphProgram):
         return messages + edge_values
 
     lane_kernel = LaneKernel(MIN_PLUS_KERNEL)
+    accumulate = "min"
 
     def apply_batch(self, reduced, props):
         return np.minimum(reduced, props)

@@ -23,11 +23,30 @@
  * fixed).  `+` is not associative in floating point; this order is the
  * engine's one `+` contract (docs/KERNELS.md, "The `+` fold").
  *
+ * min accumulate (the `*_accum` entries, GraphBLAS's
+ * `w<mask> min= A (min.+) u`): instead of writing `out`, each lane's
+ * fold of group g lands in row rows[g] of the lane-major (k, n)
+ * property block `w`, in the same pass.  The arguments follow the
+ * descriptor: the semiring's operands (the common head, the edge
+ * values or constant, `x`), then the mask (`rows`, `every_group`,
+ * `seen`), then the accumulate's outputs (`w`, `active`, `counts`).
+ * A group is received when `every_group` is set (every lane sent from
+ * every swept column) or its fold is not +inf, the identity (a real
+ * message never folds to it: the `batch_received_by_value` rule);
+ * other groups are skipped.  A received group writes
+ * w = fold_min(acc, old), which is np.minimum(acc, old), sets the
+ * lane's `active` byte when the new value != the old (a NaN always
+ * does), and marks seen[g] when `seen` is not NULL.  counts[2 * lane]
+ * gains the received rows, counts[2 * lane + 1] the activated ones.
+ * Rows belong to one block and messages are read from `x`, never from
+ * `w`, so blocks may run on threads and no write leaks into the sweep.
+ *
  * Build with -O2 -ffp-contract=off; never -ffast-math, which would
  * drop the NaN test and reassociate the sums, nor -march=native, whose
  * FMA contraction would fuse plus_times' multiply into its add (see
  * repro/core/ckernels.py).
  */
+#include <math.h>
 #include <stdint.h>
 
 static inline double fold_min(double acc, double v)
@@ -47,6 +66,35 @@ static inline double fold_min(double acc, double v)
                 acc = fold_min(acc, MESSAGE);                          \
             ol[g] = acc;                                               \
         }                                                              \
+    }
+
+#define MIN_ACCUM_SWEEP(MESSAGE)                                       \
+    for (int64_t lane = 0; lane < k; lane++) {                         \
+        const double *xl = x + lane * n;                               \
+        double *wl = w + lane * n;                                     \
+        uint8_t *al = active + lane * n;                               \
+        int64_t received = 0, activated = 0;                           \
+        for (int64_t g = 0; g < n_groups; g++) {                       \
+            int64_t e = group_starts[g];                               \
+            int64_t end = g + 1 < n_groups ? group_starts[g + 1] : edges; \
+            double acc = MESSAGE;                                      \
+            for (e++; e < end; e++)                                    \
+                acc = fold_min(acc, MESSAGE);                          \
+            if (!every_group && acc == INFINITY)                       \
+                continue;                                              \
+            double old = wl[rows[g]];                                  \
+            double new = fold_min(acc, old);                           \
+            wl[rows[g]] = new;                                         \
+            received++;                                                \
+            if (new != old) {                                          \
+                al[rows[g]] = 1;                                       \
+                activated++;                                           \
+            }                                                          \
+            if (seen)                                                  \
+                seen[g] = 1;                                           \
+        }                                                              \
+        counts[2 * lane] += received;                                  \
+        counts[2 * lane + 1] += activated;                             \
     }
 
 #define PLUS_SWEEP(MESSAGE)                                            \
@@ -78,6 +126,28 @@ void min_plus_c(int64_t k, int64_t n_groups, int64_t n,
                 const double *x, double *out)
 {
     MIN_SWEEP(xl[cols[e]] + c)
+}
+
+/* SSSP's superstep: min-plus folded into the distances. */
+void min_plus_accum(int64_t k, int64_t n_groups, int64_t n,
+                    const int64_t *group_starts, int64_t edges,
+                    const int64_t *cols, const double *vals,
+                    const double *x,
+                    const int64_t *rows, int64_t every_group, uint8_t *seen,
+                    double *w, uint8_t *active, int64_t *counts)
+{
+    MIN_ACCUM_SWEEP(xl[cols[e]] + vals[e])
+}
+
+/* BFS's superstep: min-plus-c folded into the distances. */
+void min_plus_c_accum(int64_t k, int64_t n_groups, int64_t n,
+                      const int64_t *group_starts, int64_t edges,
+                      const int64_t *cols, double c,
+                      const double *x,
+                      const int64_t *rows, int64_t every_group, uint8_t *seen,
+                      double *w, uint8_t *active, int64_t *counts)
+{
+    MIN_ACCUM_SWEEP(xl[cols[e]] + c)
 }
 
 /* Connected components: the message unchanged. */

@@ -9,6 +9,11 @@ kernel a program may declare (``GraphProgram.lane_kernel``):
 - ``plus-times`` — sum of message * edge value (SpMV over ``PLUS_TIMES``),
 - ``plus-first`` — sum of the messages (PageRank, PPR, delta PageRank).
 
+The two sweeps of the ``min`` accumulate (``GraphProgram.accumulate``:
+BFS and SSSP) have a second entry each, ``min_plus_accum`` and
+``min_plus_c_accum``, that folds the lane straight into the property
+block and marks the next frontier (:func:`lane_accumulate`).
+
 :func:`repro.core.spmv._tiled_process_reduce` calls :func:`lane_sweep`
 first; a ``None`` answer sends it down the NumPy fold, which stays the
 fallback and the oracle.  Both give the same bits: ``min`` is exactly
@@ -77,6 +82,14 @@ _SIGNATURES = {
 }
 #: The kernels that read the edge values (``sorted_vals``).
 _READS_VALUES = frozenset((MIN_PLUS_KERNEL, PLUS_TIMES_KERNEL))
+#: Kernel name -> the C symbol of its ``min`` accumulate entry; its
+#: arguments are the sweep's up to ``x``, then ``rows, every_group,
+#: seen, w, active, counts``.
+_MIN_ACCUMULATE = {
+    MIN_PLUS_KERNEL: "min_plus_accum",
+    MIN_PLUS_C_KERNEL: "min_plus_c_accum",
+}
+_ACCUMULATE_TAIL = (_ptr, _i64, _ptr, _ptr, _ptr, _ptr)
 
 _lock = threading.Lock()
 _resolved = False
@@ -168,11 +181,21 @@ def _load() -> tuple[dict | None, str | None, Path | None]:
         return None, f"cannot build or load the library: {exc}", None
     functions = {}
     for name, (symbol, argtypes) in _SIGNATURES.items():
-        function = getattr(library, symbol)
-        function.argtypes = (_i64, _i64, _i64, _ptr, _i64, _ptr, *argtypes)
-        function.restype = None
-        functions[name] = function
+        head = (_i64, _i64, _i64, _ptr, _i64, _ptr, *argtypes)
+        functions[name] = _bind(library, symbol, head)
+        if name in _MIN_ACCUMULATE:
+            # The sweep's arguments up to ``x``; ``out`` gives way to the tail.
+            functions[("min", name)] = _bind(
+                library, _MIN_ACCUMULATE[name], head[:-1] + _ACCUMULATE_TAIL
+            )
     return functions, None, path
+
+
+def _bind(library: ctypes.CDLL, symbol: str, argtypes: tuple):
+    function = getattr(library, symbol)
+    function.argtypes = argtypes
+    function.restype = None
+    return function
 
 
 def _ensure() -> dict | None:
@@ -211,6 +234,17 @@ def status() -> dict:
         "reason": _reason,
         "path": str(_path) if _path is not None else None,
     }
+
+
+def accumulates(accumulate: str | None, lane_kernel) -> bool:
+    """Whether :func:`lane_accumulate` runs ``accumulate`` over
+    ``lane_kernel``'s sweep in this process."""
+    functions = _ensure()
+    return bool(
+        functions
+        and lane_kernel is not None
+        and (accumulate, lane_kernel.name) in functions
+    )
 
 
 def _usable(array: np.ndarray, dtype) -> bool:
@@ -260,3 +294,60 @@ def lane_sweep(
     else:
         function(*head, *tail)
     return out
+
+
+def lane_accumulate(
+    lane_kernel,
+    x_values: np.ndarray,
+    sorted_cols: np.ndarray,
+    sorted_vals: np.ndarray,
+    group_starts: np.ndarray,
+    edges: int,
+    rows: np.ndarray,
+    every_group: bool,
+    props: np.ndarray,
+    active: np.ndarray,
+    seen: np.ndarray | None = None,
+) -> np.ndarray:
+    """Fold every lane's groups straight into ``props`` (``min`` accumulate).
+
+    The sweep of :func:`lane_sweep` with a ``w<mask> min= A (min.+) x``
+    write instead of a result: group ``g``'s fold, when received (every
+    group when ``every_group``, else a fold that is not ``+inf``),
+    becomes ``np.minimum(fold, props[lane, rows[g]])`` in place, sets
+    ``active[lane, rows[g]]`` when that changed the value, and sets
+    ``seen[g]`` when ``seen`` is given.  ``props`` (float64) and
+    ``active`` (bool) are the ``(K, n)`` C-contiguous blocks written in
+    place; the index and value arrays are converted when their dtypes
+    differ, exactly as NumPy promotes them.  Returns the ``(K, 2)``
+    int64 received / activated row counts.  The caller checks
+    :func:`accumulates` first; a missing entry raises ``KeyError``.
+    """
+    function = _ensure()[("min", lane_kernel.name)]
+    if not (
+        _usable(props, np.float64)
+        and _usable(active, np.bool_)
+        and props.shape == active.shape == x_values.shape
+    ):
+        raise ValueError("the min accumulate writes (K, n) C-contiguous "
+                         "float64 properties and a bool active mask")
+    x_values = np.ascontiguousarray(x_values, dtype=np.float64)
+    sorted_cols = np.ascontiguousarray(sorted_cols, dtype=np.int64)
+    group_starts = np.ascontiguousarray(group_starts, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    n_lanes, n = x_values.shape
+    counts = np.zeros((n_lanes, 2), dtype=np.int64)
+    head = (n_lanes, int(group_starts.shape[0]), n, group_starts.ctypes.data,
+            edges, sorted_cols.ctypes.data)
+    if lane_kernel.name in _READS_VALUES:
+        sorted_vals = np.ascontiguousarray(sorted_vals, dtype=np.float64)
+        operand = sorted_vals.ctypes.data
+    else:
+        operand = lane_kernel.constant
+    function(
+        *head, operand, x_values.ctypes.data,
+        rows.ctypes.data, int(every_group),
+        None if seen is None else seen.ctypes.data,
+        props.ctypes.data, active.ctypes.data, counts.ctypes.data,
+    )
+    return counts

@@ -9,7 +9,9 @@ Each superstep:
    using ``process_message`` as multiply and ``reduce`` as add.
 3. **Apply** — every vertex with an entry in the result vector ``y`` runs
    the apply hook; vertices whose property changed become active for the
-   next superstep.
+   next superstep.  A program declaring ``accumulate = "min"`` (BFS,
+   SSSP) has the C sweep do this in place instead, skipping ``y``
+   (:func:`_accumulates`, docs/KERNELS.md "The min accumulate").
 
 The loop ends when no vertices are active or after
 ``options.max_iterations`` supersteps (-1 = run to quiescence, as in the
@@ -78,9 +80,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import ckernels
 from repro.core.graph_program import EdgeDirection, GraphProgram
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.core.spmv import (
+    Accumulate,
     PartitionWork,
     run_block,
     run_block_batch,
@@ -505,14 +509,44 @@ class _Family:
         self.counters = counters
 
     def _sweep_blocks(
-        self, kernel, properties, view, partition_work, kernel_counts
+        self, kernel, properties, view, partition_work, kernel_counts,
+        all_sent, y=None,
     ) -> int:
         return sweep_view(
-            kernel, view, self.x, self.y, self.program, properties,
-            self.counters, partition_work,
+            kernel, view, self.x, self.y if y is None else y, self.program,
+            properties, self.counters, partition_work,
             kernel_counts=kernel_counts, crossover=self.crossover,
-            pool=self.pool,
+            pool=self.pool, all_sent=all_sent,
         )
+
+
+def _accumulates(program, uniform: bool, n_views: int, properties, active) -> bool:
+    """Whether the lane sweep writes the properties and next frontier itself.
+
+    The program declares ``accumulate`` and keeps its contract (a fold
+    equal to the ``+inf`` identity means no message); every lane runs
+    one instance's hooks; one view is swept (a row received from two
+    views would be counted twice, so connected components keeps the
+    merge); activity is not unconditional; the ``(K, n)`` state blocks
+    are the float64 / bool C-contiguous arrays the C entry writes; and
+    that entry resolved.  Otherwise the NumPy merge into ``y`` and apply
+    run, the fallback and the oracle.
+    """
+    return (
+        program.accumulate is not None
+        and program.batch_received_by_value
+        and program.batch_reduce_identity() == np.inf
+        and uniform
+        and n_views == 1
+        and not program.reactivate_all
+        and program.message_spec.dtype == np.float64
+        and program.result_spec.dtype == np.float64
+        and properties.dtype == np.float64
+        and properties.ndim == 2
+        and properties.flags.c_contiguous
+        and active.flags.c_contiguous
+        and ckernels.accumulates(program.accumulate, program.lane_kernel)
+    )
 
 
 class _LaneFamily(_Family):
@@ -523,20 +557,32 @@ class _LaneFamily(_Family):
     is :func:`repro.core.spmv.run_block_batch`.  Lanes converge
     independently: a lane that left the live set keeps an empty
     frontier, adding nothing to later sweeps.
+
+    A program declaring ``accumulate`` skips ``y`` and apply where
+    :func:`_accumulates` allows: the sweep folds into the properties and
+    marks the next frontier (an :class:`~repro.core.spmv.Accumulate`),
+    and apply only reads its counts.
     """
 
-    def __init__(self, programs, properties, active, *context):
+    def __init__(self, programs, properties, active, n_views, *context):
         super().__init__(programs[0], *context)
         self.programs = programs
         self.properties = properties
         self.active = active
         self.uniform = _uniform_lanes(programs)
+        self.accumulate = (
+            Accumulate(active, np.zeros((len(programs), 2), dtype=np.int64))
+            if _accumulates(
+                self.program, self.uniform, n_views, properties, active
+            )
+            else None
+        )
 
-    def sweep(self, view, partition_work, kernel_counts) -> int:
+    def sweep(self, view, partition_work, kernel_counts, all_sent) -> int:
         """One pass over ``view`` serving every live lane."""
         return self._sweep_blocks(
             run_block_batch, self.properties, view, partition_work,
-            kernel_counts,
+            kernel_counts, all_sent, self.accumulate,
         )
 
     def send(self, live, active_before) -> np.ndarray:
@@ -566,6 +612,10 @@ class _LaneFamily(_Family):
                 element_ops=int(active_before.sum()),
                 random_accesses=int(lane_messages.sum()),
             )
+        if self.accumulate is not None:
+            # The sweep marks the next frontier from an empty one.
+            active[live] = False
+            self.accumulate.counts[:] = 0
         return lane_messages
 
     def frontier_density(self, n: int) -> float:
@@ -574,7 +624,26 @@ class _LaneFamily(_Family):
         return int(np.count_nonzero(self.x.any_mask())) / n if n else 0.0
 
     def apply(self, live, live_mask) -> list[tuple[int, int, int]]:
-        """Apply ``y`` per lane; returns ``(lane, updated, activated)`` rows."""
+        """Apply ``y`` per lane; returns ``(lane, updated, activated)`` rows.
+
+        An accumulating sweep has applied already: the rows are its
+        counts.
+        """
+        if self.accumulate is not None:
+            counts = self.accumulate.counts
+            rows = [(k, int(counts[k, 0]), int(counts[k, 1])) for k in live]
+        else:
+            rows = self._apply_y(live, live_mask)
+        if self.counters is not None:
+            total_updated = sum(row[1] for row in rows)
+            self.counters.record(
+                user_calls=2 * len(live),
+                element_ops=total_updated,
+                random_accesses=2 * total_updated,
+            )
+        return rows
+
+    def _apply_y(self, live, live_mask) -> list[tuple[int, int, int]]:
         props, active, y = self.properties, self.active, self.y
         program0 = self.program
         n_lanes, n = active.shape
@@ -632,13 +701,6 @@ class _LaneFamily(_Family):
                     active[k] = True
                     activated = n
                 rows.append((k, int(updated_idx.size), activated))
-        if self.counters is not None:
-            total_updated = sum(row[1] for row in rows)
-            self.counters.record(
-                user_calls=2 * len(live),
-                element_ops=total_updated,
-                random_accesses=2 * total_updated,
-            )
         return rows
 
 
@@ -660,12 +722,12 @@ class _GenericFamily(_Family):
         self.active = active[0]
         self.fused = fused
 
-    def sweep(self, view, partition_work, kernel_counts) -> int:
+    def sweep(self, view, partition_work, kernel_counts, all_sent) -> int:
         """One pass over ``view`` for the single frontier."""
         if self.fused:
             return self._sweep_blocks(
                 run_block, self.properties.data, view, partition_work,
-                kernel_counts,
+                kernel_counts, all_sent,
             )
         return spmv_scalar(
             view, self.x, self.y, self.program, self.properties,
@@ -838,7 +900,7 @@ def _run_supersteps(
         context = ((x, y), pool, options.dense_pull_crossover, counters)
         if lanes is not None:
             family = _LaneFamily(
-                programs, lane_properties, lane_active, *context
+                programs, lane_properties, lane_active, len(views), *context
             )
         else:
             family = _GenericFamily(
@@ -909,8 +971,11 @@ def _run_supersteps(
                 [] if options.record_partition_stats else None
             )
             kernel_counts: dict[str, int] = {}
+            # Every lane sent from every vertex (PageRank, PPR, any
+            # reactivate_all program): the kernels need not read x's mask.
+            all_sent = sum(lane_messages) == n * n_lanes
             edges = sum(
-                family.sweep(view, partition_work, kernel_counts)
+                family.sweep(view, partition_work, kernel_counts, all_sent)
                 for view in views
             )
             # One shared sweep: every lane's record carries its work list.

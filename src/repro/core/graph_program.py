@@ -56,6 +56,19 @@ _LANE_KERNEL_HOOKS = (
     "process_message_lanes",
     "reduce_ufunc",
 )
+#: What an ``accumulate`` stands for (the process, apply and equality
+#: hooks): redefining one of these drops it.
+_ACCUMULATE_HOOKS = _LANE_KERNEL_HOOKS + (
+    "process_message",
+    "process_edges_packed",
+    "apply",
+    "apply_batch",
+    "apply_lanes",
+    "apply_lanes_inplace",
+    "properties_equal",
+    "properties_equal_batch",
+    "properties_equal_lanes",
+)
 
 
 class GraphProgram:
@@ -110,6 +123,16 @@ class GraphProgram:
     #: bit.  A subclass that redefines one of those hooks without
     #: declaring its own key inherits None (``__init_subclass__``).
     lane_kernel: Optional[LaneKernel] = None
+    #: ``"min"`` certifies that :meth:`apply_batch` is
+    #: ``np.minimum(reduced, old)`` and the activity rule exact equality:
+    #: GraphBLAS's ``w<mask> min= A ⊕.⊗ u``.  The engine may then let the
+    #: ``lane_kernel`` sweep write the properties and the next frontier
+    #: itself (:func:`repro.core.ckernels.lane_accumulate`) instead of
+    #: merging into ``y`` and applying; it does so only with
+    #: ``batch_received_by_value`` and a ``+inf`` reduce identity.  A
+    #: subclass that redefines a process, apply or equality hook without
+    #: declaring its own inherits None (``__init_subclass__``).
+    accumulate: Optional[str] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -118,6 +141,10 @@ class GraphProgram:
             hook in body for hook in _LANE_KERNEL_HOOKS
         ):
             cls.lane_kernel = None
+        if "accumulate" not in body and any(
+            hook in body for hook in _ACCUMULATE_HOOKS
+        ):
+            cls.accumulate = None
 
     # ------------------------------------------------------------------
     # Scalar hooks (Algorithm 1 / Algorithm 2)
@@ -401,6 +428,10 @@ class GraphProgram:
             raise ProgramError(
                 f"reduce_ufunc must be a numpy ufunc or None, "
                 f"got {type(self.reduce_ufunc).__name__}"
+            )
+        if self.accumulate not in (None, "min"):
+            raise ProgramError(
+                f"accumulate must be None or 'min', got {self.accumulate!r}"
             )
 
     def __repr__(self) -> str:

@@ -60,8 +60,10 @@ attribute wins to kernel choice.
 
 All kernels accumulate into the same output vector ``y`` so a superstep
 may chain several matrix views (ALL_EDGES programs multiply by both
-``A^T`` and ``A``).  The kernels allocate the edge-sized arrays they
-gather each call; only the blocks' cached groupings
+``A^T`` and ``A``) — except a lane sweep handed an :class:`Accumulate`,
+which folds into the properties and the next frontier itself.  The
+kernels allocate the edge-sized arrays they gather each call; only the
+blocks' cached groupings
 (:meth:`~repro.matrix.dcsc.DCSCMatrix.warm_caches`) persist across
 supersteps.
 """
@@ -80,6 +82,8 @@ from repro.core.kernels import (  # noqa: F401  (re-exported: this was
     KERNEL_DENSE,
     KERNEL_NAMES,
     KERNEL_SPARSE,
+    PLUS_FIRST_KERNEL,
+    PLUS_TIMES_KERNEL,
     frontier_edge_count,
     select_kernel,
 )
@@ -136,6 +140,27 @@ class BlockResult:
     seconds: float
     events: dict = field(default_factory=dict)
     received: np.ndarray | None = None
+    #: ``(K, 2)`` received / activated rows per lane when the block
+    #: accumulated into the properties itself (:class:`Accumulate`);
+    #: ``unique_dst`` and ``reduced`` are then None.
+    counts: np.ndarray | None = None
+
+
+@dataclass
+class Accumulate:
+    """The write target of a lane sweep that accumulates, in place of ``y``.
+
+    GraphBLAS's ``w<mask> min= A (min.+) u`` for a program declaring
+    ``GraphProgram.accumulate = "min"``: each block folds its lanes
+    straight into the ``(K, n)`` properties :func:`sweep_view` hands it,
+    keeping the smaller value, and marks the rows whose value changed in
+    ``active``, the next frontier (:func:`repro.core.ckernels.lane_accumulate`).
+    ``counts`` sums the blocks' ``(K, 2)`` received / activated rows in
+    partition order.  Blocks own disjoint rows, so the writes never race.
+    """
+
+    active: np.ndarray
+    counts: np.ndarray
 
 
 def fold_plus(
@@ -161,6 +186,42 @@ def fold_plus(
                 group_ids, weights=values[index], minlength=n_groups
             )
     return out.astype(values.dtype, copy=False)
+
+
+def csr_plus_sweep(
+    lane_kernel,
+    x_values: np.ndarray,
+    sorted_cols: np.ndarray,
+    sorted_vals: np.ndarray,
+    group_starts: np.ndarray,
+    edges: int,
+) -> np.ndarray:
+    """The ``plus-first`` / ``plus-times`` sweep as one scipy CSR product.
+
+    Row ``g`` of the matrix is destination group ``g``: its stored
+    entries are the group's edges in order (ones, or the edge values),
+    so scipy's ``csr_matvec`` / ``csr_matvecs`` add each lane's terms
+    left to right from ``+0.0`` — the C sweep's and :func:`fold_plus`'s
+    fold, bit for bit.  Arguments and result are those of
+    :func:`repro.core.ckernels.lane_sweep`; this is its fallback without
+    the library.
+    """
+    # Imported here: scipy.sparse adds about 17 MB to a process's RSS,
+    # and only a run without the library needs it.
+    from scipy import sparse
+
+    data = (
+        sorted_vals[:edges]
+        if lane_kernel.name == PLUS_TIMES_KERNEL
+        else np.ones(edges)
+    )
+    matrix = sparse.csr_matrix(
+        (data, sorted_cols[:edges], np.append(group_starts, edges)),
+        shape=(group_starts.shape[0], x_values.shape[1]),
+    )
+    if x_values.shape[0] == 1:
+        return (matrix @ x_values[0])[None]
+    return np.ascontiguousarray((matrix @ x_values.T).T)
 
 
 def _reduce_sorted_groups(
@@ -317,15 +378,19 @@ def run_block(
     touches shared output state, which is what lets :func:`sweep_view`
     run blocks on pool threads.  ``crossover`` is
     unused — there is one packed path — and is accepted so both block
-    kernels share :func:`run_block_batch`'s signature.
+    kernels share :func:`run_block_batch`'s signature.  ``x_mask is
+    None`` says every vertex sends.
     """
     t0 = time.perf_counter()
     if block.nzc == 0:
         return BlockResult(
             partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
-    active_pos = np.flatnonzero(x_mask[block.jc])
-    n_active = int(active_pos.size)
+    if x_mask is None:
+        active_pos, n_active = None, block.nzc
+    else:
+        active_pos = np.flatnonzero(x_mask[block.jc])
+        n_active = int(active_pos.size)
     if n_active == 0:
         return BlockResult(
             partition, None, None, 0, 0, "", time.perf_counter() - t0
@@ -492,19 +557,25 @@ def _tiled_process_reduce(
 
     A program declaring a ``lane_kernel`` (and reading no destination
     properties) runs the compiled sweep of :mod:`repro.core.ckernels`
-    instead, with the same result bits; this NumPy fold is its fallback.
-    A ``+`` reduction folds each lane with :func:`fold_plus`, the left
-    fold the C sweeps compute, never with ``reduceat``.
+    instead, with the same result bits; without the library the ``+``
+    kernels run :func:`csr_plus_sweep` and the others this NumPy fold.
+    A ``+`` reduction here folds each lane with :func:`fold_plus`, the
+    left fold the C sweeps compute, never with ``reduceat``.
     """
     if (
         program.lane_kernel is not None
         and properties_lanes is None
         and program.result_spec.dtype == np.float64
     ):
-        reduced = ckernels.lane_sweep(
-            program.lane_kernel, x_values, sorted_cols, sorted_vals,
-            group_starts, edges,
-        )
+        args = (program.lane_kernel, x_values, sorted_cols, sorted_vals,
+                group_starts, edges)
+        reduced = ckernels.lane_sweep(*args)
+        if (
+            reduced is None
+            and program.lane_kernel.name in (PLUS_FIRST_KERNEL, PLUS_TIMES_KERNEL)
+            and x_values.dtype == np.float64
+        ):
+            reduced = csr_plus_sweep(*args)
         if reduced is not None:
             return reduced
     n_lanes = int(x_values.shape[0])
@@ -595,6 +666,7 @@ def run_block_batch(
     program: GraphProgram,
     properties_lanes: np.ndarray,
     crossover: float = DENSE_PULL_CROSSOVER,
+    accumulate: Accumulate | None = None,
 ) -> BlockResult:
     """K-lane generalized SpMM over one DCSC block.
 
@@ -619,29 +691,41 @@ def run_block_batch(
 
     Kernel selection is :func:`select_kernel` with ``crossover`` on the
     edges under the columns active in *any* lane (the shared sweep's
-    work).
+    work).  ``x_valid is None`` says every lane sends from every vertex
+    (the engine knows it from its send counts): every column is active
+    and no lane mask is read.
 
     Like :func:`run_block` this is a pure function of its arguments and
     never touches shared output state, which is what lets
-    :func:`sweep_view` schedule it across pool threads.
+    :func:`sweep_view` schedule it across pool threads.  The one
+    exception is ``accumulate``: the block then folds into its own rows
+    of ``properties_lanes`` and ``accumulate.active`` in compiled code
+    and returns only the per-lane counts (:class:`Accumulate`).
     """
     t0 = time.perf_counter()
-    n_lanes = int(x_valid.shape[0])
+    n_lanes = int(x_values.shape[0])
     if block.nzc == 0:
         return BlockResult(
             partition, None, None, 0, 0, "", time.perf_counter() - t0
         )
-    active_pos, uniform_send = union_active_columns(block, x_valid)
-    n_active = int(active_pos.size)
-    if n_active == 0:
-        return BlockResult(
-            partition, None, None, 0, 0, "", time.perf_counter() - t0
-        )
-    kernel = select_kernel(
-        block, frontier_edge_count(block, active_pos), crossover
-    )
+    if x_valid is None:
+        n_active, uniform_send, frontier_edges = block.nzc, True, block.nnz
+    else:
+        active_pos, uniform_send = union_active_columns(block, x_valid)
+        n_active = int(active_pos.size)
+        if n_active == 0:
+            return BlockResult(
+                partition, None, None, 0, 0, "", time.perf_counter() - t0
+            )
+        frontier_edges = frontier_edge_count(block, active_pos)
+    kernel = select_kernel(block, frontier_edges, crossover)
     identity = program.batch_reduce_identity()
     full_coverage = n_active == block.nzc
+    # A pull over some columns only: silent groups must be dropped.
+    pull_partial = kernel == KERNEL_DENSE and not full_coverage
+    # Every gathered group received in every lane: uniform sends over
+    # expanded columns, or over all of them.
+    every_group = uniform_send and not pull_partial
 
     if kernel == KERNEL_DENSE:
         # Pull every stored edge through the cached destination-sorted
@@ -676,6 +760,24 @@ def run_block_batch(
         group_starts = np.flatnonzero(boundary)
         unique_dst = sorted_dst[group_starts]
 
+    if accumulate is not None:
+        # The fold, the min into the properties and the next frontier
+        # in one compiled pass; ``seen`` counts the groups a partial
+        # pull keeps, for the same events as the merge below.
+        seen = np.zeros(unique_dst.shape[0], np.uint8) if pull_partial else None
+        counts = ckernels.lane_accumulate(
+            program.lane_kernel, x_values, sorted_cols, sorted_vals,
+            group_starts, edges, unique_dst, every_group,
+            properties_lanes, accumulate.active, seen,
+        )
+        n_rows = unique_dst.shape[0] if seen is None else np.count_nonzero(seen)
+        return BlockResult(
+            partition, None, None, edges, n_active, kernel,
+            time.perf_counter() - t0,
+            events=_batch_events(edges, n_lanes, int(n_rows), n_active),
+            counts=counts,
+        )
+
     # The wide work, tiled so the (tile, K) message block stays
     # cache-resident: gather -> process -> segment-reduce per tile.
     reduced_all = _tiled_process_reduce(
@@ -700,9 +802,7 @@ def run_block_batch(
     # trivially all-true; programs certifying that a real message never
     # reduces to the identity compare output-sized arrays; everything
     # else gathers the sent mask and OR-reduces it.
-    if uniform_send and kernel != KERNEL_DENSE:
-        received_all = None  # only active columns were expanded
-    elif uniform_send and full_coverage:
+    if every_group:
         received_all = None
     elif program.batch_received_by_value:
         received_all = reduced_all != identity
@@ -710,14 +810,11 @@ def run_block_batch(
         received_all = np.logical_or.reduceat(
             _gather_lanes(x_valid, sorted_cols), group_starts, axis=1
         )
-    if kernel == KERNEL_DENSE and not full_coverage and received_all is not None:
+    if pull_partial:
         keep = received_all.any(axis=0)
         unique_dst = unique_dst[keep]
         reduced_all = reduced_all[:, keep]
         received_all = received_all[:, keep]
-    # One vector's sweep (run_block's packed path) per lane, with the
-    # edge-index stream charged once: at K = 1 the two kernels charge
-    # the same events.
     return BlockResult(
         partition,
         unique_dst,
@@ -726,15 +823,22 @@ def run_block_batch(
         n_active,
         kernel,
         time.perf_counter() - t0,
-        events=dict(
-            user_calls=6,
-            element_ops=2 * edges * n_lanes,
-            random_accesses=edges + int(unique_dst.shape[0]) * n_lanes,
-            sequential_bytes=edges * 8 * (1 + n_lanes),
-            messages=n_active,
-            allocations=5,
-        ),
+        events=_batch_events(edges, n_lanes, int(unique_dst.shape[0]), n_active),
         received=received_all,
+    )
+
+
+def _batch_events(edges: int, n_lanes: int, n_rows: int, n_active: int) -> dict:
+    """One vector's sweep (run_block's packed path) per lane, with the
+    edge-index stream charged once: at K = 1 the two kernels charge the
+    same events."""
+    return dict(
+        user_calls=6,
+        element_ops=2 * edges * n_lanes,
+        random_accesses=edges + n_rows * n_lanes,
+        sequential_bytes=edges * 8 * (1 + n_lanes),
+        messages=n_active,
+        allocations=5,
     )
 
 
@@ -786,12 +890,15 @@ def apply_block_result(
     """Merge one block's reduction into ``y`` and record its bookkeeping.
 
     ``y`` decides the merge: a :class:`MultiFrontier` takes the lane
-    kernel's ``(K, dst)`` block, a sparse vector the generic kernel's.
-    Returns the block's edge count (each edge once, however many lanes
-    it served).  Blocks own disjoint row ranges, so merges commute;
-    callers may apply results in any order.
+    kernel's ``(K, dst)`` block, a sparse vector the generic kernel's,
+    and an :class:`Accumulate` (whose block already wrote its rows) the
+    counts.  Returns the block's edge count (each edge once, however
+    many lanes it served).  Blocks own disjoint row ranges, so merges
+    commute; callers may apply results in any order.
     """
-    if result.unique_dst is not None and result.unique_dst.size:
+    if result.counts is not None:
+        y.counts += result.counts
+    elif result.unique_dst is not None and result.unique_dst.size:
         if isinstance(y, MultiFrontier):
             _combine_into_lanes(
                 program, y, result.unique_dst, result.reduced, result.received
@@ -828,13 +935,17 @@ def sweep_view(
     kernel_counts: dict[str, int] | None = None,
     crossover: float = DENSE_PULL_CROSSOVER,
     pool=None,
+    all_sent: bool = False,
 ) -> int:
     """One generalized multiply over a view: the engine's one sweep.
 
     ``kernel`` is :func:`run_block` (``x``/``y`` bitvector-backed sparse
     vectors, ``properties`` the ``(n, ...)`` vertex state) or
     :func:`run_block_batch` (``x``/``y`` :class:`MultiFrontier` blocks,
-    ``properties`` the ``(K, n, ...)`` per-lane state).  Blocks run in
+    ``properties`` the ``(K, n, ...)`` per-lane state; ``y`` may be an
+    :class:`Accumulate` instead, which the blocks write through).
+    ``all_sent`` says every slot of ``x`` holds a message, so the
+    kernels skip reading its mask.  Blocks run in
     the calling thread, or one ``pool.submit`` each when ``pool`` is a
     :class:`concurrent.futures.ThreadPoolExecutor` (the NumPy and C
     kernels release the GIL, so blocks overlap).  Either way the results
@@ -842,12 +953,18 @@ def sweep_view(
     ``partition_work`` do not depend on the schedule.  Returns the
     number of edges swept.
     """
-    args = (x.valid_mask(), x.values, program, properties, crossover)
+    args = (
+        None if all_sent else x.valid_mask(), x.values, program, properties,
+        crossover,
+    )
+    extra = {"accumulate": y} if isinstance(y, Accumulate) else {}
     if pool is None:
-        results = (kernel(p, block, *args) for p, block in enumerate(blocks))
+        results = (
+            kernel(p, block, *args, **extra) for p, block in enumerate(blocks)
+        )
     else:
         futures = [
-            pool.submit(kernel, p, block, *args)
+            pool.submit(kernel, p, block, *args, **extra)
             for p, block in enumerate(blocks)
         ]
         results = (future.result() for future in futures)

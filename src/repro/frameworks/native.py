@@ -43,7 +43,7 @@ class NativeFramework(Framework):
     )
 
     def __init__(self) -> None:
-        self._scipy_cache: dict[tuple[int, str], sparse.spmatrix] = {}
+        self._scipy_cache: dict[tuple[int, str], object] = {}
 
     def _csr(self, graph: Graph, transpose: bool) -> sparse.csr_matrix:
         key = (id(graph), "T" if transpose else "N")
@@ -52,20 +52,28 @@ class NativeFramework(Framework):
             self._scipy_cache[key] = mat.T.tocsr() if transpose else mat
         return self._scipy_cache[key]
 
+    def _pagerank_matrix(self, graph: Graph) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """``M = A^T diag(1/outdeg)`` (unweighted) and the has-in-edge
+        mask, built once per graph like :meth:`_csr`'s matrices."""
+        key = (id(graph), "pagerank")
+        if key not in self._scipy_cache:
+            out_deg = graph.out_degrees().astype(np.float64)
+            inv_deg = np.divide(
+                1.0, out_deg, out=np.zeros_like(out_deg), where=out_deg > 0
+            )
+            at = self._csr(graph, transpose=True)
+            pattern = sparse.csr_matrix(
+                (np.ones_like(at.data), at.indices, at.indptr), shape=at.shape
+            )
+            self._scipy_cache[key] = (
+                pattern @ sparse.diags(inv_deg), np.diff(at.indptr) > 0
+            )
+        return self._scipy_cache[key]
+
     # ------------------------------------------------------------------
     def pagerank(self, graph: Graph, *, r: float = 0.15, iterations: int = 10):
         counters = EventCounters()
-        # Pre-scale the matrix once: M = A^T diag(1/outdeg), unweighted.
-        out_deg = graph.out_degrees().astype(np.float64)
-        inv_deg = np.divide(
-            1.0, out_deg, out=np.zeros_like(out_deg), where=out_deg > 0
-        )
-        at = self._csr(graph, transpose=True)
-        pattern = sparse.csr_matrix(
-            (np.ones_like(at.data), at.indices, at.indptr), shape=at.shape
-        )
-        scaled = pattern @ sparse.diags(inv_deg)
-        has_in = np.diff(at.indptr) > 0
+        scaled, has_in = self._pagerank_matrix(graph)
         start = time.perf_counter()
         ranks = np.ones(graph.n_vertices, dtype=np.float64)
         for _ in range(iterations):

@@ -17,8 +17,9 @@ Values are treated as immutable by convention (the service hands out
 the cached array; callers must not mutate it).
 
 ``capacity <= 0`` disables caching entirely (every ``get`` misses, no
-entry is stored); ``ttl_seconds = None`` disables expiry.  The clock is
-injectable for deterministic TTL tests.
+entry is stored); ``ttl_seconds = None`` disables expiry.  Whatever the
+capacity, the cached values' ``nbytes`` never exceed :data:`MAX_BYTES`.
+The clock is injectable for deterministic TTL tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
+
+#: Bytes of cached values (their ``nbytes``) one cache holds at most.
+#: Entries are full result vectors, ``8 * n_vertices`` bytes each, so an
+#: entry bound alone lets a server's memory grow with the graph and with
+#: its throughput: 1,024 answers on a 1 M-vertex graph pin 8 GB.  64 MiB
+#: keeps 256 answers of a 32,768-vertex graph and 8 of a 1 M-vertex one.
+MAX_BYTES = 64 << 20
 
 
 @dataclass
@@ -51,7 +59,8 @@ class CacheStats:
 
 
 class ResultCache:
-    """Bounded LRU mapping with optional per-entry time-to-live."""
+    """LRU mapping bounded by entries and by bytes, with optional
+    per-entry time-to-live."""
 
     def __init__(
         self,
@@ -68,8 +77,13 @@ class ResultCache:
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        #: key -> (value, stored_at); insertion order is recency order.
-        self._entries: OrderedDict[Hashable, tuple[Any, float]] = OrderedDict()
+        #: key -> (value, stored_at, nbytes); insertion order is recency
+        #: order.
+        self._entries: OrderedDict[Hashable, tuple[Any, float, int]] = (
+            OrderedDict()
+        )
+        #: Sum of the entries' nbytes.
+        self._bytes = 0
         self._stats = CacheStats()
 
     def __len__(self) -> int:
@@ -85,12 +99,13 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                value, stored_at = entry
+                value, stored_at, size = entry
                 if (
                     self.ttl_seconds is not None
                     and self._clock() - stored_at > self.ttl_seconds
                 ):
                     del self._entries[key]
+                    self._bytes -= size
                     self._stats.expirations += 1
                 else:
                     self._entries.move_to_end(key)
@@ -100,13 +115,23 @@ class ResultCache:
             return None
 
     def put(self, key: Hashable, value) -> None:
+        """Store ``value`` as the most recent entry, evicting the least
+        recent ones past either bound (a value over :data:`MAX_BYTES`
+        is not kept)."""
         if not self.enabled:
             return
+        size = int(getattr(value, "nbytes", 0))
         with self._lock:
-            self._entries[key] = (value, self._clock())
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._bytes -= replaced[2]
+            self._entries[key] = (value, self._clock(), size)
+            self._bytes += size
+            while (
+                len(self._entries) > self.capacity or self._bytes > MAX_BYTES
+            ):
+                _, (_, _, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
                 self._stats.evictions += 1
 
     def evict_where(self, unreachable: Callable[[Hashable], bool]) -> int:
@@ -119,13 +144,14 @@ class ResultCache:
         with self._lock:
             doomed = [key for key in self._entries if unreachable(key)]
             for key in doomed:
-                del self._entries[key]
+                self._bytes -= self._entries.pop(key)[2]
             self._stats.evictions += len(doomed)
         return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._bytes = 0
 
     def stats(self) -> dict:
         """JSON-ready counters plus current occupancy."""

@@ -28,7 +28,7 @@ from repro.algorithms.sssp import run_sssp
 from repro.core import ckernels
 from repro.core.graph_program import SemiringProgram
 from repro.core.semiring import PLUS_TIMES
-from repro.core.spmv import _tiled_process_reduce
+from repro.core.spmv import _tiled_process_reduce, fold_plus
 from repro.graph.generators import rmat_graph
 from repro.graph.preprocess import with_random_weights
 
@@ -273,6 +273,16 @@ def _left_fold(program, x, cols, vals, starts, edges) -> np.ndarray:
     return out
 
 
+def _fold_plus(program, x, cols, vals, starts, edges) -> np.ndarray:
+    """The oracle: ``spmv.fold_plus`` over each lane's messages."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        messages = program.process_message_lanes(x[:, cols], vals, None)
+    group_ids = np.zeros(edges, dtype=np.int64)
+    group_ids[starts[1:]] = 1
+    np.cumsum(group_ids, out=group_ids)
+    return fold_plus(messages, group_ids, starts.shape[0])
+
+
 def _assert_same_bits(got, want):
     """Every bit, the sign of a zero included; a NaN's payload is free."""
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -286,6 +296,19 @@ def _assert_same_bits(got, want):
 @settings(max_examples=40, deadline=None)
 def test_numpy_plus_fold_is_the_left_fold(data):
     x, cols, vals, starts, edges = data
+    for program in PLUS_PROGRAMS:
+        _assert_same_bits(
+            _fold_plus(program, x, cols, vals, starts, edges),
+            _left_fold(program, x, cols, vals, starts, edges),
+        )
+
+
+@given(data=plus_groups())
+@settings(max_examples=40, deadline=None)
+def test_csr_plus_fallback_is_fold_plus(data):
+    """Without the library the keyed `+` programs fold through scipy's
+    CSR product: the oracle's bits."""
+    x, cols, vals, starts, edges = data
     with mock.patch.object(ckernels, "_ensure", return_value=None):
         for program in PLUS_PROGRAMS:
             with np.errstate(invalid="ignore", over="ignore"):
@@ -293,7 +316,7 @@ def test_numpy_plus_fold_is_the_left_fold(data):
                     program, x, cols, vals, starts, edges, None, None
                 )
             _assert_same_bits(
-                got, _left_fold(program, x, cols, vals, starts, edges)
+                got, _fold_plus(program, x, cols, vals, starts, edges)
             )
 
 
@@ -311,5 +334,5 @@ def test_c_plus_sweeps_are_the_left_fold(data):
             program.lane_kernel, x, cols, vals, starts, edges
         )
         _assert_same_bits(
-            got, _left_fold(program, x, cols, vals, starts, edges)
+            got, _fold_plus(program, x, cols, vals, starts, edges)
         )

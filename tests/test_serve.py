@@ -41,6 +41,7 @@ from repro.serve import (
     ResultCache,
     Ticket,
 )
+from repro.serve import cache as cache_module
 from repro.serve import service as service_module
 from repro.store.snapshot import save_snapshot
 
@@ -142,6 +143,21 @@ class TestResultCache:
         now[0] = 21.0
         assert cache.get("k") is None
         assert cache.stats()["expirations"] == 1
+
+    def test_bytes_bound_evicts_least_recent(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_BYTES", 3 * 800)
+        cache = ResultCache(capacity=8)
+        for key in "abc":
+            cache.put(key, np.zeros(100))  # 800 bytes each: at the bound
+        assert cache.get("a") is not None  # refresh a; b is least recent
+        cache.put("d", np.zeros(100))
+        assert cache.get("b") is None
+        assert all(cache.get(key) is not None for key in "acd")
+        cache.put("a", np.zeros(300))  # a replaced, grown: c, d must go
+        assert [key for key in "abcd" if cache.get(key) is not None] == ["a"]
+        cache.put("huge", np.zeros(301))  # over the bound on its own
+        assert cache.get("huge") is None and cache.get("a") is None
+        assert len(cache) == 0 and cache.stats()["evictions"] == 5
 
     def test_zero_capacity_disables(self):
         cache = ResultCache(capacity=0)

@@ -947,17 +947,23 @@ KEYED_PROGRAM_RUNS = {
 def test_lane_kernel_program_parity(name, rmat_weighted, rmat_sym):
     """Each program declaring a ``lane_kernel`` gets the same bits from
     the C sweep as from its own ``process_message_lanes`` + NumPy fold,
-    and the C sweep really ran."""
+    and the C sweep really ran (BFS and SSSP sweep through its ``min``
+    accumulate entry)."""
     run = KEYED_PROGRAM_RUNS[name]
     swept = []
-    sweep = ckernels.lane_sweep
 
-    def counting(*args):
-        out = sweep(*args)
-        swept.append(out is not None)
-        return out
+    def counting(entry):
+        def call(*args):
+            out = entry(*args)
+            swept.append(out is not None)
+            return out
+        return call
 
-    with mock.patch.object(ckernels, "lane_sweep", counting):
+    with mock.patch.object(
+        ckernels, "lane_sweep", counting(ckernels.lane_sweep)
+    ), mock.patch.object(
+        ckernels, "lane_accumulate", counting(ckernels.lane_accumulate)
+    ):
         got = run(rmat_weighted, rmat_sym)
     assert any(swept)
     with numpy_fold():
