@@ -34,11 +34,7 @@ def _framework_for_scaling(name):
         # Over-partition so the dynamic scheduler has units to balance
         # (the paper's nthreads*8 partitions at 24 threads).
         return GraphMatFramework(
-            EngineOptions(
-                n_threads=24,
-                partitions_per_thread=8,
-                record_partition_stats=True,
-            )
+            EngineOptions(blocks=24 * 8, record_partition_stats=True)
         )
     return make_framework(name)
 

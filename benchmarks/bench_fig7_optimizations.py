@@ -56,22 +56,13 @@ def _ablation(algorithm, dataset, params=None):
         times[name], _ = _measure(case, options)
     # Parallel bars: measured partition work + simulated 24-core schedule.
     _, static_record = _measure(
-        case,
-        EngineOptions(
-            n_threads=24, dynamic_schedule=False, record_partition_stats=True
-        ),
+        case, EngineOptions(blocks=24, record_partition_stats=True)
     )
     static_speedup = speedup_curve(
         static_record.per_iteration_work, [24], _STATIC
     )[24]
     _, dynamic_record = _measure(
-        case,
-        EngineOptions(
-            n_threads=24,
-            partitions_per_thread=8,
-            dynamic_schedule=True,
-            record_partition_stats=True,
-        ),
+        case, EngineOptions(blocks=24 * 8, record_partition_stats=True)
     )
     dynamic_speedup = speedup_curve(
         dynamic_record.per_iteration_work, [24], _DYNAMIC

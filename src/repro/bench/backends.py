@@ -1,16 +1,13 @@
 """Backend comparison benchmark: serial vs threaded SpMV.
 
-Measures what the execution backends buy on the engine's hottest path,
-with the wins attributed separately:
+Measures what the execution backends buy on the engine's hottest path.
+Every timed run owns its state, as the server's runs do: it builds its
+superstep vectors and, under ``threaded``, opens and shuts its pool
+inside the timed region.
 
-- ``serial``           — serial schedule, no caller-held workspace:
-  every run builds its own superstep vectors (inside the timed region).
-  This is the baseline "serial fused path".
-- ``serial+workspace`` — serial schedule through a
-  ``graph_program_init`` :class:`~repro.core.engine.Workspace` built
-  once outside the timed region and reused across runs.
-- ``threaded``         — workspace plus a thread pool over the
-  GIL-releasing block kernels.
+- ``serial``   — every block in the calling thread: the baseline
+  "serial fused path".
+- ``threaded`` — a thread pool over the GIL-releasing block kernels.
 
 Workloads follow the paper's evaluation: PageRank (fixed iterations,
 reported per-iteration) and BFS (run to quiescence) on a Graph500 R-MAT
@@ -39,7 +36,7 @@ from repro.algorithms.pagerank import PageRankProgram, init_pagerank
 from repro.algorithms.sssp import SSSPProgram, run_sssp
 from repro.bench.calibrate import machine_calibration
 from repro.core import ckernels
-from repro.core.engine import graph_program_init, run_graph_program
+from repro.core.engine import run_graph_program
 from repro.core.options import EngineOptions
 from repro.graph.generators.rmat import rmat_graph
 from repro.graph.preprocess import symmetrize, with_random_weights
@@ -59,63 +56,45 @@ def _default_workers() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-def backend_configs(n_workers: int) -> list[tuple[str, EngineOptions, bool]]:
-    """The measured ladder, cheapest schedule first:
-    ``(name, options, caller holds a Workspace)``."""
+def backend_configs(n_workers: int) -> list[tuple[str, EngineOptions]]:
+    """The measured ladder, cheapest schedule first: ``(name, options)``."""
     return [
-        ("serial", EngineOptions(), False),
-        ("serial+workspace", EngineOptions(), True),
-        ("threaded", EngineOptions(backend="threaded", n_workers=n_workers), True),
+        ("serial", EngineOptions()),
+        ("threaded", EngineOptions(backend="threaded", n_workers=n_workers)),
     ]
 
 
 def _time_config(
-    graph, program, init, options: EngineOptions, hold_workspace: bool,
-    max_iterations: int, repeats: int,
+    graph, program, init, options: EngineOptions, max_iterations: int,
+    repeats: int,
 ) -> dict:
-    """Best-of-``repeats`` timing of one (program, options) cell.
-
-    Workspace-enabled configs build their :class:`Workspace` once, outside
-    the timed region (the paper's ``graph_program_init`` contract: graph
-    preparation is excluded from timings), and reuse it across repeats.
-    """
+    """Best-of-``repeats`` timing of one (program, options) cell."""
     run_options = options.with_(max_iterations=max_iterations)
-    workspace = (
-        graph_program_init(graph, program, run_options)
-        if hold_workspace
-        else None
-    )
+    # Warm-up: build the graph's lazily cached matrix views and groupings
+    # so the measured runs see steady state.
+    init(graph)
+    run_graph_program(graph, program, run_options)
     best = None
-    try:
-        # Warm-up: build lazily cached matrix views/groupings and spin up
-        # worker pools so the measured runs see steady state.
+    for _ in range(repeats):
         init(graph)
-        run_graph_program(graph, program, run_options, workspace=workspace)
-        for _ in range(repeats):
-            init(graph)
-            t0 = time.perf_counter()
-            stats = run_graph_program(
-                graph, program, run_options, workspace=workspace
-            )
-            seconds = time.perf_counter() - t0
-            cell = {
-                "seconds": seconds,
-                "supersteps": stats.n_supersteps,
-                "seconds_per_iteration": (
-                    seconds / stats.n_supersteps if stats.n_supersteps else 0.0
-                ),
-                "edges_processed": stats.total_edges_processed,
-                "edges_per_sec": (
-                    stats.total_edges_processed / seconds if seconds else 0.0
-                ),
-                "backend": stats.backend,
-                "kernels": stats.kernel_totals(),
-            }
-            if best is None or cell["seconds"] < best["seconds"]:
-                best = cell
-    finally:
-        if workspace is not None:
-            workspace.close()
+        t0 = time.perf_counter()
+        stats = run_graph_program(graph, program, run_options)
+        seconds = time.perf_counter() - t0
+        cell = {
+            "seconds": seconds,
+            "supersteps": stats.n_supersteps,
+            "seconds_per_iteration": (
+                seconds / stats.n_supersteps if stats.n_supersteps else 0.0
+            ),
+            "edges_processed": stats.total_edges_processed,
+            "edges_per_sec": (
+                stats.total_edges_processed / seconds if seconds else 0.0
+            ),
+            "backend": stats.backend,
+            "kernels": stats.kernel_totals(),
+        }
+        if best is None or cell["seconds"] < best["seconds"]:
+            best = cell
     return best
 
 
@@ -251,26 +230,24 @@ def bench_backends(
         "bfs": {},
     }
 
-    for name, options, hold_workspace in configs:
+    for name, options in configs:
         program = PageRankProgram()
         record["pagerank"][name] = _time_config(
             graph,
             program,
             lambda g, p=program: init_pagerank(g, p),
             options,
-            hold_workspace,
             max_iterations=pr_iterations,
             repeats=repeats,
         )
 
     record["meta"]["bfs_root"] = bfs_root
-    for name, options, hold_workspace in configs:
+    for name, options in configs:
         record["bfs"][name] = _time_config(
             sym,
             BFSProgram(),
             lambda g: init_bfs(g, bfs_root),
             options,
-            hold_workspace,
             max_iterations=-1,
             repeats=repeats,
         )

@@ -127,13 +127,9 @@ def _bench_dynamic_in(
     repeats: int,
     seed: int,
 ) -> dict:
-    # ``n_threads * partitions_per_thread`` blocks: the engine asks for
-    # the same view the snapshots store.
-    options = EngineOptions(
-        n_threads=n_partitions,
-        partitions_per_thread=1,
-        partition_strategy=strategy,
-    )
+    # ``n_partitions`` blocks: the engine asks for the same view the
+    # snapshots store.
+    options = EngineOptions(blocks=n_partitions, partition_strategy=strategy)
     rng = np.random.default_rng(seed)
     built = rmat_graph(scale=scale, edge_factor=edge_factor, seed=seed)
     n = built.n_vertices

@@ -5,14 +5,11 @@ from repro.core.engine import (
     BatchRun,
     IterationStats,
     RunStats,
-    Workspace,
-    graph_program_init,
     run_graph_program,
     run_graph_programs_batched,
 )
 from repro.core.graph_program import EdgeDirection, GraphProgram, SemiringProgram
 from repro.core.options import (
-    ABLATION_LADDER,
     DEFAULT_OPTIONS,
     KNOWN_BACKENDS,
     EngineOptions,
@@ -36,14 +33,11 @@ __all__ = [
     "SemiringProgram",
     "EngineOptions",
     "DEFAULT_OPTIONS",
-    "ABLATION_LADDER",
     "KNOWN_BACKENDS",
     "BatchRun",
     "CancellationToken",
     "IterationStats",
     "RunStats",
-    "Workspace",
-    "graph_program_init",
     "run_graph_program",
     "run_graph_programs_batched",
     "Semiring",

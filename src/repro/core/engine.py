@@ -14,8 +14,8 @@ Each superstep:
    (:func:`_accumulates`, docs/KERNELS.md "The min accumulate").
 
 The loop ends when no vertices are active or after
-``options.max_iterations`` supersteps (-1 = run to quiescence, as in the
-paper's ``run_graph_program(&inst, G, -1, &workspace)``).
+``options.max_iterations`` supersteps (-1 = run to quiescence, as the
+paper's ``run_graph_program`` iteration argument of -1 does).
 
 There is exactly one loop (:func:`_run_supersteps`) and it is K-lane:
 its state is a ``(K, n, ...)`` property block and a ``(K, n)`` active
@@ -48,8 +48,8 @@ processed, per-block kernel choices, optional per-partition work) because
 the multicore simulation and the Figure 5–7 benchmarks are driven by the
 *measured* work distribution of real runs.
 
-Execution backends & workspace reuse
-------------------------------------
+Execution backends
+------------------
 
 Every block sweep is :func:`repro.core.spmv.sweep_view`.
 ``options.backend`` only decides whether it gets a thread pool:
@@ -62,11 +62,12 @@ produce bitwise-identical algorithm outputs.  ``RunStats.backend``
 records the schedule that ran the sweeps (``"serial"`` for Algorithm 1,
 which no backend accelerates).
 
-A run's ``x``/``y`` vectors are allocated once and cleared in place each
-superstep, and the blocks' cached groupings are built before the first
-one: in :func:`graph_program_init` when the caller holds a
-:class:`Workspace` (which also keeps the thread pool across runs), else
-once per run.  The kernels allocate the edge-sized arrays they gather.
+A run is ``(graph, program, options)`` and owns all of its state: it
+allocates its ``x``/``y`` vectors once and clears them in place each
+superstep, builds the blocks' cached groupings before the first one (the
+graph keeps them, so later runs find them warm) and, under
+``"threaded"``, opens its pool and shuts it down when it ends, failed or
+not.  The kernels allocate the edge-sized arrays they gather.
 Each superstep's per-block kernel shapes (``sparse-gather`` /
 ``dense-pull``, see :func:`repro.core.spmv.select_kernel`) are recorded
 in ``IterationStats.kernel_counts``.
@@ -312,47 +313,6 @@ class BatchRun:
         return doc
 
 
-class Workspace:
-    """Reusable engine state, the paper's ``graph_program_init`` result.
-
-    Holds the partitioned matrix views a program needs (their cached
-    groupings built), the superstep's ``x``/``y`` vectors (cleared in
-    place every superstep) and, under ``backend="threaded"``, the thread
-    ``pool``, so repeated runs on the same graph (e.g. the two phases of
-    triangle counting, benchmark repetitions) skip partitioning,
-    allocation and pool startup.  Close it (or use it as a context
-    manager) to shut the pool down; a serial workspace holds none.
-    """
-
-    def __init__(
-        self, graph: Graph, program: GraphProgram, options: EngineOptions
-    ) -> None:
-        self.graph = graph
-        self.program = program
-        self.options = options
-        self.views = _matrix_views(graph, program.direction, options)
-        lanes = _lane_count(program, options, 1)
-        if _uses_fused(program, options):
-            _warm_views(self.views, lanes)
-        self.vector_key = _vector_key(graph.n_vertices, program, options, lanes)
-        self.x, self.y = _superstep_vectors(
-            graph.n_vertices, program, options, lanes
-        )
-        self.pool = _thread_pool(options)
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
-    def __enter__(self) -> "Workspace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _uses_fused(program: GraphProgram, options: EngineOptions) -> bool:
     """Whether a run sweeps with a block kernel (else Algorithm 1)."""
     return options.fused and options.use_bitvector and program.supports_fused()
@@ -369,24 +329,6 @@ def _lane_count(
     if _uses_fused(program, options) and program.supports_batched():
         return n_lanes
     return None
-
-
-def _vector_key(n, program, options, lanes: int | None) -> tuple:
-    """What a held workspace's ``x``/``y`` must match to serve a run.
-
-    Graph size, specs, ``use_bitvector`` and the lane count; for the
-    lane family also ``x``'s fill, the program's reduce identity (a
-    PageRank workspace's zero-filled ``x`` would feed an SSSP run
-    ``0.0`` messages from its silent vertices).
-    """
-    return (
-        int(n),
-        program.message_spec,
-        program.result_spec,
-        bool(options.use_bitvector),
-        lanes,
-        program.batch_reduce_identity() if lanes is not None else None,
-    )
 
 
 def _superstep_vectors(n, program, options, lanes: int | None):
@@ -426,13 +368,6 @@ def _warm_views(views, lanes: int | None) -> None:
                 block.warm_batch_caches()
 
 
-def _thread_pool(options: EngineOptions) -> ThreadPoolExecutor | None:
-    """The pool ``options.backend`` asks for: None under ``serial``."""
-    if options.backend != "threaded":
-        return None
-    return ThreadPoolExecutor(options.n_workers, thread_name_prefix="repro-spmv")
-
-
 def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions):
     """Partitioned matrix view(s) for a scatter direction.
 
@@ -446,14 +381,6 @@ def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions
     if direction is EdgeDirection.IN_EDGES:
         return [graph.in_partitions(*key)]
     return [graph.out_partitions(*key), graph.in_partitions(*key)]
-
-
-def graph_program_init(
-    graph: Graph, program: GraphProgram, options: EngineOptions = DEFAULT_OPTIONS
-) -> Workspace:
-    """Pre-build the matrix views, vectors and pool for ``program``."""
-    program.validate()
-    return Workspace(graph, program, options)
 
 
 # ----------------------------------------------------------------------
@@ -818,7 +745,6 @@ def _run_supersteps(
     lane_active: np.ndarray,
     options: EngineOptions,
     *,
-    workspace: Workspace | None = None,
     counters=None,
     safety_cap: int | None = None,
     lane_tokens=None,
@@ -839,38 +765,15 @@ def _run_supersteps(
             f"lane_tokens must have one entry per lane: "
             f"got {len(tokens)} for {n_lanes} lanes"
         )
-    # A workspace built for another edge direction holds the wrong matrix
-    # views; rebuild them (cheap — the graph caches partitioned views).
-    views = (
-        workspace.views
-        if workspace is not None
-        and workspace.program.direction is program0.direction
-        else _matrix_views(graph, program0.direction, options)
-    )
+    views = _matrix_views(graph, program0.direction, options)
     fused = _uses_fused(program0, options)
     lanes = _lane_count(program0, options, n_lanes)
     if fused:
         _warm_views(views, lanes)
-    # The held workspace's vectors serve when their shape fits, else the
-    # run builds its own (still amortized over all supersteps).
-    key = _vector_key(n, program0, options, lanes)
-    if workspace is not None and workspace.vector_key == key:
-        x, y = workspace.x, workspace.y
-    else:
-        x, y = _superstep_vectors(n, program0, options, lanes)
+    x, y = _superstep_vectors(n, program0, options, lanes)
     # Block kernels only: Algorithm 1 is a pure Python loop that no
-    # backend accelerates.  The run's options win: a workspace built for
-    # another backend or worker count contributes its views but not its
-    # pool, and the run opens (and closes) its own.
+    # backend accelerates.
     backend = options.backend if fused else "serial"
-    pool = None
-    if (
-        backend == "threaded"
-        and workspace is not None
-        and workspace.options.n_workers == options.n_workers
-    ):
-        pool = workspace.pool
-    owns_pool = backend == "threaded" and pool is None
 
     run = BatchRun(
         properties=lane_properties,
@@ -894,9 +797,12 @@ def _run_supersteps(
         bound = safety_cap
     start = time.perf_counter()
     iteration = 0
+    pool = None
     try:
-        if owns_pool:
-            pool = _thread_pool(options)
+        if backend == "threaded":
+            pool = ThreadPoolExecutor(
+                options.n_workers, thread_name_prefix="repro-spmv"
+            )
         context = ((x, y), pool, options.dense_pull_crossover, counters)
         if lanes is not None:
             family = _LaneFamily(
@@ -1019,7 +925,7 @@ def _run_supersteps(
                 options.profile_hook(run.iterations[-1])
             iteration += 1
     finally:
-        if owns_pool and pool is not None:
+        if pool is not None:
             pool.shutdown()
 
     run.total_seconds = time.perf_counter() - start
@@ -1042,7 +948,6 @@ def run_graph_program(
     program: GraphProgram,
     options: EngineOptions = DEFAULT_OPTIONS,
     *,
-    workspace: Workspace | None = None,
     counters=None,
     safety_cap: int | None = None,
 ) -> RunStats:
@@ -1063,9 +968,6 @@ def run_graph_program(
         the run at that boundary with ``RunStats.cancelled`` set — see
         :meth:`~repro.core.options.EngineOptions.iteration_bound` for
         how it ranks against ``max_iterations`` and ``safety_cap``.
-    workspace:
-        Optional pre-built :class:`Workspace` (avoids re-partitioning,
-        re-allocation and thread-pool startup across runs).
     counters:
         Optional event counter sink (``repro.perf.counters.EventCounters``).
     safety_cap:
@@ -1075,15 +977,12 @@ def run_graph_program(
         not quiesce and :class:`ConvergenceError` is raised.
     """
     program.validate()
-    if workspace is not None and workspace.graph is not graph:
-        raise ProgramError("workspace was built for a different graph")
     run = _run_supersteps(
         graph,
         [program],
         graph.vertex_properties.data[None],
         graph.active[None],
         options,
-        workspace=workspace,
         counters=counters,
         safety_cap=safety_cap,
     )

@@ -7,26 +7,20 @@ Each knob corresponds to one bar of the Figure 7 ablation:
 2. ``fused`` — vectorized kernels with the user functions fused in, our
    analogue of compiling with ``-ipo`` (inlining user functions into the
    SpMV inner loop removes per-edge call dispatch).
-3. ``n_threads`` — number of *simulated* cores the partitioned SpMV is
-   scheduled onto (see :mod:`repro.perf.parallel_model` and the
-   substitution table in DESIGN.md).
-4. ``partitions_per_thread`` / ``dynamic_schedule`` — load balancing of
-   the simulated cores: "partition the matrix into many more partitions
-   than threads along with dynamic scheduling" (section 4.5 item 4).
-   Without load balancing the number of partitions equals the number of
-   threads and assignment is static.  Both apply only when
-   ``n_threads > 1``; a real run's block count is derived from the
-   backend and the graph (:meth:`EngineOptions.block_count`).
+3. ``blocks`` — the number of matrix partitions, the paper's other
+   tunable.  Unset, the count is derived from the backend and the graph
+   (:meth:`EngineOptions.block_count`); the Figure 5 and 7 drivers set it
+   to the partition counts of the paper's simulated cores (``24`` static,
+   ``24 * 8`` over-partitioned, section 4.5 item 4), which
+   :mod:`repro.perf.parallel_model` schedules onto model cores.
 
 Beyond the paper's knobs, the engine's SpMV can be scheduled onto real
 threads (:func:`repro.core.spmv.sweep_view`):
 
-5. ``backend`` / ``n_workers`` — where the per-block SpMV kernels run:
+4. ``backend`` / ``n_workers`` — where the per-block SpMV kernels run:
    ``"serial"`` (calling thread) or ``"threaded"`` (a thread pool of
    ``n_workers`` over the GIL-releasing NumPy and C kernels).
-   Orthogonal to ``n_threads``, which drives the paper's *simulated*
-   multicore model.
-6. ``dense_pull_crossover`` — the lane kernel selector's crossover, in
+5. ``dense_pull_crossover`` — the lane kernel selector's crossover, in
    edges (:func:`repro.core.kernels.select_kernel`).  The default is
    measured (docs/KERNELS.md); the option is the override
    ``repro.bench.backends`` sweeps it with.
@@ -58,14 +52,9 @@ class EngineOptions:
     use_bitvector: bool = True
     #: Use fused/vectorized kernels when the program supports them.
     fused: bool = True
-    #: Simulated core count for the parallel model (1 = serial semantics).
-    n_threads: int = 1
-    #: Over-partitioning factor of the simulated cores (``n_threads > 1``
-    #: only); the paper's SSSP example uses ``nthreads * 8`` partitions
-    #: (appendix source code).
-    partitions_per_thread: int = 8
-    #: Dynamic (work-stealing style) scheduling of partitions onto threads.
-    dynamic_schedule: bool = True
+    #: Row blocks (matrix partitions) to cut the views into; None derives
+    #: the count from the backend and the graph (:meth:`block_count`).
+    blocks: int | None = None
     #: Row split strategy for partitioning: "rows" or "nnz".
     partition_strategy: str = "rows"
     #: Upper bound on supersteps; -1 means run until convergence
@@ -111,12 +100,8 @@ class EngineOptions:
     profile_hook: Callable[..., None] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_threads < 1:
-            raise ProgramError(f"n_threads must be >= 1, got {self.n_threads}")
-        if self.partitions_per_thread < 1:
-            raise ProgramError(
-                f"partitions_per_thread must be >= 1, got {self.partitions_per_thread}"
-            )
+        if self.blocks is not None and self.blocks < 1:
+            raise ProgramError(f"blocks must be >= 1 or None, got {self.blocks}")
         if self.partition_strategy not in ("rows", "nnz"):
             raise ProgramError(
                 f"partition_strategy must be 'rows' or 'nnz', "
@@ -186,21 +171,17 @@ class EngineOptions:
     def block_count(self, n_vertices: int) -> int:
         """Row blocks the matrix views of an ``n_vertices`` graph are cut into.
 
-        With ``n_threads > 1`` the blocks are the paper's partitions on
-        simulated cores: ``n_threads * partitions_per_thread``, or
-        ``n_threads`` without ``dynamic_schedule``.  Otherwise a block is
-        a unit of real execution that costs a Python round per superstep
-        and balances nothing on its own, so the count is the fewest
-        that give each worker one block (``n_workers`` under
-        ``"threaded"``, one under ``"serial"``) and, cut by ``"rows"``,
-        keep every block within ``RADIX_KEY_MAX_ROWS`` rows, where the
-        sparse-gather sort keeps its 16-bit key.  Results do not depend
-        on the count: a destination row lives in exactly one block.
+        ``blocks`` when it is set.  Otherwise a block is a unit of real
+        execution that costs a Python round per superstep and balances
+        nothing on its own, so the count is the fewest that give each
+        worker one block (``n_workers`` under ``"threaded"``, one under
+        ``"serial"``) and, cut by ``"rows"``, keep every block within
+        ``RADIX_KEY_MAX_ROWS`` rows, where the sparse-gather sort keeps
+        its 16-bit key.  Results do not depend on the count: a
+        destination row lives in exactly one block.
         """
-        if self.n_threads > 1:
-            if self.dynamic_schedule:
-                return self.n_threads * self.partitions_per_thread
-            return self.n_threads
+        if self.blocks is not None:
+            return self.blocks
         workers = self.n_workers if self.backend == "threaded" else 1
         return max(workers, -(-int(n_vertices) // RADIX_KEY_MAX_ROWS))
 
@@ -212,45 +193,3 @@ class EngineOptions:
 #: The paper's default configuration: everything on.
 DEFAULT_OPTIONS = EngineOptions()
 
-#: The Figure 7 ablation ladder, in presentation order.
-ABLATION_LADDER: tuple[tuple[str, EngineOptions], ...] = (
-    (
-        "naive",
-        EngineOptions(
-            use_bitvector=False, fused=False, n_threads=1, dynamic_schedule=False
-        ),
-    ),
-    (
-        "+bitvector",
-        EngineOptions(
-            use_bitvector=True, fused=False, n_threads=1, dynamic_schedule=False
-        ),
-    ),
-    (
-        "+ipo",
-        EngineOptions(
-            use_bitvector=True, fused=True, n_threads=1, dynamic_schedule=False
-        ),
-    ),
-    (
-        "+parallel",
-        EngineOptions(
-            use_bitvector=True,
-            fused=True,
-            n_threads=24,
-            dynamic_schedule=False,
-            record_partition_stats=True,
-        ),
-    ),
-    (
-        "+load balance",
-        EngineOptions(
-            use_bitvector=True,
-            fused=True,
-            n_threads=24,
-            dynamic_schedule=True,
-            partitions_per_thread=8,
-            record_partition_stats=True,
-        ),
-    ),
-)

@@ -279,9 +279,8 @@ class DCSCMatrix:
     def warm_caches(self) -> None:
         """Materialize the lazy per-block caches up front.
 
-        The engine calls this when a fused run (or
-        ``graph_program_init``) prepares its matrix views, so no
-        superstep pays cache construction (the caches are what the
+        The engine calls this when a fused run prepares its matrix
+        views, so no superstep pays cache construction (the caches are what the
         fused dense/full kernels reuse every superstep).  Snapshot loads
         may have installed mmap-backed caches already
         (:meth:`install_caches`), in which case this is a no-op.

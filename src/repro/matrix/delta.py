@@ -147,7 +147,7 @@ def merge_block(block: DCSCMatrix, delta: BlockDelta) -> DCSCMatrix:
     The base block's derived kernel caches are *transplanted* rather
     than recomputed: the destination-grouping permutation
     (:meth:`DCSCMatrix.dst_groups`, an O(nnz log nnz) argsort the
-    engine's workspace warm-up would otherwise pay per epoch) is merged
+    engine's view warm-up would otherwise pay per epoch) is merged
     through the edit in O(nnz + delta·log) — see
     :func:`_transplant_dst_groups` — and ``col_expanded`` falls out of
     the key decode for free.  Warming the base block once amortizes

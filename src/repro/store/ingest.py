@@ -523,10 +523,8 @@ def pool_context() -> multiprocessing.context.BaseContext:
     and stdin-driven parents survive — forkserver/spawn re-import
     __main__, which hangs heredoc/REPL parents).  The usual
     fork-with-threads caveat applies: start an ingest before heavy
-    threading, or close any threaded Workspace first (idle
-    ThreadPoolExecutor workers block in Condition.wait with the lock
-    released, so the common case of an idle threaded pool is safe to
-    fork past).
+    threading.  No engine thread pool outlives the run that opened it,
+    so forking between engine runs is safe.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")

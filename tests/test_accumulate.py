@@ -127,14 +127,12 @@ def accumulate_cases(draw):
     budgets = draw(st.lists(
         st.one_of(st.none(), st.integers(1, 4)), min_size=k, max_size=k
     ))
-    blocks = draw(st.integers(1, 9))
     options = EngineOptions(
         backend=draw(st.sampled_from(["serial", "threaded"])),
         n_workers=2,
         dense_pull_crossover=draw(st.sampled_from([0.5, 1.5, 6.0, 40.0])),
         record_partition_stats=True,
-        **({} if blocks == 1 else {"n_threads": blocks,
-                                   "partitions_per_thread": 1}),
+        blocks=draw(st.one_of(st.none(), st.integers(1, 9))),
     )
     return graph, program_class, roots, options, budgets
 
@@ -185,7 +183,7 @@ def test_threads_writing_disjoint_rows_lose_nothing(c_loaded, program_class):
     degree = np.bincount(graph.edges.rows, minlength=graph.n_vertices)
     roots = [int(v) for v in np.argsort(-degree)[:16]]
     budgets = [None] * len(roots)
-    blocks = {"n_threads": 8, "partitions_per_thread": 1}
+    blocks = {"blocks": 8}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -528,7 +528,7 @@ class TestDeltaLog:
 
 
 # ----------------------------------------------------------------------
-# Workspace interplay
+# Engine state interplay
 # ----------------------------------------------------------------------
 class TestEngineStateInterplay:
     def test_run_on_overlay_with_plain_options(self, weighted_graph):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import Workspace, graph_program_init, run_graph_program
+from repro.core.engine import run_graph_program
 from repro.core.graph_program import EdgeDirection, GraphProgram, SemiringProgram
-from repro.core.options import ABLATION_LADDER, EngineOptions
+from repro.core.options import EngineOptions
 from repro.core.semiring import MIN_FIRST, PLUS_FIRST, PLUS_TIMES
 from repro.errors import ConvergenceError, ProgramError
 from repro.graph.builder import build_graph
@@ -173,32 +173,24 @@ class TestGuards:
         with pytest.raises(ProgramError):
             run_graph_program(graph, program, EngineOptions())
 
-    def test_workspace_graph_mismatch(self):
-        g1, g2 = figure1_graph(), figure1_graph()
-        program = SemiringProgram(PLUS_TIMES)
-        ws = graph_program_init(g1, program)
-        assert isinstance(ws, Workspace)
-        g2.init_properties(FLOAT64, 1.0)
-        g2.set_all_active()
-        with pytest.raises(ProgramError):
-            run_graph_program(g2, program, EngineOptions(), workspace=ws)
 
-    def test_workspace_reuse_works(self):
-        graph = figure1_graph()
-        program = SemiringProgram(PLUS_TIMES)
-        ws = graph_program_init(graph, program)
-        graph.init_properties(FLOAT64, 1.0)
-        graph.set_all_active()
-        stats = run_graph_program(
-            graph, program, EngineOptions(max_iterations=1), workspace=ws
-        )
-        assert stats.n_supersteps == 1
-        assert graph.vertex_properties.data.tolist() == [1.0, 1.0, 2.0, 2.0]
+#: The Figure 7 ablation, in presentation order: the serial rungs, then
+#: the paper's 24 static partitions and its 24 * 8 load-balanced ones.
+FIGURE7_RUNGS = (
+    ("naive", EngineOptions(use_bitvector=False, fused=False)),
+    ("+bitvector", EngineOptions(use_bitvector=True, fused=False)),
+    ("+ipo", EngineOptions(use_bitvector=True, fused=True)),
+    ("+parallel", EngineOptions(blocks=24, record_partition_stats=True)),
+    (
+        "+load balance",
+        EngineOptions(blocks=24 * 8, record_partition_stats=True),
+    ),
+)
 
 
 class TestAblationLadder:
     def test_ladder_order(self):
-        names = [name for name, _ in ABLATION_LADDER]
+        names = [name for name, _ in FIGURE7_RUNGS]
         assert names == [
             "naive",
             "+bitvector",
@@ -207,7 +199,7 @@ class TestAblationLadder:
             "+load balance",
         ]
 
-    @pytest.mark.parametrize("name,options", ABLATION_LADDER)
+    @pytest.mark.parametrize("name,options", FIGURE7_RUNGS)
     def test_every_rung_computes_same_answer(self, name, options):
         graph = figure3_graph()
         from repro.algorithms import run_sssp
@@ -222,12 +214,7 @@ class TestPartitionedExecution:
         graph = figure3_graph()
         from repro.algorithms import run_sssp
 
-        options = EngineOptions(
-            n_threads=n_parts,
-            partitions_per_thread=1,
-            dynamic_schedule=True,
-            record_partition_stats=True,
-        )
+        options = EngineOptions(blocks=n_parts, record_partition_stats=True)
         result = run_sssp(graph, 0, options=options)
         assert result.distances.tolist() == [0.0, 1.0, 2.0, 2.0, 4.0]
         # The run swept n_parts blocks (at most one per row), and
@@ -246,10 +233,7 @@ class TestPartitionedExecution:
         ranks = {}
         for strategy in ("rows", "nnz"):
             graph = rmat_graph(7, 8, seed=1)
-            options = EngineOptions(
-                n_threads=4, partitions_per_thread=1,
-                partition_strategy=strategy,
-            )
+            options = EngineOptions(blocks=4, partition_strategy=strategy)
             ranks[strategy] = run_pagerank(
                 graph, max_iterations=5, options=options
             ).ranks
@@ -268,9 +252,7 @@ class TestStatsSerialization:
         from repro.graph.generators import rmat_graph
 
         graph = rmat_graph(6, 8, seed=2)
-        options = EngineOptions(
-            record_partition_stats=True, n_threads=2, partitions_per_thread=1
-        )
+        options = EngineOptions(record_partition_stats=True, blocks=2)
         stats = run_pagerank(graph, max_iterations=3, options=options).stats
         assert len(graph.peek_partitions("out", 2, "rows").blocks) == 2
         return stats

@@ -1,4 +1,4 @@
-"""Execution backends: parity, workspace reuse, options and scheduling.
+"""Execution backends: parity, pool lifetime, options and scheduling.
 
 Every algorithm must produce *identical* results under every backend —
 the executors drive the same per-block kernel over partitions with
@@ -32,7 +32,7 @@ from repro.algorithms.pagerank import (
 )
 from repro.algorithms.sssp import run_sssp
 from repro.algorithms.triangle_count import run_triangle_count
-from repro.core.engine import graph_program_init, run_graph_program
+from repro.core.engine import run_graph_program
 from repro.core.options import KNOWN_BACKENDS, EngineOptions
 from repro.errors import ProgramError
 from repro.graph.generators.bipartite import BipartiteSpec, bipartite_rating_graph
@@ -208,8 +208,7 @@ class TestBlockCountParity:
         options = EngineOptions(
             backend=backend,
             n_workers=min(blocks, 2),
-            n_threads=blocks,
-            partitions_per_thread=1,
+            blocks=blocks,
             partition_strategy=strategy,
         )
         want = _block_results(graph, bipartite, spec.n_users, reference)
@@ -222,168 +221,6 @@ class TestBlockCountParity:
             assert np.array_equal(array, got[name]), (name, blocks, strategy)
 
 
-class TestWorkspaceReuse:
-    def test_prebuilt_workspace_reused_across_runs(self, rmat):
-        program = PageRankProgram()
-        with graph_program_init(rmat, program) as ws:
-            assert ws.x is not None and ws.y is not None
-            assert ws.pool is None  # serial: no pool to hold
-            init_pagerank(rmat, program)
-            run_graph_program(
-                rmat,
-                program,
-                EngineOptions(max_iterations=3),
-                workspace=ws,
-            )
-            first = rmat.vertex_properties.data.copy()
-            init_pagerank(rmat, program)
-            run_graph_program(
-                rmat,
-                program,
-                EngineOptions(max_iterations=3),
-                workspace=ws,
-            )
-            assert np.array_equal(first, rmat.vertex_properties.data)
-        # ... and to a run that built its own buffers.
-        init_pagerank(rmat, program)
-        run_graph_program(rmat, program, EngineOptions(max_iterations=3))
-        assert np.array_equal(first, rmat.vertex_properties.data)
-
-    def test_mismatched_superstep_workspace_is_bypassed(self, rmat):
-        """A workspace built for another program's specs must not be
-        reused; the engine builds a run-local one instead."""
-        from repro.algorithms.triangle_count import NeighborGatherProgram
-        from repro.vector.sparse_vector import OBJECT
-
-        pagerank_ws = graph_program_init(rmat, PageRankProgram())
-        assert pagerank_ws.x is not None
-
-        def gather_neighbors(workspace):
-            gather = NeighborGatherProgram()
-            rmat.init_properties(OBJECT)
-            for v in range(rmat.n_vertices):
-                rmat.vertex_properties.data[v] = v
-            rmat.set_all_active()
-            run_graph_program(
-                rmat,
-                gather,
-                EngineOptions(max_iterations=1),
-                workspace=workspace,
-            )
-            return [
-                np.asarray(p).tolist() if isinstance(p, np.ndarray) else p
-                for p in rmat.vertex_properties.data
-            ]
-
-        # Same graph + direction, object-valued specs: the PageRank
-        # workspace's vectors must be rejected by its vector key and
-        # the run must still produce the reference result.
-        expected = gather_neighbors(None)
-        with pagerank_ws:
-            got = gather_neighbors(pagerank_ws)
-        assert got == expected
-
-    def test_direction_mismatched_workspace_rebuilds_views_and_matches_a_fresh_run(
-        self,
-    ):
-        """Regression: a workspace reused across an edge-direction
-        mismatch must not lend the run its views — the asymmetric in/out
-        partitions hold different edges — and the run must give the
-        bits of a run without a workspace."""
-        from repro.core.graph_program import EdgeDirection
-        from repro.algorithms.sssp import SSSPProgram, init_sssp
-
-        # Strongly asymmetric: out-partitions and in-partitions of the
-        # same index have very different nnz.
-        rng = np.random.default_rng(3)
-        n = 400
-        src = rng.integers(0, 40, 3000)       # sources concentrated low
-        dst = rng.integers(0, n, 3000)        # destinations spread out
-        from repro.graph.graph import Graph
-
-        graph = Graph.from_edges(n, src, dst)
-        root = int(np.bincount(src, minlength=n).argmax())
-
-        class InSSSP(SSSPProgram):
-            direction = EdgeDirection.IN_EDGES
-
-        init_sssp(graph, root)
-        run_graph_program(graph, SSSPProgram(), EngineOptions())
-        expected = graph.vertex_properties.data.copy()
-
-        with graph_program_init(graph, InSSSP()) as ws:  # IN_EDGES views
-            init_sssp(graph, root)
-            run_graph_program(graph, SSSPProgram(), EngineOptions(), workspace=ws)
-        assert np.array_equal(expected, graph.vertex_properties.data)
-
-    def test_batch_only_program_never_hits_scalar_kernel(self):
-        """Regression: supports_fused() requires only the batch surface;
-        tiny frontiers must not route batch-only programs to the scalar
-        kernel (whose default scalar hooks raise NotImplementedError)."""
-        from repro.core.graph_program import GraphProgram
-        from repro.graph.graph import Graph
-        from repro.vector.sparse_vector import FLOAT64
-
-        class BatchOnly(GraphProgram):
-            message_spec = result_spec = property_spec = FLOAT64
-            reduce_ufunc = np.add
-
-            def send_message_batch(self, props, vertices):
-                return props
-
-            def process_message_batch(self, messages, edge_values, dst_props):
-                return messages * edge_values
-
-            def apply_batch(self, reduced, props):
-                return reduced
-
-        n = 100
-        src = np.arange(n - 1, dtype=np.int64)
-        graph = Graph.from_edges(n, src, src + 1)
-        graph.init_properties(FLOAT64, 1.0)
-        graph.set_vertex_property(0, 2.0)  # distinct value to propagate
-        graph.set_all_inactive()
-        graph.set_active(0)  # single-vertex frontier: scalar territory
-        stats = run_graph_program(graph, BatchOnly(), EngineOptions(max_iterations=3))
-        assert stats.n_supersteps == 3
-        assert stats.kernel_totals() == {"sparse-gather": 3}
-        assert graph.vertex_properties.data[3] == 2.0
-
-    def test_workspace_of_another_identity_is_bypassed(self):
-        """Regression: a PageRank workspace's lane ``x`` holds ``0.0`` at
-        silent vertices (its reduce identity); an SSSP run reusing it
-        must build its own ``x`` (identity ``inf``), or silent sources
-        send ``0.0`` and shorten every pulled distance."""
-        from repro.algorithms.sssp import SSSPProgram, init_sssp
-
-        graph = with_random_weights(
-            symmetrize(rmat_graph(scale=7, edge_factor=8, seed=11)), seed=3
-        )
-        root = int(np.argmax(graph.out_degrees()))
-        init_sssp(graph, root)
-        run_graph_program(graph, SSSPProgram(), EngineOptions())
-        expected = graph.vertex_properties.data.copy()
-        with graph_program_init(graph, PageRankProgram()) as ws:
-            init_sssp(graph, root)
-            run_graph_program(
-                graph, SSSPProgram(), EngineOptions(), workspace=ws
-            )
-        assert np.array_equal(expected, graph.vertex_properties.data)
-
-    def test_run_options_backend_overrides_workspace_executor(self, rmat):
-        """The run's backend/n_workers win over the workspace's executor."""
-        program = PageRankProgram()
-        with graph_program_init(rmat, program) as ws:  # serial executor
-            init_pagerank(rmat, program)
-            stats = run_graph_program(
-                rmat,
-                program,
-                EngineOptions(backend="threaded", n_workers=2, max_iterations=2),
-                workspace=ws,
-            )
-        assert stats.backend == "threaded"
-
-
 def _pool_threads() -> set[threading.Thread]:
     return {
         t for t in threading.enumerate() if t.name.startswith("repro-spmv")
@@ -391,29 +228,24 @@ def _pool_threads() -> set[threading.Thread]:
 
 
 class TestPoolLifetime:
-    """No ``repro-spmv`` thread outlives the pool that started it."""
+    """No ``repro-spmv`` thread outlives the run that started it."""
 
     THREADED = EngineOptions(backend="threaded", n_workers=2, max_iterations=3)
 
     def test_run_owned_pool_is_shut_down(self, rmat):
         before = _pool_threads()
+        during = []
         program = PageRankProgram()
         init_pagerank(rmat, program)
-        stats = run_graph_program(rmat, program, self.THREADED)
+        stats = run_graph_program(
+            rmat, program,
+            self.THREADED.with_(
+                profile_hook=lambda it: during.append(_pool_threads() - before)
+            ),
+        )
         assert stats.backend == "threaded"
+        assert all(during), "the run's own pool ran the blocks"
         assert _pool_threads() <= before
-
-    def test_workspace_close_shuts_its_pool_down(self, rmat):
-        before = _pool_threads()
-        program = PageRankProgram()
-        ws = graph_program_init(rmat, program, self.THREADED)
-        init_pagerank(rmat, program)
-        run_graph_program(rmat, program, self.THREADED, workspace=ws)
-        assert _pool_threads() - before, "the held pool ran the blocks"
-        ws.close()
-        assert ws.pool is None
-        assert _pool_threads() <= before
-        ws.close()  # idempotent
 
     def test_failed_run_shuts_its_pool_down(self, rmat):
         """A run that raises mid-sweep still closes the pool it opened."""
@@ -430,6 +262,40 @@ class TestPoolLifetime:
         with pytest.raises(RuntimeError, match="boom"):
             run_graph_program(rmat, program, self.THREADED)
         assert _pool_threads() <= before
+
+
+class TestRunIsolation:
+    """A run shares nothing with earlier runs but the graph's views."""
+
+    def test_a_run_after_other_programs_matches_a_fresh_run(self):
+        """SSSP after PageRank (whose ``x`` holds ``0.0`` at silent
+        vertices) and after an IN_EDGES run on the same directed graph
+        gives the bits of SSSP on a graph nothing ran on."""
+        from repro.algorithms.sssp import SSSPProgram, init_sssp
+        from repro.core.graph_program import EdgeDirection
+
+        class InSSSP(SSSPProgram):
+            direction = EdgeDirection.IN_EDGES
+
+        def weighted():
+            return with_random_weights(
+                rmat_graph(scale=7, edge_factor=8, seed=11), seed=3
+            )
+
+        fresh, used = weighted(), weighted()
+        root = int(np.argmax(fresh.out_degrees()))
+        init_sssp(fresh, root)
+        run_graph_program(fresh, SSSPProgram(), EngineOptions())
+        pagerank = PageRankProgram()
+        init_pagerank(used, pagerank)
+        run_graph_program(used, pagerank, EngineOptions(max_iterations=3))
+        init_sssp(used, root)
+        run_graph_program(used, InSSSP(), EngineOptions())
+        init_sssp(used, root)
+        run_graph_program(used, SSSPProgram(), EngineOptions())
+        assert np.array_equal(
+            fresh.vertex_properties.data, used.vertex_properties.data
+        )
 
 
 class TestKernelSelectorStats:
@@ -470,6 +336,39 @@ class TestKernelSelectorStats:
         work = result.stats.iterations[0].partition_work
         assert work
         assert any(w.kernel for w in work)
+
+    def test_batch_only_program_never_hits_scalar_kernel(self):
+        """Regression: supports_fused() requires only the batch surface;
+        tiny frontiers must not route batch-only programs to the scalar
+        kernel (whose default scalar hooks raise NotImplementedError)."""
+        from repro.core.graph_program import GraphProgram
+        from repro.graph.graph import Graph
+        from repro.vector.sparse_vector import FLOAT64
+
+        class BatchOnly(GraphProgram):
+            message_spec = result_spec = property_spec = FLOAT64
+            reduce_ufunc = np.add
+
+            def send_message_batch(self, props, vertices):
+                return props
+
+            def process_message_batch(self, messages, edge_values, dst_props):
+                return messages * edge_values
+
+            def apply_batch(self, reduced, props):
+                return reduced
+
+        n = 100
+        src = np.arange(n - 1, dtype=np.int64)
+        graph = Graph.from_edges(n, src, src + 1)
+        graph.init_properties(FLOAT64, 1.0)
+        graph.set_vertex_property(0, 2.0)  # distinct value to propagate
+        graph.set_all_inactive()
+        graph.set_active(0)  # single-vertex frontier: scalar territory
+        stats = run_graph_program(graph, BatchOnly(), EngineOptions(max_iterations=3))
+        assert stats.n_supersteps == 3
+        assert stats.kernel_totals() == {"sparse-gather": 3}
+        assert graph.vertex_properties.data[3] == 2.0
 
 
 class TestOptionsValidation:

@@ -45,6 +45,7 @@ from repro.core.spmv import (
 )
 from repro.dynamic import DeltaGraph, incremental_pagerank
 from repro.dynamic.incremental import DeltaPageRankProgram
+from repro.errors import ProgramError
 from repro.graph.graph import Graph
 from repro.matrix.coo import COOMatrix
 from repro.matrix.partition import PartitionedMatrix, row_ranges_equal_rows
@@ -205,8 +206,14 @@ def test_all_paths_match_scipy_on_square_matrices(coo, data):
 
 class TestEngineOptionValidation:
     def test_bad_thread_count(self):
-        with pytest.raises(Exception):
-            EngineOptions(n_threads=0)
+        with pytest.raises(ProgramError):
+            EngineOptions(n_workers=0)
+
+    def test_bad_block_count(self):
+        with pytest.raises(ProgramError):
+            EngineOptions(blocks=0)
+        with pytest.raises(ProgramError):
+            EngineOptions(blocks=-3)
 
     def test_bad_strategy(self):
         with pytest.raises(Exception):
@@ -220,17 +227,17 @@ class TestEngineOptionValidation:
 
     def test_block_count(self):
         table = [
-            # Simulated cores: the paper's formula, whatever the graph.
-            (EngineOptions(n_threads=4, partitions_per_thread=8), 100, 32),
-            (EngineOptions(n_threads=4, dynamic_schedule=False), 100, 4),
-            # Real execution: the fewest blocks of at most 65,536 rows,
-            # and at least one per worker.
+            # The override wins, whatever the graph and the backend.
+            (EngineOptions(blocks=32), 100, 32),
+            (EngineOptions(blocks=32), 200_000, 32),
+            (EngineOptions(blocks=1, backend="threaded", n_workers=3), 100, 1),
+            # Derived: the fewest blocks of at most 65,536 rows, and at
+            # least one per worker.
             (EngineOptions(), 0, 1),
             (EngineOptions(), 32_768, 1),
             (EngineOptions(), 65_536, 1),
             (EngineOptions(), 65_537, 2),
             (EngineOptions(), 131_072, 2),
-            (EngineOptions(partitions_per_thread=32), 100, 1),
             (EngineOptions(backend="threaded", n_workers=3), 100, 3),
             (EngineOptions(backend="threaded", n_workers=2), 200_000, 4),
         ]
@@ -243,9 +250,9 @@ class TestEngineOptionValidation:
         assert max(hi - lo for lo, hi in ranges) <= RADIX_KEY_MAX_ROWS
 
     def test_with_updates(self):
-        options = EngineOptions().with_(n_threads=4)
-        assert options.n_threads == 4
-        assert EngineOptions().n_threads == 1
+        options = EngineOptions().with_(blocks=4)
+        assert options.blocks == 4
+        assert EngineOptions().blocks is None
 
 
 class SaturatingMinProgram(SemiringProgram):
@@ -407,9 +414,7 @@ class TestSelectKernelBoundaries:
         # in-neighbour of a row, so both shapes occur.
         graph = symmetrize(rmat_graph(scale=5, edge_factor=8, seed=3))
         root = _roots(graph, 1)[0]
-        options = EngineOptions(
-            record_partition_stats=True, n_threads=32, partitions_per_thread=1
-        )
+        options = EngineOptions(record_partition_stats=True, blocks=32)
         init_bfs(graph, root)
         stats = run_graph_program(graph, generic(BFSProgram)(), options)
         distances = graph.vertex_properties.data.copy()

@@ -14,9 +14,10 @@ runs it so that a kernel or selector change that moves one bit on any
 backend fails the build.  To re-record after an intended change of
 results, redirect the output of a run without ``--check`` into the file.
 
-``--blocks N`` (N >= 2) runs every cell on ``N`` row blocks (``n_threads=N,
-partitions_per_thread=1``) instead of the count the backend and graph
-imply.  The block count is a schedule, so the digests must not change:
+``--blocks N`` (N >= 1) runs every cell on ``N`` row blocks
+(``EngineOptions(blocks=N)``) instead of the count the backend and graph
+imply, and fails unless every graph's views were cut into ``min(N, n)``
+blocks.  The block count is a schedule, so the digests must not change:
 CI checks the same file at the default count and at ``--blocks 8``.
 """
 
@@ -54,9 +55,6 @@ def digest(*arrays) -> str:
 
 def digest_lines(scale: int, blocks: int | None = None) -> list[str]:
     """One ``backend algorithm digest`` line per cell, then the ``ALL`` line."""
-    forced = (
-        {} if blocks is None else {"n_threads": blocks, "partitions_per_thread": 1}
-    )
     g = rmat_graph(scale=scale, edge_factor=8, seed=7)
     sym = symmetrize(g)
     weighted = with_random_weights(sym, seed=3)
@@ -69,7 +67,7 @@ def digest_lines(scale: int, blocks: int | None = None) -> list[str]:
     total = hashlib.sha256()
     lines = []
     for backend in KNOWN_BACKENDS:
-        opts = EngineOptions(backend=backend, n_workers=2, **forced)
+        opts = EngineOptions(backend=backend, n_workers=2, blocks=blocks)
         rows = {
             "pagerank10": digest(run_pagerank(g, max_iterations=10, options=opts).ranks),
             "ppr10": digest(
@@ -95,7 +93,25 @@ def digest_lines(scale: int, blocks: int | None = None) -> list[str]:
             lines.append(f"{backend:13s} {name:11s} {d}")
             total.update(f"{backend}{name}{d}".encode())
     lines.append(f"ALL {total.hexdigest()}")
+    if blocks is not None:
+        for graph in (g, sym, weighted, dag, bip):
+            _check_blocks(graph, blocks)
     return lines
+
+
+def _check_blocks(graph, blocks: int) -> None:
+    """Fail unless the runs on ``graph`` swept views of ``blocks`` blocks."""
+    views = [
+        view
+        for direction in ("out", "in")
+        if (view := graph.peek_partitions(direction, blocks, "rows")) is not None
+    ]
+    want = min(blocks, graph.n_vertices)
+    if not views or any(view.n_partitions != want for view in views):
+        raise SystemExit(
+            f"--blocks {blocks}: a {graph.n_vertices}-vertex graph ran on "
+            f"{[view.n_partitions for view in views]} blocks, not {want}"
+        )
 
 
 def main() -> int:
@@ -111,8 +127,8 @@ def main() -> int:
         help="run every cell on N row blocks (default: the derived count)",
     )
     args = parser.parse_args()
-    if args.blocks is not None and args.blocks < 2:
-        parser.error("--blocks needs N >= 2 (one block is the serial default)")
+    if args.blocks is not None and args.blocks < 1:
+        parser.error("--blocks needs N >= 1")
     lines = digest_lines(args.scale, args.blocks)
     if args.check is None:
         print("\n".join(lines))
