@@ -40,7 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--delta-fraction", type=float, default=0.01,
                         help="mutation size as a fraction of the edge count")
     parser.add_argument("--partitions", type=int, default=8)
-    parser.add_argument("--strategy", choices=("rows", "nnz"), default="rows")
     parser.add_argument("--serve-iterations", type=int, default=30,
                         help="fixed PageRank iteration budget (serving mode)")
     parser.add_argument("--warm-tolerance", type=float, default=1e-9)
@@ -54,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         edge_factor=args.edge_factor,
         delta_fraction=args.delta_fraction,
         n_partitions=args.partitions,
-        strategy=args.strategy,
         serve_iterations=args.serve_iterations,
         warm_tolerance=args.warm_tolerance,
         repeats=args.repeats,

@@ -37,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="R-MAT scale (2**scale vertices)")
     parser.add_argument("--edge-factor", type=int, default=16)
     parser.add_argument("--partitions", type=int, default=8)
-    parser.add_argument("--strategy", choices=("rows", "nnz"), default="rows")
     parser.add_argument("--chunk-edges", type=int, default=1 << 18)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--worker-counts", type=int, nargs="+",
@@ -50,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.scale,
         edge_factor=args.edge_factor,
         n_partitions=args.partitions,
-        strategy=args.strategy,
         chunk_edges=args.chunk_edges,
         repeats=args.repeats,
         worker_counts=tuple(args.worker_counts),

@@ -62,7 +62,6 @@ CONFIG_KEYS = (
     "edge_factor",
     "pr_iterations",
     "n_partitions",
-    "strategy",
     "worker_counts",
     "delta_fraction",
     "serve_iterations",

@@ -77,7 +77,6 @@ def bench_dynamic(
     edge_factor: int = 16,
     delta_fraction: float = 0.01,
     n_partitions: int = 8,
-    strategy: str = "rows",
     serve_iterations: int = 30,
     warm_tolerance: float = 1e-9,
     repeats: int = 3,
@@ -102,7 +101,6 @@ def bench_dynamic(
             edge_factor=edge_factor,
             delta_fraction=delta_fraction,
             n_partitions=n_partitions,
-            strategy=strategy,
             serve_iterations=serve_iterations,
             warm_tolerance=warm_tolerance,
             repeats=repeats,
@@ -121,7 +119,6 @@ def _bench_dynamic_in(
     edge_factor: int,
     delta_fraction: float,
     n_partitions: int,
-    strategy: str,
     serve_iterations: int,
     warm_tolerance: float,
     repeats: int,
@@ -129,16 +126,14 @@ def _bench_dynamic_in(
 ) -> dict:
     # ``n_partitions`` blocks: the engine asks for the same view the
     # snapshots store.
-    options = EngineOptions(blocks=n_partitions, partition_strategy=strategy)
+    options = EngineOptions(blocks=n_partitions)
     rng = np.random.default_rng(seed)
     built = rmat_graph(scale=scale, edge_factor=edge_factor, seed=seed)
     n = built.n_vertices
 
     # Serving posture: the hosted base graph is snapshot-backed.
     base_snapshot = work_dir / "base.gmsnap"
-    save_snapshot(
-        built, base_snapshot, n_partitions=n_partitions, strategy=strategy
-    )
+    save_snapshot(built, base_snapshot, n_partitions=n_partitions)
     base = load_snapshot(base_snapshot)
     root = int(np.argmax(np.bincount(base.edges.rows, minlength=n)))
 
@@ -151,7 +146,6 @@ def _bench_dynamic_in(
             "n_edges": base.n_edges,
             "delta_fraction": delta_fraction,
             "n_partitions": n_partitions,
-            "strategy": strategy,
             "serve_iterations": serve_iterations,
             "warm_tolerance": warm_tolerance,
             "repeats": repeats,
@@ -186,7 +180,7 @@ def _bench_dynamic_in(
     view_seconds, _ = _best_of(
         repeats,
         lambda: overlay0.apply_delta(inserts=inserts).out_partitions(
-            n_partitions, strategy
+            n_partitions
         ),
     )
     log = DeltaLog(work_dir / "base.gmdelta")
@@ -214,17 +208,12 @@ def _bench_dynamic_in(
         graph = Graph.from_edges(
             n, final_rows.copy(), final_cols.copy(), final_vals.copy()
         )
-        graph.out_partitions(n_partitions, strategy)
+        graph.out_partitions(n_partitions)
         return graph
 
     def rebuild_durable() -> Graph:
         graph = rebuild()
-        save_snapshot(
-            graph,
-            fresh_snapshot,
-            n_partitions=n_partitions,
-            strategy=strategy,
-        )
+        save_snapshot(graph, fresh_snapshot, n_partitions=n_partitions)
         return load_snapshot(fresh_snapshot)
 
     # ==================================================================

@@ -57,7 +57,6 @@ def bench_ingest(
     scale: int = 16,
     edge_factor: int = 16,
     n_partitions: int = 8,
-    strategy: str = "rows",
     chunk_edges: int = 1 << 18,
     repeats: int = 3,
     pr_iterations: int = 3,
@@ -82,7 +81,6 @@ def bench_ingest(
             scale=scale,
             edge_factor=edge_factor,
             n_partitions=n_partitions,
-            strategy=strategy,
             chunk_edges=chunk_edges,
             repeats=repeats,
             pr_iterations=pr_iterations,
@@ -101,7 +99,6 @@ def _bench_ingest_in(
     scale: int,
     edge_factor: int,
     n_partitions: int,
-    strategy: str,
     chunk_edges: int,
     repeats: int,
     pr_iterations: int,
@@ -121,7 +118,6 @@ def _bench_ingest_in(
             "n_vertices": graph.n_vertices,
             "n_edges": graph.n_edges,
             "n_partitions": n_partitions,
-            "strategy": strategy,
             "chunk_edges": chunk_edges,
             "repeats": repeats,
             "worker_counts": [int(w) for w in worker_counts],
@@ -138,7 +134,7 @@ def _bench_ingest_in(
         t0 = time.perf_counter()
         parsed = read_edge_list(edge_path, weighted=False)
         t1 = time.perf_counter()
-        parsed.out_partitions(n_partitions, strategy)
+        parsed.out_partitions(n_partitions)
         t2 = time.perf_counter()
         if (t2 - t0) < (best_parse + best_build):
             best_parse, best_build = t1 - t0, t2 - t1
@@ -154,7 +150,6 @@ def _bench_ingest_in(
         edge_path,
         snapshot_path,
         n_partitions=n_partitions,
-        strategy=strategy,
         chunk_edges=chunk_edges,
         workers=1,
     )
@@ -172,7 +167,6 @@ def _bench_ingest_in(
             edge_path,
             out_path,
             n_partitions=n_partitions,
-            strategy=strategy,
             chunk_edges=chunk_edges,
             workers=count,
         )

@@ -371,16 +371,16 @@ def _warm_views(views, lanes: int | None) -> None:
 def _matrix_views(graph: Graph, direction: EdgeDirection, options: EngineOptions):
     """Partitioned matrix view(s) for a scatter direction.
 
-    They come from the Graph's per-key view cache; a loaded snapshot's
-    views are already there, so an engine start on it is O(header)
-    instead of O(edges).
+    They come from the Graph's view cache, keyed by block count; a loaded
+    snapshot's views are already there, so an engine start on it is
+    O(header) instead of O(edges).
     """
-    key = (options.block_count(graph.n_vertices), options.partition_strategy)
+    blocks = options.block_count(graph.n_vertices)
     if direction is EdgeDirection.OUT_EDGES:
-        return [graph.out_partitions(*key)]
+        return [graph.out_partitions(blocks)]
     if direction is EdgeDirection.IN_EDGES:
-        return [graph.in_partitions(*key)]
-    return [graph.out_partitions(*key), graph.in_partitions(*key)]
+        return [graph.in_partitions(blocks)]
+    return [graph.out_partitions(blocks), graph.in_partitions(blocks)]
 
 
 # ----------------------------------------------------------------------
@@ -746,7 +746,6 @@ def _run_supersteps(
     options: EngineOptions,
     *,
     counters=None,
-    safety_cap: int | None = None,
     lane_tokens=None,
 ) -> BatchRun:
     """Run ``len(programs)`` lanes of one program class to completion.
@@ -793,8 +792,6 @@ def _run_supersteps(
 
     batch_token = options.token
     bound, bound_owner = options.iteration_bound()
-    if safety_cap is not None and bound_owner == "safety_cap":
-        bound = safety_cap
     start = time.perf_counter()
     iteration = 0
     pool = None
@@ -949,7 +946,6 @@ def run_graph_program(
     options: EngineOptions = DEFAULT_OPTIONS,
     *,
     counters=None,
-    safety_cap: int | None = None,
 ) -> RunStats:
     """Run ``program`` on ``graph`` until quiescence or the iteration budget.
 
@@ -970,11 +966,6 @@ def run_graph_program(
         how it ranks against ``max_iterations`` and ``safety_cap``.
     counters:
         Optional event counter sink (``repro.perf.counters.EventCounters``).
-    safety_cap:
-        Per-run override of ``options.safety_cap`` (None = use the
-        options' value): the hard superstep bound for
-        ``max_iterations == -1`` runs, exceeded means the program does
-        not quiesce and :class:`ConvergenceError` is raised.
     """
     program.validate()
     run = _run_supersteps(
@@ -984,7 +975,6 @@ def run_graph_program(
         graph.active[None],
         options,
         counters=counters,
-        safety_cap=safety_cap,
     )
     return run.lane_stats[0]
 
@@ -1038,7 +1028,6 @@ def run_graph_programs_batched(
     options: EngineOptions = DEFAULT_OPTIONS,
     *,
     counters=None,
-    safety_cap: int | None = None,
     lane_tokens=None,
 ) -> BatchRun:
     """Run K instances of one vertex-program class in a single BSP loop.
@@ -1078,8 +1067,7 @@ def run_graph_programs_batched(
     nothing to later shared sweeps), which keeps every surviving lane's
     result bitwise identical to its own one-lane run; a lane cancelled by
     superstep budget ``B`` holds exactly the state a one-lane run
-    with ``max_iterations=B`` would have produced.  ``safety_cap``
-    overrides ``options.safety_cap`` for this run (None = use options).
+    with ``max_iterations=B`` would have produced.
     """
     programs = list(programs)
     lane_properties = np.array(
@@ -1099,6 +1087,5 @@ def run_graph_programs_batched(
         lane_active,
         options,
         counters=counters,
-        safety_cap=safety_cap,
         lane_tokens=lane_tokens,
     )

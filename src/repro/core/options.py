@@ -55,8 +55,6 @@ class EngineOptions:
     #: Row blocks (matrix partitions) to cut the views into; None derives
     #: the count from the backend and the graph (:meth:`block_count`).
     blocks: int | None = None
-    #: Row split strategy for partitioning: "rows" or "nnz".
-    partition_strategy: str = "rows"
     #: Upper bound on supersteps; -1 means run until convergence
     #: (the paper's ``run_graph_program(..., -1, ...)``).
     max_iterations: int = -1
@@ -102,11 +100,6 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.blocks is not None and self.blocks < 1:
             raise ProgramError(f"blocks must be >= 1 or None, got {self.blocks}")
-        if self.partition_strategy not in ("rows", "nnz"):
-            raise ProgramError(
-                f"partition_strategy must be 'rows' or 'nnz', "
-                f"got {self.partition_strategy!r}"
-            )
         if self.max_iterations == 0 or self.max_iterations < -1:
             raise ProgramError(
                 f"max_iterations must be -1 (until convergence) or positive, "
@@ -175,7 +168,7 @@ class EngineOptions:
         execution that costs a Python round per superstep and balances
         nothing on its own, so the count is the fewest that give each
         worker one block (``n_workers`` under ``"threaded"``, one under
-        ``"serial"``) and, cut by ``"rows"``, keep every block within
+        ``"serial"``) and keep every block within
         ``RADIX_KEY_MAX_ROWS`` rows, where the sparse-gather sort keeps
         its 16-bit key.  Results do not depend on the count: a
         destination row lives in exactly one block.

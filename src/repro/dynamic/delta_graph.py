@@ -26,13 +26,10 @@ re-sort.
 **Bitwise parity with a rebuild.**  A merged block is bitwise identical
 to the block a from-scratch ``Graph`` over the final edge set would
 build (canonical column-major order over unique coordinates, identical
-values).  Under the default ``"rows"`` partition strategy the row ranges
-are data-independent, so the *entire view* — and therefore every engine
-result computed over it, including order-sensitive floating-point
-reductions like PageRank's sums — is bitwise identical to a full
-rebuild.  (Under ``"nnz"`` the overlay keeps the base's row boundaries
-until compaction: results remain correct and deterministic, but additive
-reductions may differ from a rebuild in final-ulp ordering.)
+values).  Row ranges depend on the block count alone, so the *entire
+view* — and therefore every engine result computed over it, including
+order-sensitive floating-point reductions like PageRank's sums — is
+bitwise identical to a full rebuild.
 
 **Batch semantics.**  Within one ``apply_delta`` call deletions apply
 first, then insertions; duplicate insertions keep the last occurrence
@@ -355,24 +352,16 @@ class DeltaGraph(Graph):
     # ------------------------------------------------------------------
     # Copy-on-write partitioned views
     # ------------------------------------------------------------------
-    def out_partitions(
-        self, n_partitions: int = 1, strategy: str = "rows"
-    ) -> PartitionedMatrix:
-        key = (int(n_partitions), strategy)
+    def out_partitions(self, n_partitions: int = 1) -> PartitionedMatrix:
+        key = int(n_partitions)
         if key not in self._out_cache:
-            self._out_cache[key] = self._merged_view(
-                "out", int(n_partitions), strategy
-            )
+            self._out_cache[key] = self._merged_view("out", key)
         return self._out_cache[key]
 
-    def in_partitions(
-        self, n_partitions: int = 1, strategy: str = "rows"
-    ) -> PartitionedMatrix:
-        key = (int(n_partitions), strategy)
+    def in_partitions(self, n_partitions: int = 1) -> PartitionedMatrix:
+        key = int(n_partitions)
         if key not in self._in_cache:
-            self._in_cache[key] = self._merged_view(
-                "in", int(n_partitions), strategy
-            )
+            self._in_cache[key] = self._merged_view("in", key)
         return self._in_cache[key]
 
     def _delta_view_coords(
@@ -404,13 +393,11 @@ class DeltaGraph(Graph):
             del_dst[del_order],
         )
 
-    def _merged_view(
-        self, direction: str, n_partitions: int, strategy: str
-    ) -> PartitionedMatrix:
+    def _merged_view(self, direction: str, n_partitions: int) -> PartitionedMatrix:
         base_view = (
-            self.base.out_partitions(n_partitions, strategy)
+            self.base.out_partitions(n_partitions)
             if direction == "out"
-            else self.base.in_partitions(n_partitions, strategy)
+            else self.base.in_partitions(n_partitions)
         )
         if self._ins_keys.size == 0 and self._del_keys.size == 0:
             return base_view

@@ -352,9 +352,7 @@ def _initial_residuals(
     touched = touched[inv_new[touched] != inv_old[touched]]
     if touched.size:
         scale = previous[touched] * (inv_new[touched] - inv_old[touched])
-        view = graph.out_partitions(
-            options.block_count(n), options.partition_strategy
-        )
+        view = graph.out_partitions(options.block_count(n))
         for block in view.blocks:
             pos = np.searchsorted(block.jc, touched)
             ok = pos < block.jc.shape[0]

@@ -13,7 +13,7 @@ Edge storage is a COO edge matrix ``A`` with ``A[u, v] = w`` for each edge
   out-edges — this is the ``G^T`` of Algorithm 1;
 - the **in view** stores ``A`` column-compressed, used for in-edge scatter.
 
-Views are built lazily and cached per (n_partitions, strategy) so repeated
+Views are built lazily and cached per block count so repeated
 runs (benchmarks, multi-phase algorithms) pay construction once.  CSR
 adjacency views are cached too for the baseline frameworks and native code;
 degrees are counted straight from the COO, so they need no CSR.
@@ -46,8 +46,8 @@ class Graph:
         self.n_vertices = edge_matrix.shape[0]
         self.active = np.zeros(self.n_vertices, dtype=bool)
         self.vertex_properties = PropertyArray(self.n_vertices, FLOAT64)
-        self._out_cache: dict[tuple[int, str], PartitionedMatrix] = {}
-        self._in_cache: dict[tuple[int, str], PartitionedMatrix] = {}
+        self._out_cache: dict[int, PartitionedMatrix] = {}
+        self._in_cache: dict[int, PartitionedMatrix] = {}
         self._out_csr: CSRMatrix | None = None
         self._in_csr: CSRMatrix | None = None
         self._out_deg: np.ndarray | None = None
@@ -114,30 +114,24 @@ class Graph:
             ).astype(np.int64)
         return self._in_deg.copy()
 
-    def out_partitions(
-        self, n_partitions: int = 1, strategy: str = "rows"
-    ) -> PartitionedMatrix:
+    def out_partitions(self, n_partitions: int = 1) -> PartitionedMatrix:
         """Partitioned DCSC of ``A^T`` (for OUT_EDGES scatter).
 
         Columns are message sources; rows (= partition dimension) are
         destinations.
         """
-        key = (int(n_partitions), strategy)
+        key = int(n_partitions)
         if key not in self._out_cache:
             self._out_cache[key] = PartitionedMatrix.from_coo(
-                self._edges.transpose(), n_partitions, strategy
+                self._edges.transpose(), key
             )
         return self._out_cache[key]
 
-    def in_partitions(
-        self, n_partitions: int = 1, strategy: str = "rows"
-    ) -> PartitionedMatrix:
+    def in_partitions(self, n_partitions: int = 1) -> PartitionedMatrix:
         """Partitioned DCSC of ``A`` (for IN_EDGES scatter)."""
-        key = (int(n_partitions), strategy)
+        key = int(n_partitions)
         if key not in self._in_cache:
-            self._in_cache[key] = PartitionedMatrix.from_coo(
-                self._edges, n_partitions, strategy
-            )
+            self._in_cache[key] = PartitionedMatrix.from_coo(self._edges, key)
         return self._in_cache[key]
 
     # ------------------------------------------------------------------
@@ -151,16 +145,15 @@ class Graph:
         raise GraphError(f"unknown view direction {direction!r}")
 
     def peek_partitions(
-        self, direction: str, n_partitions: int, strategy: str
+        self, direction: str, n_partitions: int
     ) -> PartitionedMatrix | None:
-        """The cached partitioned view for a key, or None (never builds)."""
-        return self._views(direction).get((int(n_partitions), strategy))
+        """The cached view of a block count, or None (never builds)."""
+        return self._views(direction).get(int(n_partitions))
 
     def adopt_partitions(
         self,
         direction: str,
         n_partitions: int,
-        strategy: str,
         partitions: PartitionedMatrix,
     ) -> PartitionedMatrix:
         """Install an externally built view (e.g. a snapshot's mmap blocks)
@@ -171,7 +164,7 @@ class Graph:
                 f"partitioned view shape {partitions.shape} does not match "
                 f"graph with {self.n_vertices} vertices"
             )
-        self._views(direction)[(int(n_partitions), strategy)] = partitions
+        self._views(direction)[int(n_partitions)] = partitions
         return partitions
 
     # ------------------------------------------------------------------

@@ -11,11 +11,7 @@ from repro.matrix.delta import (
     merge_sorted_unique,
     sorted_membership,
 )
-from repro.matrix.partition import (
-    PartitionedMatrix,
-    row_ranges_equal_nnz,
-    row_ranges_equal_rows,
-)
+from repro.matrix.partition import PartitionedMatrix, row_ranges_equal_rows
 
 __all__ = [
     "BlockDelta",
@@ -29,6 +25,5 @@ __all__ = [
     "merge_block",
     "merge_sorted_unique",
     "row_ranges_equal_rows",
-    "row_ranges_equal_nnz",
     "sorted_membership",
 ]

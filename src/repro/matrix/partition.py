@@ -5,13 +5,11 @@ rows), and each partition is stored as an independent DCSC structure"
 (section 4.4.1).  Rows are SpMV *outputs*, so partitions never write the
 same output slot and can be processed by different threads without locks.
 
-Two strategies are provided:
-
-- ``"rows"``   — equal row ranges (the naive split; skewed graphs leave
-  some partitions with far more edges than others),
-- ``"nnz"``    — balanced non-zero counts (each partition gets roughly
-  ``nnz / n_partitions`` edges, the load-balancing split of section 4.5
-  item 4 pairs this with over-partitioning + dynamic scheduling).
+Rows are cut one way: into near-equal row ranges.  A skewed graph leaves
+some blocks with far more edges than others; as in the paper (section 4.5
+item 4), that is balanced by over-partitioning plus dynamic scheduling,
+not by a second way of cutting rows.  A view is therefore determined by
+its block count alone.
 """
 
 from __future__ import annotations
@@ -30,29 +28,6 @@ def row_ranges_equal_rows(n_rows: int, n_partitions: int) -> list[tuple[int, int
     if n_partitions <= 0:
         raise ShapeError(f"n_partitions must be positive, got {n_partitions}")
     bounds = np.linspace(0, n_rows, n_partitions + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_partitions)]
-
-
-def row_ranges_equal_nnz(
-    n_rows: int, row_nnz: np.ndarray, n_partitions: int
-) -> list[tuple[int, int]]:
-    """Split rows so each range holds roughly equal non-zeros.
-
-    ``row_nnz`` is the per-row non-zero count of the matrix being split.
-    Ranges are contiguous (required for conflict-free SpMV outputs) and the
-    split points are chosen on the cumulative nnz curve.
-    """
-    if n_partitions <= 0:
-        raise ShapeError(f"n_partitions must be positive, got {n_partitions}")
-    row_nnz = np.asarray(row_nnz, dtype=np.int64)
-    if row_nnz.shape[0] != n_rows:
-        raise ShapeError(f"row_nnz length {row_nnz.shape[0]} != n_rows {n_rows}")
-    cumulative = np.concatenate([[0], np.cumsum(row_nnz)])
-    total = int(cumulative[-1])
-    targets = np.linspace(0, total, n_partitions + 1)
-    bounds = np.searchsorted(cumulative, targets, side="left")
-    bounds[0], bounds[-1] = 0, n_rows
-    bounds = np.maximum.accumulate(bounds)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_partitions)]
 
 
@@ -90,23 +65,11 @@ class PartitionedMatrix:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_coo(
-        cls,
-        coo: COOMatrix,
-        n_partitions: int,
-        strategy: str = "nnz",
-    ) -> "PartitionedMatrix":
+    def from_coo(cls, coo: COOMatrix, n_partitions: int) -> "PartitionedMatrix":
         """Partition ``coo`` into ``n_partitions`` DCSC row blocks."""
         n_rows = coo.shape[0]
         n_partitions = max(1, min(int(n_partitions), max(1, n_rows)))
-        if strategy == "rows":
-            ranges = row_ranges_equal_rows(n_rows, n_partitions)
-        elif strategy == "nnz":
-            row_counts = np.zeros(n_rows, dtype=np.int64)
-            np.add.at(row_counts, coo.rows, 1)
-            ranges = row_ranges_equal_nnz(n_rows, row_counts, n_partitions)
-        else:
-            raise ValueError(f"unknown partition strategy {strategy!r}")
+        ranges = row_ranges_equal_rows(n_rows, n_partitions)
         # Sort entries once by row, then carve contiguous slices per range;
         # this keeps partitioning O(nnz log nnz) total instead of
         # O(nnz * n_partitions).

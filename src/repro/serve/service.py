@@ -542,7 +542,6 @@ class GraphService:
                         n_partitions=self.options.block_count(
                             new_graph.n_vertices
                         ),
-                        strategy=self.options.partition_strategy,
                     )
                     source = str(snapshot)
                 else:

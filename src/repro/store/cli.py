@@ -3,7 +3,7 @@
 ::
 
     repro-convert convert graph.tsv graph.gmsnap --partitions 8
-    repro-convert convert ratings.mtx.gz ratings.gmsnap --strategy nnz
+    repro-convert convert ratings.mtx.gz ratings.gmsnap --include-caches
     repro-convert info graph.gmsnap
     repro-convert verify graph.gmsnap
 
@@ -64,12 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "vertices)",
     )
     convert.add_argument(
-        "--strategy",
-        choices=("rows", "nnz"),
-        default="rows",
-        help="row split strategy (default rows)",
-    )
-    convert.add_argument(
         "--chunk-edges",
         type=int,
         default=DEFAULT_CHUNK_EDGES,
@@ -112,7 +106,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         comment=args.comment,
         n_vertices=args.n_vertices,
         n_partitions=args.partitions,
-        strategy=args.strategy,
         chunk_edges=args.chunk_edges,
         include_caches=args.include_caches,
         workers=args.workers,
@@ -121,8 +114,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     print(
         f"{report.source} -> {report.snapshot}\n"
         f"  {report.n_vertices} vertices, {report.n_edges} edges "
-        f"({report.n_edges_raw} raw), {report.n_partitions} partitions "
-        f"({report.strategy}), {report.workers} workers\n"
+        f"({report.n_edges_raw} raw), {report.n_partitions} partitions, "
+        f"{report.workers} workers\n"
         f"  parse {report.parse_seconds:.2f}s + route "
         f"{report.route_seconds:.2f}s + finalize "
         f"{report.finalize_seconds:.2f}s; peak partition "
@@ -145,10 +138,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     )
     for view in summary["views"]:
         caches = " +kernel-caches" if view["cached_kernels"] else ""
-        print(
-            f"  view: {view['direction']} x{view['n_partitions']} "
-            f"({view['strategy']}){caches}"
-        )
+        print(f"  view: {view['direction']} x{view['n_partitions']}{caches}")
     print(f"  {summary['arrays']} arrays, {summary['file_bytes']} bytes")
     return 0
 

@@ -347,7 +347,6 @@ def compact_delta_graph(
     *,
     log: DeltaLog | None = None,
     n_partitions: int | None = None,
-    strategy: str = "rows",
     directions: tuple[str, ...] = ("out",),
 ) -> Graph:
     """Fold an overlay back into a fresh snapshot; truncate its log.
@@ -367,7 +366,6 @@ def compact_delta_graph(
         materialized,
         snapshot_path,
         n_partitions=n_partitions,
-        strategy=strategy,
         directions=directions,
         meta={"compacted_from_epoch": int(graph.epoch)},
     )

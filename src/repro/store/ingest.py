@@ -13,8 +13,8 @@ all fan out across a process pool (``workers``, default = CPU count):
    Workers record chunk-local ``seq``; the route pass rewrites it to the
    edge's global position in the file, which is what makes the "keep the
    last duplicate" policy reproducible and worker-count independent.
-2. **Route** — partition row ranges are computed from the counts (the
-   ``"rows"`` or ``"nnz"`` split of :mod:`repro.matrix.partition`), then
+2. **Route** — partition row ranges are cut from the vertex count (the
+   equal-rows split of :mod:`repro.matrix.partition`), then
    contiguous partition groups are assigned to workers; each worker
    re-reads every spill segment in chunk order and appends its group's
    records to per-partition shard files.
@@ -68,10 +68,7 @@ from repro.graph.io import (
 )
 from repro.matrix.coo import COOMatrix
 from repro.matrix.dcsc import DCSCMatrix
-from repro.matrix.partition import (
-    row_ranges_equal_nnz,
-    row_ranges_equal_rows,
-)
+from repro.matrix.partition import row_ranges_equal_rows
 from repro.store.format import SnapshotWriter
 
 #: Edges parsed per text chunk (~24 MiB of spill records at the default).
@@ -97,7 +94,6 @@ class IngestReport:
     n_edges_raw: int = 0
     n_edges: int = 0
     n_partitions: int = 0
-    strategy: str = "rows"
     workers: int = 1
     chunks: int = 0
     peak_partition_edges: int = 0
@@ -139,7 +135,6 @@ class _PipelineConfig:
     n_vertices: int | None  # declared; None = discover from the data
     value_dtype: str | None
     final_value_dtype: str
-    need_degrees: bool
     include_caches: bool
     work_dir: str
 
@@ -154,30 +149,12 @@ def _spill_path(cfg: _PipelineConfig, index: int) -> Path:
     return Path(cfg.work_dir) / "spill" / f"chunk-{index:06d}.spill"
 
 
-def _degree_path(cfg: _PipelineConfig, index: int) -> Path:
-    return Path(cfg.work_dir) / "spill" / f"chunk-{index:06d}.deg.npy"
-
-
 def _shard_path(cfg: _PipelineConfig, p: int) -> Path:
     return Path(cfg.work_dir) / "shard" / f"part-{p:04d}.shard"
 
 
 def _block_path(cfg: _PipelineConfig, p: int) -> Path:
     return Path(cfg.work_dir) / "blocks" / f"block-{p:04d}.blk"
-
-
-class _DegreeCounter:
-    """Growable per-vertex counter (vertex space unknown until EOF)."""
-
-    def __init__(self) -> None:
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def add_counts(self, counts: np.ndarray) -> None:
-        if counts.shape[0] > self.counts.shape[0]:
-            grown = np.zeros(counts.shape[0], dtype=np.int64)
-            grown[: self.counts.shape[0]] = self.counts
-            self.counts = grown
-        self.counts[: counts.shape[0]] += counts
 
 
 def _parse_edge_lines(
@@ -335,7 +312,7 @@ def _parse_mtx_chunk(cfg: _PipelineConfig, lines: list[str]):
 
 
 def _parse_task(cfg: _PipelineConfig, index: int, span, blob):
-    """Pass 1: one text chunk -> one spill segment (+ degree counts)."""
+    """Pass 1: one text chunk -> one spill segment."""
     if blob is None:
         start, end = span
         with open(cfg.source, "rb") as handle:
@@ -358,17 +335,11 @@ def _parse_task(cfg: _PipelineConfig, index: int, span, blob):
     if cfg.value_dtype is not None:
         record["val"] = val
     record.tofile(_spill_path(cfg, index))
-    has_degrees = False
-    if cfg.need_degrees and dst.size:
-        np.save(_degree_path(cfg, index), np.bincount(dst).astype(np.int64))
-        has_degrees = True
     max_vertex = int(max(dst.max(), src.max())) if dst.size else -1
     return {
-        "chunk": index,
         "entries": entries,
         "records": int(dst.shape[0]),
         "max_vertex": max_vertex,
-        "degrees": has_degrees,
     }
 
 
@@ -573,7 +544,6 @@ def _run_pipeline(
     chunk_plan,  # ("offset", data_offset) | ("stream", text_handle)
     *,
     n_partitions: int | None,
-    strategy: str,
     chunk_edges: int,
     workers: int,
 ) -> IngestReport:
@@ -608,7 +578,6 @@ def _run_pipeline(
         parsed_entries = 0
         raw_edges = 0
         max_vertex = -1
-        degree = _DegreeCounter()
         for result in _run_tasks(pool, tasks, window):
             faults.crash_point("ingest.parse.chunk")
             bases.append(parsed_entries)
@@ -624,10 +593,6 @@ def _run_pipeline(
             raw_edges += result["records"]
             max_vertex = max(max_vertex, result["max_vertex"])
             report.chunks += 1
-            if result["degrees"]:
-                degree_path = _degree_path(cfg, result["chunk"])
-                degree.add_counts(np.load(degree_path))
-                degree_path.unlink()
         if cfg.format == "mtx" and parsed_entries != cfg.declared_nnz:
             raise IOFormatError(
                 f"{cfg.source}: declared nnz={cfg.declared_nnz} "
@@ -644,17 +609,8 @@ def _run_pipeline(
         if n_partitions is None:
             n_partitions = DEFAULT_OPTIONS.block_count(n_vertices)
         n_partitions = max(1, min(int(n_partitions), max(1, n_vertices)))
-        if strategy == "rows":
-            ranges = row_ranges_equal_rows(n_vertices, n_partitions)
-        elif strategy == "nnz":
-            counts = np.zeros(n_vertices, dtype=np.int64)
-            limit = min(n_vertices, degree.counts.shape[0])
-            counts[:limit] = degree.counts[:limit]
-            ranges = row_ranges_equal_nnz(n_vertices, counts, n_partitions)
-        else:
-            raise IOFormatError(f"unknown partition strategy {strategy!r}")
+        ranges = row_ranges_equal_rows(n_vertices, n_partitions)
         report.n_partitions = n_partitions
-        report.strategy = strategy
 
         # ---- Pass 2: route spill records into per-partition shards -----
         t0 = time.perf_counter()
@@ -773,7 +729,6 @@ def _run_pipeline(
                     {
                         "direction": "out",
                         "n_partitions": n_partitions,
-                        "strategy": strategy,
                         "shape": [n_vertices, n_vertices],
                         "blocks": blocks_doc,
                     }
@@ -801,7 +756,6 @@ def ingest_edge_list(
     comment: str = "#",
     n_vertices: int | None = None,
     n_partitions: int | None = None,
-    strategy: str = "rows",
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     include_caches: bool = False,
     workers: int | None = None,
@@ -840,13 +794,11 @@ def ingest_edge_list(
         final_value_dtype=(
             np.dtype(np.float64) if weighted else np.dtype(np.int64)
         ).str,
-        need_degrees=strategy == "nnz",
         include_caches=include_caches,
         work_dir=tempfile.mkdtemp(prefix="gm-ingest-", dir=temp_dir),
     )
     run = dict(
         n_partitions=n_partitions,
-        strategy=strategy,
         chunk_edges=chunk_edges,
         workers=workers,
     )
@@ -870,7 +822,6 @@ def ingest_mtx(
     snapshot: str | Path,
     *,
     n_partitions: int | None = None,
-    strategy: str = "rows",
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     include_caches: bool = False,
     workers: int | None = None,
@@ -885,7 +836,6 @@ def ingest_mtx(
     )
     run = dict(
         n_partitions=n_partitions,
-        strategy=strategy,
         chunk_edges=chunk_edges,
         workers=workers,
     )
@@ -909,8 +859,7 @@ def ingest_mtx(
                 if mtx_field == "integer"
                 else np.dtype(np.float64)
             ).str,
-            need_degrees=strategy == "nnz",
-            include_caches=include_caches,
+                include_caches=include_caches,
             work_dir=tempfile.mkdtemp(prefix="gm-ingest-", dir=temp_dir),
         )
 

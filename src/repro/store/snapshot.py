@@ -101,7 +101,6 @@ def _write_view(
     view_index: int,
     direction: str,
     n_partitions: int,
-    strategy: str,
     partitions: PartitionedMatrix,
     include_caches: bool,
 ) -> dict:
@@ -114,7 +113,6 @@ def _write_view(
     return {
         "direction": direction,
         "n_partitions": int(n_partitions),
-        "strategy": strategy,
         "shape": [int(partitions.shape[0]), int(partitions.shape[1])],
         "blocks": blocks,
     }
@@ -125,18 +123,17 @@ def save_snapshot(
     path: str | Path,
     *,
     n_partitions: int | None = None,
-    strategy: str = "rows",
     directions: tuple[str, ...] = ("out",),
     include_caches: bool = False,
     meta: dict | None = None,
 ) -> Path:
     """Snapshot ``graph`` (edges + requested partitioned views) to ``path``.
 
-    ``n_partitions``/``strategy`` should match the engine options the
-    graph will run under so :func:`load_snapshot` pre-seeds exactly the
-    view cache entry ``run_graph_program`` asks for.  The defaults
-    mirror ``DEFAULT_OPTIONS``: its ``block_count(graph.n_vertices)``
-    (one block up to 65,536 vertices) and ``"rows"``.
+    ``n_partitions`` should match the block count of the engine options
+    the graph will run under so :func:`load_snapshot` pre-seeds exactly
+    the view cache entry ``run_graph_program`` asks for.  The default
+    mirrors ``DEFAULT_OPTIONS``: its ``block_count(graph.n_vertices)``
+    (one block up to 65,536 vertices).
     """
     if n_partitions is None:
         n_partitions = DEFAULT_OPTIONS.block_count(graph.n_vertices)
@@ -165,9 +162,9 @@ def save_snapshot(
         }
         for view_index, direction in enumerate(directions):
             partitions = (
-                graph.out_partitions(n_partitions, strategy)
+                graph.out_partitions(n_partitions)
                 if direction == "out"
-                else graph.in_partitions(n_partitions, strategy)
+                else graph.in_partitions(n_partitions)
             )
             document["views"].append(
                 _write_view(
@@ -175,7 +172,6 @@ def save_snapshot(
                     view_index,
                     direction,
                     n_partitions,
-                    strategy,
                     partitions,
                     include_caches,
                 )
@@ -232,8 +228,10 @@ def load_snapshot(
     ``verify=True`` (or run ``repro-convert verify``) to re-check every
     CRC-32 before trusting a file that crossed an unreliable transport.
     The snapshot's partitioned views are installed into the Graph's view
-    cache, so an engine run with matching options starts without
-    touching the edge arrays at all.
+    cache under their block count, so an engine run with matching
+    options starts without touching the edge arrays at all.  A view
+    document's unknown keys (older files name how their rows were cut)
+    are ignored: results do not depend on where rows are cut.
     """
     reader = open_snapshot(path, mmap=mmap)
     if verify:
@@ -258,7 +256,6 @@ def load_snapshot(
         graph.adopt_partitions(
             view_doc["direction"],
             int(view_doc["n_partitions"]),
-            view_doc["strategy"],
             _load_view(reader, view_doc),
         )
     return graph
@@ -272,7 +269,6 @@ def snapshot_info(path: str | Path) -> dict:
         {
             "direction": v["direction"],
             "n_partitions": v["n_partitions"],
-            "strategy": v["strategy"],
             "blocks": len(v["blocks"]),
             "cached_kernels": any("caches" in b for b in v["blocks"]),
         }

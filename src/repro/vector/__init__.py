@@ -1,6 +1,5 @@
 """Sparse/dense vector substrate (GraphMat section 4.4.2)."""
 
-from repro.vector.bitvector import Bitvector
 from repro.vector.dense import PropertyArray
 from repro.vector.multi_frontier import MultiFrontier
 from repro.vector.sparse_vector import (
@@ -15,7 +14,6 @@ from repro.vector.sparse_vector import (
 )
 
 __all__ = [
-    "Bitvector",
     "PropertyArray",
     "SparseVector",
     "BitvectorVector",

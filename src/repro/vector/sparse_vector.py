@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.vector.bitvector import Bitvector
 
 
 @dataclass(frozen=True)
@@ -147,11 +146,9 @@ class BitvectorVector(SparseVector):
     compact, cache-resident and shareable across threads.
 
     Implementation note: validity is stored as a numpy ``bool`` array (one
-    byte per entry) rather than the packed :class:`Bitvector` — in numpy,
-    boolean masks are the fast word-parallel analogue of the paper's packed
-    bits, while per-word bit twiddling would put Python dispatch on the hot
-    path.  The packed structure remains available for callers that want the
-    8x denser layout.
+    byte per entry) rather than packed bits — in numpy, boolean masks are
+    the fast word-parallel analogue of the paper's packed bits, while
+    per-word bit twiddling would put Python dispatch on the hot path.
     """
 
     def __init__(self, length: int, spec: ValueSpec = FLOAT64) -> None:
@@ -205,10 +202,6 @@ class BitvectorVector(SparseVector):
     def valid_mask(self) -> np.ndarray:
         """Boolean validity mask of shape ``(length,)`` (do not mutate)."""
         return self._valid
-
-    def to_packed_bitvector(self) -> Bitvector:
-        """The paper's packed representation of the validity set."""
-        return Bitvector.from_bool_array(self._valid)
 
 
 class SortedTuplesVector(SparseVector):

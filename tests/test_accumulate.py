@@ -63,11 +63,11 @@ def _run(graph, program_class, roots, options, budgets, accumulate):
         side_effect=ckernels.accumulates if accumulate else lambda *a: False,
     ):
         run = engine._run_supersteps(
-            graph, [program_class() for _ in roots], props, active, options,
-            counters=counters, lane_tokens=tokens,
+            graph, [program_class() for _ in roots], props, active,
             # Non-negative weights: every distance is final after n
             # supersteps, so a run that goes on is wrong, not slow.
-            safety_cap=2 * n + 8,
+            options.with_(safety_cap=2 * n + 8),
+            counters=counters, lane_tokens=tokens,
         )
     return props, active, run, counters, spy.call_args_list
 

@@ -457,7 +457,7 @@ class TestSpMMKernels:
         graph = Graph.from_edges(
             10, np.array([0, 1]), np.array([1, 2])
         )
-        view = graph.out_partitions(4, "rows")
+        view = graph.out_partitions(4)
         x = MultiFrontier(10, 2, fill=0.0)
         program = SemiringProgram(PLUS_TIMES)
         props = np.zeros((2, 10))
@@ -518,10 +518,7 @@ class TestSnapshotCacheWarm:
         options = EngineOptions()
         path = tmp_path / "g.gmsnap"
         save_snapshot(
-            rmat_sym,
-            path,
-            n_partitions=options.block_count(rmat_sym.n_vertices),
-            strategy=options.partition_strategy,
+            rmat_sym, path, n_partitions=options.block_count(rmat_sym.n_vertices)
         )
         expected = bfs_multi_source(rmat_sym, ROOTS[:4], options=options)
         loaded = load_snapshot(path)
@@ -533,9 +530,7 @@ class TestSnapshotCacheWarm:
         warm = bfs_multi_source(loaded, ROOTS[:4], options=options)
         assert np.array_equal(expected.values, warm.values)
         view = loaded.peek_partitions(
-            "out",
-            options.block_count(rmat_sym.n_vertices),
-            options.partition_strategy,
+            "out", options.block_count(rmat_sym.n_vertices)
         )
         assert view is not None and view.snapshot_path is not None
 

@@ -87,9 +87,7 @@ class TestDeltaGraphSemantics:
         assert dg.n_edges == weighted_graph.n_edges
         assert edge_dict(dg) == edge_dict(weighted_graph)
         # epoch-0 views alias the base's (zero copies)
-        assert dg.out_partitions(4, "rows") is weighted_graph.out_partitions(
-            4, "rows"
-        )
+        assert dg.out_partitions(4) is weighted_graph.out_partitions(4)
 
     def test_insert_delete_replace_semantics(self):
         g = Graph.from_edges(
@@ -206,14 +204,14 @@ class TestViewParity:
         )
         ref = rebuild(dg)
         mine = (
-            dg.out_partitions(8, "rows")
+            dg.out_partitions(8)
             if direction == "out"
-            else dg.in_partitions(8, "rows")
+            else dg.in_partitions(8)
         )
         theirs = (
-            ref.out_partitions(8, "rows")
+            ref.out_partitions(8)
             if direction == "out"
-            else ref.in_partitions(8, "rows")
+            else ref.in_partitions(8)
         )
         assert mine.nnz == theirs.nnz == dg.n_edges
         for a, b in zip(mine.blocks, theirs.blocks):
@@ -239,9 +237,9 @@ class TestViewParity:
                      weighted_graph.edges.cols[::17]),
         )
         view = (
-            dg.out_partitions(8, "rows")
+            dg.out_partitions(8)
             if direction == "out"
-            else dg.in_partitions(8, "rows")
+            else dg.in_partitions(8)
         )
         for merged in view.blocks:
             if merged._dst_groups is None:
@@ -262,26 +260,26 @@ class TestViewParity:
                 assert np.array_equal(sorted_ir[starts], unique)
 
     def test_untouched_partitions_alias_base_blocks(self, weighted_graph):
-        base_view = weighted_graph.out_partitions(8, "rows")
+        base_view = weighted_graph.out_partitions(8)
         # A delta confined to the first partition's row range (out view
         # rows are destinations).
         lo, hi = base_view.blocks[0].row_range
         dg = DeltaGraph(weighted_graph).apply_delta(
             inserts=([hi - 1], [lo], [3.0])
         )
-        merged = dg.out_partitions(8, "rows")
+        merged = dg.out_partitions(8)
         assert merged.blocks[0] is not base_view.blocks[0]
         for mine, theirs in zip(merged.blocks[1:], base_view.blocks[1:]):
             assert mine is theirs
 
     def test_mmap_base_blocks_stay_shared(self, weighted_graph, tmp_path):
         path = tmp_path / "base.gmsnap"
-        save_snapshot(weighted_graph, path, n_partitions=8, strategy="rows")
+        save_snapshot(weighted_graph, path, n_partitions=8)
         loaded = load_snapshot(path)
-        view = loaded.out_partitions(8, "rows")
+        view = loaded.out_partitions(8)
         lo, hi = view.blocks[0].row_range
         dg = DeltaGraph(loaded).apply_delta(inserts=([hi - 1], [lo], [3.0]))
-        merged = dg.out_partitions(8, "rows")
+        merged = dg.out_partitions(8)
         # Untouched partitions keep the snapshot's mapped arrays (no
         # resident copy); only the touched partition is rebuilt.
         assert np.shares_memory(merged.blocks[1].ir, view.blocks[1].ir)
@@ -532,20 +530,20 @@ class TestDeltaLog:
 # ----------------------------------------------------------------------
 class TestEngineStateInterplay:
     def test_run_on_overlay_with_plain_options(self, weighted_graph):
-        # record_partition_stats + nnz strategy: correct (not bitwise-
-        # parity-guaranteed) results on the delta view.
+        # Default options: the overlay equals a rebuild bit for bit,
+        # the `+` fold of PageRank included.
         rng = np.random.default_rng(9)
         n = weighted_graph.n_vertices
         dg = DeltaGraph(weighted_graph).apply_delta(
             inserts=(rng.integers(0, n, 20), rng.integers(0, n, 20),
                      rng.uniform(1, 9, 20))
         )
-        options = EngineOptions(
-            partition_strategy="nnz", record_partition_stats=True
+        fresh = rebuild(dg)
+        assert np.array_equal(run_bfs(dg, 0).distances, run_bfs(fresh, 0).distances)
+        assert np.array_equal(
+            run_pagerank(dg, max_iterations=5).ranks,
+            run_pagerank(fresh, max_iterations=5).ranks,
         )
-        mine = run_bfs(dg, 0, options=options).distances
-        theirs = run_bfs(rebuild(dg), 0, options=options).distances
-        assert np.array_equal(mine, theirs)  # min-semiring: exact anyway
 
     def test_scalar_unfused_path_matches(self, weighted_graph):
         rng = np.random.default_rng(10)

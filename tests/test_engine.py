@@ -160,7 +160,7 @@ class TestGuards:
         graph.set_all_active()
         with pytest.raises(ConvergenceError):
             run_graph_program(
-                graph, Oscillator(), EngineOptions(), safety_cap=10
+                graph, Oscillator(), EngineOptions(safety_cap=10)
             )
 
     def test_invalid_program_declaration(self):
@@ -219,27 +219,12 @@ class TestPartitionedExecution:
         assert result.distances.tolist() == [0.0, 1.0, 2.0, 2.0, 4.0]
         # The run swept n_parts blocks (at most one per row), and
         # recorded their work every superstep.
-        view = graph.peek_partitions("out", n_parts, "rows")
+        view = graph.peek_partitions("out", n_parts)
         assert len(view.blocks) == min(n_parts, graph.n_vertices)
         assert all(
             len(it.partition_work) == len(view.blocks)
             for it in result.stats.iterations
         )
-
-    def test_partition_strategies_agree(self):
-        from repro.algorithms import run_pagerank
-        from repro.graph.generators import rmat_graph
-
-        ranks = {}
-        for strategy in ("rows", "nnz"):
-            graph = rmat_graph(7, 8, seed=1)
-            options = EngineOptions(blocks=4, partition_strategy=strategy)
-            ranks[strategy] = run_pagerank(
-                graph, max_iterations=5, options=options
-            ).ranks
-            view = graph.peek_partitions("out", 4, strategy)
-            assert len(view.blocks) == 4
-        assert np.array_equal(ranks["rows"], ranks["nnz"])
 
 
 class TestStatsSerialization:
@@ -254,7 +239,7 @@ class TestStatsSerialization:
         graph = rmat_graph(6, 8, seed=2)
         options = EngineOptions(record_partition_stats=True, blocks=2)
         stats = run_pagerank(graph, max_iterations=3, options=options).stats
-        assert len(graph.peek_partitions("out", 2, "rows").blocks) == 2
+        assert len(graph.peek_partitions("out", 2).blocks) == 2
         return stats
 
     def test_run_stats_round_trips_through_json(self):

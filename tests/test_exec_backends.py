@@ -181,8 +181,8 @@ class TestBlockCountParity:
     does not depend on where the blocks are cut, so the block count a
     backend and a graph imply (``EngineOptions.block_count``) is a
     schedule, not a semantic.  The reference is the default one-block
-    serial run; the other side draws a count from 1 to 9 through the
-    simulated-core knobs, either split strategy and either backend.
+    serial run; the other side draws a count from 1 to 9 through
+    ``blocks`` and either backend.
     """
 
     @settings(
@@ -194,12 +194,9 @@ class TestBlockCountParity:
         scale=st.integers(min_value=3, max_value=6),
         seed=st.integers(min_value=0, max_value=2**16),
         blocks=st.integers(min_value=1, max_value=9),
-        strategy=st.sampled_from(("rows", "nnz")),
         backend=st.sampled_from(BACKEND_NAMES),
     )
-    def test_any_block_count_equals_any_other(
-        self, scale, seed, blocks, strategy, backend
-    ):
+    def test_any_block_count_equals_any_other(self, scale, seed, blocks, backend):
         graph = rmat_graph(scale=scale, edge_factor=6, seed=seed)
         spec = BipartiteSpec(n_users=24, n_items=9, ratings_per_user=4.0)
         bipartite = bipartite_rating_graph(spec, seed=seed)
@@ -209,16 +206,13 @@ class TestBlockCountParity:
             backend=backend,
             n_workers=min(blocks, 2),
             blocks=blocks,
-            partition_strategy=strategy,
         )
         want = _block_results(graph, bipartite, spec.n_users, reference)
         got = _block_results(graph, bipartite, spec.n_users, options)
-        view = graph.peek_partitions(
-            "out", options.block_count(graph.n_vertices), strategy
-        )
+        view = graph.peek_partitions("out", options.block_count(graph.n_vertices))
         assert len(view.blocks) == min(blocks, graph.n_vertices)
         for name, array in want.items():
-            assert np.array_equal(array, got[name]), (name, blocks, strategy)
+            assert np.array_equal(array, got[name]), (name, blocks, backend)
 
 
 def _pool_threads() -> set[threading.Thread]:

@@ -63,14 +63,14 @@ class TestGraphContainer:
         assert fig1.in_csr() is fig1.in_csr()
 
     def test_partitions_cached_per_key(self, fig1):
-        p1 = fig1.out_partitions(2, "rows")
-        assert fig1.out_partitions(2, "rows") is p1
-        assert fig1.out_partitions(3, "rows") is not p1
+        p1 = fig1.out_partitions(2)
+        assert fig1.out_partitions(2) is p1
+        assert fig1.out_partitions(3) is not p1
 
     def test_invalidate_caches(self, fig1):
-        p1 = fig1.out_partitions(2, "rows")
+        p1 = fig1.out_partitions(2)
         fig1.invalidate_caches()
-        assert fig1.out_partitions(2, "rows") is not p1
+        assert fig1.out_partitions(2) is not p1
 
     def test_out_partitions_orientation(self, fig1):
         """Out view stores A^T: columns are message sources."""

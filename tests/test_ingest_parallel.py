@@ -90,10 +90,7 @@ def _no_scratch_left(temp_dir: Path) -> bool:
 
 class TestByteStability:
     @pytest.mark.parametrize("fmt", ["edgelist", "mtx"])
-    @pytest.mark.parametrize("strategy", ["rows", "nnz"])
-    def test_snapshot_bytes_independent_of_worker_count(
-        self, tmp_path, fmt, strategy
-    ):
+    def test_snapshot_bytes_independent_of_worker_count(self, tmp_path, fmt):
         if fmt == "edgelist":
             source = _write_edges(tmp_path / "g.el", 80, 400, seed=3)
             ingest = ingest_edge_list
@@ -102,9 +99,7 @@ class TestByteStability:
                 tmp_path / "g.mtx", 80, 400, seed=3, symmetry="symmetric"
             )
             ingest = ingest_mtx
-        kwargs = dict(
-            n_partitions=4, strategy=strategy, chunk_edges=37, temp_dir=tmp_path
-        )
+        kwargs = dict(n_partitions=4, chunk_edges=37, temp_dir=tmp_path)
         reference = tmp_path / "w1.gmsnap"
         ingest(source, reference, workers=1, **kwargs)
         for workers in (2, 4):

@@ -357,7 +357,7 @@ class TestMutationEndpoint:
         registry = GraphRegistry()
         registry.add_graph("g", sym)
         snapshot = tmp_path / "snap.gmsnap"
-        save_snapshot(sym, snapshot, n_partitions=8, strategy="rows")
+        save_snapshot(sym, snapshot, n_partitions=8)
         registry.add_snapshot("snap", snapshot)
         service = GraphService(
             registry, policy=BatchPolicy(max_batch_k=4, max_wait_ms=5.0)

@@ -150,12 +150,6 @@ class TestBitvectorSpecific:
         v = BitvectorVector(10)
         assert v.values.shape == (10,)
 
-    def test_to_packed_bitvector(self):
-        v = BitvectorVector(70)
-        v.set(64, 1.0)
-        packed = v.to_packed_bitvector()
-        assert packed.to_indices().tolist() == [64]
-
 
 class TestSortedTuplesSpecific:
     def test_out_of_order_inserts_resort(self):

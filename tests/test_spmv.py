@@ -215,10 +215,6 @@ class TestEngineOptionValidation:
         with pytest.raises(ProgramError):
             EngineOptions(blocks=-3)
 
-    def test_bad_strategy(self):
-        with pytest.raises(Exception):
-            EngineOptions(partition_strategy="zigzag")
-
     def test_bad_max_iterations(self):
         with pytest.raises(Exception):
             EngineOptions(max_iterations=0)
@@ -419,7 +415,7 @@ class TestSelectKernelBoundaries:
         stats = run_graph_program(graph, generic(BFSProgram)(), options)
         distances = graph.vertex_properties.data.copy()
         assert set(stats.kernel_totals()) == {"sparse-gather", "dense-pull"}
-        blocks = graph.peek_partitions("out", 32, "rows").blocks
+        blocks = graph.peek_partitions("out", 32).blocks
         assert len(blocks) == 32
         for it in stats.iterations:
             for work in it.partition_work:

@@ -15,12 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.bfs import run_bfs
-from repro.algorithms.pagerank import PageRankProgram, init_pagerank
+from repro.algorithms.pagerank import PageRankProgram, init_pagerank, run_pagerank
 from repro.core.engine import run_graph_program
 from repro.core.options import DEFAULT_OPTIONS, EngineOptions
 from repro.errors import IOFormatError
 from repro.graph.builder import build_graph
+from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, read_mtx, write_edge_list
+from repro.matrix.coo import COOMatrix
+from repro.matrix.dcsc import DCSCMatrix
 from repro.matrix.partition import PartitionedMatrix
 from tests.matrix_helpers import matrices_equal
 from repro.store import (
@@ -135,16 +138,16 @@ class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("mmap", [True, False])
     def test_graph_roundtrip(self, tmp_path, rmat_weighted, mmap):
         path = tmp_path / "g.gmsnap"
-        save_snapshot(rmat_weighted, path, n_partitions=4, strategy="nnz")
+        save_snapshot(rmat_weighted, path, n_partitions=4)
         close_snapshots()
         loaded = load_snapshot(path, mmap=mmap)
         assert loaded.n_vertices == rmat_weighted.n_vertices
         assert loaded.n_edges == rmat_weighted.n_edges
         assert matrices_equal(loaded.edges, rmat_weighted.edges)
-        view = loaded.peek_partitions("out", 4, "nnz")
+        view = loaded.peek_partitions("out", 4)
         assert view is not None
         assert matrices_equal(
-            view.to_coo(), rmat_weighted.out_partitions(4, "nnz").to_coo()
+            view.to_coo(), rmat_weighted.out_partitions(4).to_coo()
         )
 
     def test_both_directions(self, tmp_path, rmat_small):
@@ -152,25 +155,93 @@ class TestSnapshotRoundTrip:
         save_snapshot(rmat_small, path, directions=("out", "in"))
         loaded = load_snapshot(path)
         blocks = DEFAULT_OPTIONS.block_count(rmat_small.n_vertices)
-        assert loaded.peek_partitions("out", blocks, "rows") is not None
-        assert loaded.peek_partitions("in", blocks, "rows") is not None
+        assert loaded.peek_partitions("out", blocks) is not None
+        assert loaded.peek_partitions("in", blocks) is not None
 
     def test_include_caches_preloads_kernel_caches(self, tmp_path, rmat_small):
         path = tmp_path / "g.gmsnap"
         save_snapshot(rmat_small, path, include_caches=True)
         loaded = load_snapshot(path)
         blocks = DEFAULT_OPTIONS.block_count(rmat_small.n_vertices)
-        block = loaded.peek_partitions("out", blocks, "rows").blocks[0]
+        block = loaded.peek_partitions("out", blocks).blocks[0]
         # Caches were installed from the file, not computed.
         assert block._col_expanded is not None
         assert block._dst_groups is not None
-        reference = rmat_small.out_partitions(blocks, "rows").blocks[0]
+        reference = rmat_small.out_partitions(blocks).blocks[0]
         order, starts, rows = block.dst_groups()
         ref_order, ref_starts, ref_rows = reference.dst_groups()
         assert np.array_equal(order, ref_order)
         assert np.array_equal(starts, ref_starts)
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(block.col_expanded(), reference.col_expanded())
+
+    def test_older_file_naming_its_row_split_loads(
+        self, tmp_path, rmat_small, monkeypatch
+    ):
+        """Older writers stored a ``"strategy"`` per view and could cut
+        rows to equal non-zero counts.  Such a file loads; its view is
+        found under its block count; runs on it match a fresh graph's
+        bit for bit, since results do not depend on where rows are cut."""
+        n, n_blocks = rmat_small.n_vertices, 4
+        at = rmat_small.edges.transpose()
+        cumulative = np.concatenate(
+            [[0], np.cumsum(np.bincount(at.rows, minlength=n))]
+        )
+        bounds = np.searchsorted(
+            cumulative, np.linspace(0, cumulative[-1], n_blocks + 1)
+        )
+        bounds[0], bounds[-1] = 0, n
+        ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert ranges != rmat_small.out_partitions(n_blocks).row_ranges()
+        path = tmp_path / "older.gmsnap"
+        with SnapshotWriter(path) as writer:
+            blocks = []
+            for p, (lo, hi) in enumerate(ranges):
+                keep = (at.rows >= lo) & (at.rows < hi)
+                block = DCSCMatrix.from_coo(
+                    COOMatrix(at.shape, at.rows[keep], at.cols[keep],
+                              at.vals[keep]),
+                    row_range=(lo, hi),
+                )
+                entry = {"row_range": [lo, hi]}
+                for key in ("jc", "cp", "ir", "num"):
+                    entry[key] = writer.add_array(
+                        f"views/0/blocks/{p}/{key}", getattr(block, key)
+                    )
+                blocks.append(entry)
+            edges = rmat_small.edges
+            writer.close({
+                "kind": "graph",
+                "meta": {},
+                "graph": {"n_vertices": n, "n_edges": rmat_small.n_edges},
+                "edges": {
+                    key: writer.add_array(f"edges/{key}", getattr(edges, key))
+                    for key in ("rows", "cols", "vals")
+                },
+                "views": [{
+                    "direction": "out",
+                    "n_partitions": n_blocks,
+                    "strategy": "nnz",
+                    "shape": [n, n],
+                    "blocks": blocks,
+                }],
+            })
+        loaded = load_snapshot(path)
+        stored = loaded.peek_partitions("out", n_blocks)
+        assert stored is not None and stored.row_ranges() == ranges
+
+        def boom(*args, **kwargs):
+            raise AssertionError("partition rebuild on a loaded snapshot")
+
+        options = EngineOptions(blocks=n_blocks)
+        root = int(np.argmax(loaded.out_degrees()))
+        monkeypatch.setattr(PartitionedMatrix, "from_coo", boom)
+        bfs = run_bfs(loaded, root, options=options).distances
+        ranks = run_pagerank(loaded, max_iterations=8, options=options).ranks
+        monkeypatch.undo()
+        fresh = Graph(rmat_small.edges)
+        assert np.array_equal(bfs, run_bfs(fresh, root).distances)
+        assert np.array_equal(ranks, run_pagerank(fresh, max_iterations=8).ranks)
 
     def test_views_snapshot_kind_guard(self, tmp_path):
         path = tmp_path / "v.gmsnap"
@@ -258,7 +329,7 @@ class TestIngest:
         blocks = DEFAULT_OPTIONS.block_count(report.n_vertices)
         assert report.n_partitions == blocks
         loaded = load_snapshot(snap)
-        stored = loaded.peek_partitions("out", blocks, "rows")
+        stored = loaded.peek_partitions("out", blocks)
         assert stored is not None and stored.snapshot_path is not None
 
         def boom(*args, **kwargs):
@@ -267,7 +338,7 @@ class TestIngest:
         monkeypatch.setattr(PartitionedMatrix, "from_coo", boom)
         root = int(np.argmax(loaded.out_degrees()))
         got = run_bfs(loaded, root).distances
-        assert loaded.peek_partitions("out", blocks, "rows") is stored
+        assert loaded.peek_partitions("out", blocks) is stored
         monkeypatch.undo()
         assert np.array_equal(got, run_bfs(read_edge_list(source), root).distances)
 
@@ -277,20 +348,6 @@ class TestIngest:
         report = ingest_edge_list(source, tmp_path / "g.gmsnap", workers=1)
         assert report.n_vertices == 65_537
         assert report.n_partitions == 2
-
-    def test_nnz_strategy_matches_in_memory(self, tmp_path, rmat_small):
-        source = tmp_path / "rmat.tsv"
-        write_edge_list(rmat_small, source, weighted=False)
-        snap = tmp_path / "g.gmsnap"
-        ingest_edge_list(
-            source, snap, n_partitions=4, strategy="nnz", chunk_edges=64
-        )
-        loaded = load_snapshot(snap)
-        reference = read_edge_list(source)
-        view = loaded.peek_partitions("out", 4, "nnz")
-        ref_view = reference.out_partitions(4, "nnz")
-        assert view.row_ranges() == ref_view.row_ranges()
-        assert matrices_equal(view.to_coo(), ref_view.to_coo())
 
     def test_mtx_symmetric_integer(self, tmp_path):
         source = tmp_path / "g.mtx"
@@ -385,8 +442,7 @@ def edge_list_cases(draw):
         else None
     )
     n_partitions = draw(st.integers(min_value=1, max_value=16))
-    strategy = draw(st.sampled_from(["rows", "nnz"]))
-    return n, pairs, weighted, weights, n_partitions, strategy
+    return n, pairs, weighted, weights, n_partitions
 
 
 @settings(
@@ -398,7 +454,7 @@ def edge_list_cases(draw):
 def test_edge_list_snapshot_roundtrip_exact(case, tmp_path_factory):
     """edge list -> Graph -> snapshot -> mmap load -> to_coo is exact
     (weights, duplicate edges, empty partitions included)."""
-    n, pairs, weighted, weights, n_partitions, strategy = case
+    n, pairs, weighted, weights, n_partitions = case
     tmp = tmp_path_factory.mktemp("hyp")
     source = tmp / "edges.tsv"
     lines = []
@@ -416,23 +472,19 @@ def test_edge_list_snapshot_roundtrip_exact(case, tmp_path_factory):
         weighted=weighted,
         n_vertices=n,
         n_partitions=n_partitions,
-        strategy=strategy,
         chunk_edges=7,  # force multi-chunk paths
     )
     loaded_a = load_snapshot(snap_a)
     assert loaded_a.n_vertices == reference.n_vertices
     assert matrices_equal(loaded_a.edges, reference.edges)
     view_doc = open_snapshot(snap_a).document["views"][0]
-    view = loaded_a.peek_partitions(  # the count may have been clamped
-        "out", view_doc["n_partitions"], view_doc["strategy"]
-    )
+    # the count may have been clamped
+    view = loaded_a.peek_partitions("out", view_doc["n_partitions"])
     assert matrices_equal(view.to_coo(), reference.edges.transpose())
 
     # Path 2: in-memory snapshot of the reference graph.
     snap_b = tmp / "memory.gmsnap"
-    save_snapshot(
-        reference, snap_b, n_partitions=n_partitions, strategy=strategy
-    )
+    save_snapshot(reference, snap_b, n_partitions=n_partitions)
     loaded_b = load_snapshot(snap_b)
     assert matrices_equal(loaded_b.edges, reference.edges)
     assert np.array_equal(

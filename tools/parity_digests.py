@@ -104,7 +104,7 @@ def _check_blocks(graph, blocks: int) -> None:
     views = [
         view
         for direction in ("out", "in")
-        if (view := graph.peek_partitions(direction, blocks, "rows")) is not None
+        if (view := graph.peek_partitions(direction, blocks)) is not None
     ]
     want = min(blocks, graph.n_vertices)
     if not views or any(view.n_partitions != want for view in views):
